@@ -59,9 +59,9 @@ func (s *Server) sizeLocked() int {
 	return s.Get(0) // want "sizeLocked .* calls Get, which acquires the lock"
 }
 
-// Observe is the instrument-point shape: the callback fires with the
-// lock held (shared here, exclusive elsewhere) — clean, like the
-// faultLocked instrument gate in internal/xserver.
+// Observe is the instrument-point shape: a callback fired with the
+// lock held is clean, since dispatch does not acquire (the request
+// gate in internal/xserver fires its instrument before any lock).
 func (s *Server) Observe(k int) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -184,8 +184,8 @@ func (wm *WM) manage(win xproto.XID, pre *adoptPrefetch) (*Client, error) {
 	// WM, so the slot — the client's new parent — selects
 	// SubstructureRedirect, exactly as twm-style WMs do on their
 	// frames), and the two maps. Ops apply in record order, so event
-	// semantics match the old one-request-at-a-time sequence; the fast
-	// path costs one lock round-trip instead of six.
+	// semantics match the old one-request-at-a-time sequence, and every
+	// cookie is checked after one Flush.
 	b := wm.conn.Batch()
 	ckSave := b.ChangeSaveSet(win, true)
 	var ckBorder *xserver.Cookie

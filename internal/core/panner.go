@@ -160,7 +160,7 @@ func (p *Panner) miniRect(c *Client) xproto.Rect {
 // syncPanner reconciles the miniatures with the current client set:
 // create on appear, destroy on leave, move/resize/relabel only when
 // the mirrored state actually changed. All requests for one sync ride
-// one batch — one server lock acquisition however many miniatures
+// one batch — one flush and one error check however many miniatures
 // changed. (The previous implementation destroyed and recreated every
 // miniature on every call, at every call site.) The exception: when a
 // miniature is created, its fill and map ops go in a second batch

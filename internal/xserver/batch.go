@@ -6,13 +6,14 @@ import (
 	"repro/internal/xproto"
 )
 
-// Batch collects window requests client-side and applies them to the
-// server under a single exclusive lock acquisition — the Xlib request
-// pipeline: callers queue requests, get back cookies immediately, and
-// learn about errors only after the flush, exactly as Xlib reports
-// asynchronous protocol errors. A batch of N ops costs one lock
-// round-trip instead of N, which is what makes bulk redraws (the
-// panner rebuilding dozens of miniatures) cheap.
+// Batch records window requests client-side and replays them at Flush
+// — the Xlib request pipeline: callers queue requests, get back cookies
+// immediately, and learn about errors only after the flush, exactly as
+// Xlib reports asynchronous protocol errors. Flush replays each op
+// through its request method, under that request's own locks, so other
+// clients' requests may interleave with a batch as they would with a
+// real pipeline, and a batch is observationally the same request
+// sequence issued one call at a time.
 //
 // CreateWindow allocates the new window's XID at record time (clients
 // own their ID space, as in XCB), so the cookie's Window() may be used
@@ -121,16 +122,6 @@ type batchOp struct {
 	label  string
 	fill   byte
 	ck     *Cookie
-}
-
-// faultTarget is the window fault injection attributes the op to,
-// matching the unbatched request methods (CreateWindow faults are
-// attributed to the parent).
-func (op *batchOp) faultTarget() xproto.XID {
-	if op.kind == opCreateWindow {
-		return op.parent
-	}
-	return op.id
 }
 
 // Batch starts an empty request batch on this connection.
@@ -254,11 +245,13 @@ func (b *Batch) ChangeSaveSet(id xproto.XID, insert bool) *Cookie {
 	return b.record(batchOp{kind: opChangeSaveSet, id: id, insert: insert})
 }
 
-// Flush applies all recorded ops under one lock acquisition, in record
-// order. Every cookie is resolved; Flush returns the first op error
-// (or nil if all succeeded) so callers that don't need per-op
-// granularity can treat the whole batch as one request. Flushing an
-// empty batch is a no-op; flushing twice is an error.
+// Flush replays the recorded ops in record order, each through its
+// request method (so each passes the connection's gate, with its fault
+// schedule and instrument, exactly as an unbatched call). Every cookie
+// is resolved; Flush returns the first op error (or nil if all
+// succeeded) so callers that don't need per-op granularity can treat
+// the whole batch as one request. Flushing an empty batch is a no-op;
+// flushing twice is an error.
 func (b *Batch) Flush() error {
 	if b.flushed {
 		return errors.New("xserver: batch flushed twice")
@@ -267,30 +260,15 @@ func (b *Batch) Flush() error {
 	if len(b.ops) == 0 {
 		return nil
 	}
-	s := b.conn.server
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if g := b.conn.gates.Load(); g != nil && g.in != nil {
+	c := b.conn
+	if g := c.gates.Load(); g != nil && g.in != nil {
 		g.in.BatchFlush(len(b.ops))
 	}
-	return s.applyBatchLocked(b.conn, b.ops)
-}
-
-// applyBatchLocked executes recorded ops on behalf of c. Each op runs
-// through the same fault-injection gate and *Locked helper as its
-// unbatched counterpart, so a batch is observationally identical to
-// the equivalent request sequence — including which faults fire and
-// which events are generated.
-func (s *Server) applyBatchLocked(c *Conn, ops []batchOp) error {
 	var first error
-	for i := range ops {
-		op := &ops[i]
-		err := c.faultLocked(op.ck.major, op.faultTarget())
-		if err == nil {
-			err = s.applyOpLocked(c, op)
-		}
-		op.ck.err = err
-		op.ck.done = true
+	for i := range b.ops {
+		op := &b.ops[i]
+		err := op.apply(c)
+		op.ck.err, op.ck.done = err, true
 		if first == nil && err != nil {
 			first = err
 		}
@@ -298,31 +276,32 @@ func (s *Server) applyBatchLocked(c *Conn, ops []batchOp) error {
 	return first
 }
 
-func (s *Server) applyOpLocked(c *Conn, op *batchOp) error {
+// apply issues the recorded request on c.
+func (op *batchOp) apply(c *Conn) error {
 	switch op.kind {
 	case opCreateWindow:
-		_, err := c.createWindowLocked(op.id, op.parent, op.rect, op.bw, op.attrs)
+		_, err := c.createWindow(op.id, op.parent, op.rect, op.bw, op.attrs)
 		return err
 	case opDestroyWindow:
-		return c.destroyWindowLocked(op.id)
+		return c.DestroyWindow(op.id)
 	case opMapWindow:
-		return c.mapWindowLocked(op.id)
+		return c.MapWindow(op.id)
 	case opUnmapWindow:
-		return c.unmapWindowLocked(op.id)
+		return c.UnmapWindow(op.id)
 	case opReparentWindow:
-		return c.reparentWindowLocked(op.id, op.parent, op.x, op.y)
+		return c.ReparentWindow(op.id, op.parent, op.x, op.y)
 	case opConfigureWindow:
-		return c.configureWindowLocked(op.id, op.ch)
+		return c.ConfigureWindow(op.id, op.ch)
 	case opChangeProperty:
-		return c.changePropertyLocked(op.id, op.prop, op.typ, op.format, op.mode, op.data)
+		return c.ChangeProperty(op.id, op.prop, op.typ, op.format, op.mode, op.data)
 	case opSetWindowLabel:
-		return c.storeWindowLabel(op.id, op.label)
+		return c.SetWindowLabel(op.id, op.label)
 	case opSetWindowFill:
-		return c.storeWindowFill(op.id, op.fill)
+		return c.SetWindowFill(op.id, op.fill)
 	case opSelectInput:
-		return c.selectInputLocked(op.id, op.mask)
+		return c.SelectInput(op.id, op.mask)
 	case opChangeSaveSet:
-		return c.changeSaveSetLocked(op.id, op.insert)
+		return c.ChangeSaveSet(op.id, op.insert)
 	}
 	return nil
 }

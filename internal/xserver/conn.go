@@ -17,11 +17,11 @@ import (
 // Requests route per the scheme in stripes.go: window-local reads and
 // property/geometry writes are lock-free, single-window structural ops
 // hold the server lock shared plus the touched stripes, tree surgery
-// and connection lifecycle hold it exclusively. Batch() collects
-// several mutating requests and applies them under a single exclusive
-// acquisition. A connection with a fault policy installed routes every
-// request through the exclusive path so injection scheduling stays
-// deterministic (see gate).
+// and connection lifecycle hold it exclusively. Each request has one
+// body, and that body passes the connection's gate (see gate) before
+// it takes any lock, so an installed instrument or fault policy never
+// changes a request's lock scope. Batch() records requests and replays
+// them through the same bodies at Flush.
 type Conn struct {
 	server *Server
 	fd     int
@@ -46,12 +46,12 @@ type Conn struct {
 
 	// gates bundles the request-path hooks (instrument + fault policy)
 	// behind one atomic pointer so the hot path pays a single load when
-	// neither is installed. Written under the server's exclusive lock.
+	// neither is installed. Written under errMu.
 	gates atomic.Pointer[connGates]
 
-	// errMu is a leaf lock guarding error observation so note() is
-	// safe from lock-free request paths. Nothing is acquired while it
-	// is held.
+	// errMu is a leaf lock guarding error observation (so note() is
+	// safe from lock-free request paths) and the fault schedule state
+	// stepped by gate. Nothing is acquired while it is held.
 	errMu      sync.Mutex
 	errHandler func(*xproto.XError)
 	lastNoted  error
@@ -61,26 +61,6 @@ type Conn struct {
 type connGates struct {
 	in     Instrument
 	faults *faultState
-}
-
-// gate fires the connection's instrument for the request named major
-// and reports whether the request must detour through its serialized
-// (exclusive-lock) variant because a fault policy is installed. When it
-// returns true the instrument has NOT fired yet — the gated path's
-// faultLocked call fires it, preserving the instrument-before-fault
-// ordering contract.
-func (c *Conn) gate(major string, target xproto.XID) bool {
-	g := c.gates.Load()
-	if g == nil {
-		return false
-	}
-	if g.faults != nil {
-		return true
-	}
-	if g.in != nil {
-		g.in.Request(major, target)
-	}
-	return false
 }
 
 // lookupWin resolves a window id for the request named major, routing a
@@ -120,8 +100,14 @@ type WindowAttributes struct {
 // CreateWindow creates a child of parent at the given parent-relative
 // geometry and returns its XID. The window starts unmapped.
 func (c *Conn) CreateWindow(parent xproto.XID, r xproto.Rect, borderWidth int, attrs WindowAttributes) (xproto.XID, error) {
-	if c.gate("CreateWindow", parent) {
-		return c.gatedCreateWindow(parent, r, borderWidth, attrs)
+	return c.createWindow(xproto.None, parent, r, borderWidth, attrs)
+}
+
+// createWindow is CreateWindow's body. id is an XID a Batch allocated
+// at record time, or None to allocate one once the request validates.
+func (c *Conn) createWindow(id, parent xproto.XID, r xproto.Rect, borderWidth int, attrs WindowAttributes) (xproto.XID, error) {
+	if err := c.gate("CreateWindow", parent); err != nil {
+		return xproto.None, err
 	}
 	s := c.server
 	s.mu.RLock()
@@ -136,42 +122,12 @@ func (c *Conn) CreateWindow(parent xproto.XID, r xproto.Rect, borderWidth int, a
 			Detail: fmt.Sprintf("zero-sized window %v", r),
 		})
 	}
-	id := s.allocID()
-	s1, s2 := s.lockStripes2(p.id, id)
-	w := c.buildWindow(id, p, r, borderWidth, attrs)
-	s.unlockStripes2(s1, s2)
-	return w.id, nil
-}
-
-func (c *Conn) gatedCreateWindow(parent xproto.XID, r xproto.Rect, borderWidth int, attrs WindowAttributes) (xproto.XID, error) {
-	s := c.server
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := c.faultLocked("CreateWindow", parent); err != nil {
-		return xproto.None, err
-	}
-	return c.createWindowLocked(xproto.None, parent, r, borderWidth, attrs)
-}
-
-// createWindowLocked creates the window under an already-held exclusive
-// lock (batch and gated paths). id may be a pre-allocated XID (batch)
-// or None to allocate one here.
-func (c *Conn) createWindowLocked(id, parent xproto.XID, r xproto.Rect, borderWidth int, attrs WindowAttributes) (xproto.XID, error) {
-	s := c.server
-	p, err := c.lookupWin(parent, "CreateWindow")
-	if err != nil {
-		return xproto.None, err
-	}
-	if r.Width <= 0 || r.Height <= 0 {
-		return xproto.None, c.note(&xproto.XError{
-			Code: xproto.BadValue, Major: "CreateWindow",
-			Detail: fmt.Sprintf("zero-sized window %v", r),
-		})
-	}
 	if id == xproto.None {
 		id = s.allocID()
 	}
+	s1, s2 := s.lockStripes2(p.id, id)
 	w := c.buildWindow(id, p, r, borderWidth, attrs)
+	s.unlockStripes2(s1, s2)
 	return w.id, nil
 }
 
@@ -212,16 +168,12 @@ func (c *Conn) buildWindow(id xproto.XID, p *window, r xproto.Rect, borderWidth 
 
 // DestroyWindow destroys the window and all its descendants.
 func (c *Conn) DestroyWindow(id xproto.XID) error {
+	if err := c.gate("DestroyWindow", id); err != nil {
+		return err
+	}
 	s := c.server
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := c.faultLocked("DestroyWindow", id); err != nil {
-		return err
-	}
-	return c.destroyWindowLocked(id)
-}
-
-func (c *Conn) destroyWindowLocked(id xproto.XID) error {
 	w, err := c.lookupWin(id, "DestroyWindow")
 	if err != nil {
 		return err
@@ -229,7 +181,7 @@ func (c *Conn) destroyWindowLocked(id xproto.XID) error {
 	if w.isRoot {
 		return fmt.Errorf("xserver: cannot destroy root window")
 	}
-	c.server.destroyLocked(w)
+	s.destroyLocked(w)
 	return nil
 }
 
@@ -283,8 +235,8 @@ func (s *Server) destroyTreeLocked(w *window, detachSelf bool) {
 // SubstructureRedirect on the parent and the window is not
 // override-redirect, a MapRequest is sent to that client instead.
 func (c *Conn) MapWindow(id xproto.XID) error {
-	if c.gate("MapWindow", id) {
-		return c.gatedMapWindow(id)
+	if err := c.gate("MapWindow", id); err != nil {
+		return err
 	}
 	s := c.server
 	s.mu.RLock()
@@ -300,27 +252,7 @@ func (c *Conn) MapWindow(id xproto.XID) error {
 	return err
 }
 
-func (c *Conn) gatedMapWindow(id xproto.XID) error {
-	s := c.server
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := c.faultLocked("MapWindow", id); err != nil {
-		return err
-	}
-	return c.mapWindowLocked(id)
-}
-
-// mapWindowLocked is the exclusive-lock variant (batch/gated paths).
-func (c *Conn) mapWindowLocked(id xproto.XID) error {
-	w, err := c.lookupWin(id, "MapWindow")
-	if err != nil {
-		return err
-	}
-	return c.mapCore(w)
-}
-
-// mapCore maps w. Caller must hold w's stripe or the server lock
-// exclusively.
+// mapCore maps w. Caller must hold w's stripe.
 func (c *Conn) mapCore(w *window) error {
 	s := c.server
 	if w.mapped.Load() {
@@ -371,8 +303,8 @@ func (s *Server) mapNow(w *window) {
 
 // UnmapWindow unmaps the window.
 func (c *Conn) UnmapWindow(id xproto.XID) error {
-	if c.gate("UnmapWindow", id) {
-		return c.gatedUnmapWindow(id)
+	if err := c.gate("UnmapWindow", id); err != nil {
+		return err
 	}
 	s := c.server
 	s.mu.RLock()
@@ -387,28 +319,6 @@ func (c *Conn) UnmapWindow(id xproto.XID) error {
 	}
 	s.unlockStripe(st)
 	s.mu.RUnlock()
-	return nil
-}
-
-func (c *Conn) gatedUnmapWindow(id xproto.XID) error {
-	s := c.server
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := c.faultLocked("UnmapWindow", id); err != nil {
-		return err
-	}
-	return c.unmapWindowLocked(id)
-}
-
-func (c *Conn) unmapWindowLocked(id xproto.XID) error {
-	w, err := c.lookupWin(id, "UnmapWindow")
-	if err != nil {
-		return err
-	}
-	if !w.mapped.Load() {
-		return nil
-	}
-	c.server.unmapNow(w, false)
 	return nil
 }
 
@@ -438,17 +348,12 @@ func (s *Server) unmapNow(w *window, fromConfigure bool) {
 // Reparenting always holds the server lock exclusively: the cycle check
 // and the subtree screen rewrite need a stable tree.
 func (c *Conn) ReparentWindow(id, newParent xproto.XID, x, y int) error {
+	if err := c.gate("ReparentWindow", id); err != nil {
+		return err
+	}
 	s := c.server
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := c.faultLocked("ReparentWindow", id); err != nil {
-		return err
-	}
-	return c.reparentWindowLocked(id, newParent, x, y)
-}
-
-func (c *Conn) reparentWindowLocked(id, newParent xproto.XID, x, y int) error {
-	s := c.server
 	w, err := c.lookupWin(id, "ReparentWindow")
 	if err != nil {
 		return err
@@ -467,10 +372,7 @@ func (c *Conn) reparentWindowLocked(id, newParent xproto.XID, x, y int) error {
 	if wasMapped {
 		s.unmapNow(w, false)
 	}
-	oldParent := w.parent.Load()
-	w.detach()
-	w.geomXY.Store(packIntPair(x, y))
-	w.attach(np)
+	oldParent := w.moveTo(np, x, y)
 	if sc := np.screenIdx.Load(); sc != w.screenIdx.Load() {
 		setScreenIdx(w, sc)
 	}
@@ -513,8 +415,8 @@ func setScreenIdx(w *window, sc int32) {
 // restacks hold the server lock shared plus the stripes of the window
 // and its parent.
 func (c *Conn) ConfigureWindow(id xproto.XID, ch xproto.WindowChanges) error {
-	if c.gate("ConfigureWindow", id) {
-		return c.gatedConfigureWindow(id, ch)
+	if err := c.gate("ConfigureWindow", id); err != nil {
+		return err
 	}
 	s := c.server
 	if ch.Mask&(xproto.CWStackMode|xproto.CWSibling) == 0 {
@@ -546,28 +448,6 @@ func (c *Conn) ConfigureWindow(id xproto.XID, ch xproto.WindowChanges) error {
 	s.unlockStripes2(s1, s2)
 	s.mu.RUnlock()
 	return err
-}
-
-func (c *Conn) gatedConfigureWindow(id xproto.XID, ch xproto.WindowChanges) error {
-	s := c.server
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := c.faultLocked("ConfigureWindow", id); err != nil {
-		return err
-	}
-	return c.configureWindowLocked(id, ch)
-}
-
-// configureWindowLocked is the exclusive-lock variant (batch/gated).
-func (c *Conn) configureWindowLocked(id xproto.XID, ch xproto.WindowChanges) error {
-	w, err := c.lookupWin(id, "ConfigureWindow")
-	if err != nil {
-		return err
-	}
-	if c.configRedirected(w, ch) {
-		return nil
-	}
-	return c.note(c.server.configure(w, ch))
 }
 
 // configRedirected forwards the configure as a ConfigureRequest when
@@ -708,38 +588,20 @@ type Geometry struct {
 	BorderWidth int
 }
 
-func (s *Server) geometryOf(w *window) Geometry {
-	return Geometry{
-		Root:        s.screens[w.screen()].Root,
-		Rect:        w.rect(),
-		BorderWidth: int(w.borderW.Load()),
-	}
-}
-
 // GetGeometry returns the window's parent-relative geometry. Lock-free.
 func (c *Conn) GetGeometry(id xproto.XID) (Geometry, error) {
-	if c.gate("GetGeometry", id) {
-		return c.gatedGetGeometry(id)
-	}
-	w, err := c.lookupWin(id, "GetGeometry")
-	if err != nil {
-		return Geometry{}, err
-	}
-	return c.server.geometryOf(w), nil
-}
-
-func (c *Conn) gatedGetGeometry(id xproto.XID) (Geometry, error) {
-	s := c.server
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := c.faultLocked("GetGeometry", id); err != nil {
+	if err := c.gate("GetGeometry", id); err != nil {
 		return Geometry{}, err
 	}
 	w, err := c.lookupWin(id, "GetGeometry")
 	if err != nil {
 		return Geometry{}, err
 	}
-	return s.geometryOf(w), nil
+	return Geometry{
+		Root:        c.server.screens[w.screen()].Root,
+		Rect:        w.rect(),
+		BorderWidth: int(w.borderW.Load()),
+	}, nil
 }
 
 // Attributes reports a window's attributes (GetWindowAttributes).
@@ -751,7 +613,15 @@ type Attributes struct {
 	AllEventMasks    xproto.EventMask
 }
 
-func (c *Conn) attributesOf(w *window) Attributes {
+// GetWindowAttributes returns the window's attributes. Lock-free.
+func (c *Conn) GetWindowAttributes(id xproto.XID) (Attributes, error) {
+	if err := c.gate("GetWindowAttributes", id); err != nil {
+		return Attributes{}, err
+	}
+	w, err := c.lookupWin(id, "GetWindowAttributes")
+	if err != nil {
+		return Attributes{}, err
+	}
 	a := Attributes{
 		Class:            w.class,
 		OverrideRedirect: w.override,
@@ -772,67 +642,21 @@ func (c *Conn) attributesOf(w *window) Attributes {
 	default:
 		a.MapState = xproto.IsUnviewable
 	}
-	return a
-}
-
-// GetWindowAttributes returns the window's attributes. Lock-free.
-func (c *Conn) GetWindowAttributes(id xproto.XID) (Attributes, error) {
-	if c.gate("GetWindowAttributes", id) {
-		return c.gatedGetWindowAttributes(id)
-	}
-	w, err := c.lookupWin(id, "GetWindowAttributes")
-	if err != nil {
-		return Attributes{}, err
-	}
-	return c.attributesOf(w), nil
-}
-
-func (c *Conn) gatedGetWindowAttributes(id xproto.XID) (Attributes, error) {
-	s := c.server
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := c.faultLocked("GetWindowAttributes", id); err != nil {
-		return Attributes{}, err
-	}
-	w, err := c.lookupWin(id, "GetWindowAttributes")
-	if err != nil {
-		return Attributes{}, err
-	}
-	return c.attributesOf(w), nil
+	return a, nil
 }
 
 // QueryTree returns the root, parent and children (bottom-to-top) of the
 // window. Lock-free: the children snapshot is the momentary stacking
 // order.
 func (c *Conn) QueryTree(id xproto.XID) (root, parent xproto.XID, children []xproto.XID, err error) {
-	if c.gate("QueryTree", id) {
-		return c.gatedQueryTree(id)
-	}
-	w, err := c.lookupWin(id, "QueryTree")
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	root, parent, children = c.server.treeOf(w)
-	return root, parent, children, nil
-}
-
-func (c *Conn) gatedQueryTree(id xproto.XID) (root, parent xproto.XID, children []xproto.XID, err error) {
-	s := c.server
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := c.faultLocked("QueryTree", id); err != nil {
+	if err := c.gate("QueryTree", id); err != nil {
 		return 0, 0, nil, err
 	}
 	w, err := c.lookupWin(id, "QueryTree")
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	root, parent, children = s.treeOf(w)
-	return root, parent, children, nil
-}
-
-func (s *Server) treeOf(w *window) (root, parent xproto.XID, children []xproto.XID) {
-	root = s.screens[w.screen()].Root
+	root = c.server.screens[w.screen()].Root
 	if p := w.parent.Load(); p != nil {
 		parent = p.id
 	}
@@ -841,33 +665,14 @@ func (s *Server) treeOf(w *window) (root, parent xproto.XID, children []xproto.X
 	for i, ch := range ks {
 		children[i] = ch.id
 	}
-	return root, parent, children
+	return root, parent, children, nil
 }
 
 // TranslateCoordinates converts (x, y) in src's coordinate space to
 // dst's, returning also the child of dst containing the point (or None).
 // Lock-free.
 func (c *Conn) TranslateCoordinates(src, dst xproto.XID, x, y int) (dx, dy int, child xproto.XID, err error) {
-	if c.gate("TranslateCoordinates", src) {
-		return c.gatedTranslateCoordinates(src, dst, x, y)
-	}
-	sw, err := c.lookupWin(src, "TranslateCoordinates")
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	dw, err := c.lookupWin(dst, "TranslateCoordinates")
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	dx, dy, child = translate(sw, dw, x, y)
-	return dx, dy, child, nil
-}
-
-func (c *Conn) gatedTranslateCoordinates(src, dst xproto.XID, x, y int) (dx, dy int, child xproto.XID, err error) {
-	s := c.server
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := c.faultLocked("TranslateCoordinates", src); err != nil {
+	if err := c.gate("TranslateCoordinates", src); err != nil {
 		return 0, 0, 0, err
 	}
 	sw, err := c.lookupWin(src, "TranslateCoordinates")
@@ -932,8 +737,8 @@ func translate(sw, dw *window, x, y int) (dx, dy int, child xproto.XID) {
 // SelectInput sets this connection's event mask on the window. Only one
 // client at a time may select SubstructureRedirect on a given window.
 func (c *Conn) SelectInput(id xproto.XID, mask xproto.EventMask) error {
-	if c.gate("SelectInput", id) {
-		return c.gatedSelectInput(id, mask)
+	if err := c.gate("SelectInput", id); err != nil {
+		return err
 	}
 	s := c.server
 	s.mu.RLock()
@@ -949,27 +754,9 @@ func (c *Conn) SelectInput(id xproto.XID, mask xproto.EventMask) error {
 	return err
 }
 
-func (c *Conn) gatedSelectInput(id xproto.XID, mask xproto.EventMask) error {
-	s := c.server
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := c.faultLocked("SelectInput", id); err != nil {
-		return err
-	}
-	return c.selectInputLocked(id, mask)
-}
-
-func (c *Conn) selectInputLocked(id xproto.XID, mask xproto.EventMask) error {
-	w, err := c.lookupWin(id, "SelectInput")
-	if err != nil {
-		return err
-	}
-	return c.selectCore(w, mask)
-}
-
-// selectCore applies the mask change. Caller must hold w's stripe or
-// the server lock exclusively — the one-redirector invariant needs
-// check-and-set atomicity per window.
+// selectCore applies the mask change. Caller must hold w's stripe —
+// the one-redirector invariant needs check-and-set atomicity per
+// window.
 func (c *Conn) selectCore(w *window, mask xproto.EventMask) error {
 	if mask&xproto.SubstructureRedirectMask != 0 {
 		if mt := w.masks.Load(); mt != nil {
@@ -1004,28 +791,9 @@ func (c *Conn) AtomName(a xproto.Atom) string {
 // and notifies PropertyChangeMask selectors. Lock-free: replacement is
 // an atomic publish of an immutable entry, append/prepend a CAS loop.
 func (c *Conn) ChangeProperty(id xproto.XID, prop, typ xproto.Atom, format int, mode xproto.PropMode, data []byte) error {
-	if c.gate("ChangeProperty", id) {
-		return c.gatedChangeProperty(id, prop, typ, format, mode, data)
-	}
-	w, err := c.lookupWin(id, "ChangeProperty")
-	if err != nil {
+	if err := c.gate("ChangeProperty", id); err != nil {
 		return err
 	}
-	return c.changeProp(w, prop, typ, format, mode, data)
-}
-
-func (c *Conn) gatedChangeProperty(id xproto.XID, prop, typ xproto.Atom, format int, mode xproto.PropMode, data []byte) error {
-	s := c.server
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := c.faultLocked("ChangeProperty", id); err != nil {
-		return err
-	}
-	return c.changePropertyLocked(id, prop, typ, format, mode, data)
-}
-
-// changePropertyLocked is the exclusive-lock variant (batch/gated).
-func (c *Conn) changePropertyLocked(id xproto.XID, prop, typ xproto.Atom, format int, mode xproto.PropMode, data []byte) error {
 	w, err := c.lookupWin(id, "ChangeProperty")
 	if err != nil {
 		return err
@@ -1128,24 +896,7 @@ func modeDetail(mode xproto.PropMode) string {
 // not set. Lock-free; Property.Data is the caller's own copy, taken
 // under the entry's seqlock.
 func (c *Conn) GetProperty(id xproto.XID, prop xproto.Atom) (Property, bool, error) {
-	if c.gate("GetProperty", id) {
-		return c.gatedGetProperty(id, prop)
-	}
-	w, err := c.lookupWin(id, "GetProperty")
-	if err != nil {
-		return Property{}, false, err
-	}
-	if e := w.getProp(prop); e != nil {
-		return e.property(), true, nil
-	}
-	return Property{}, false, nil
-}
-
-func (c *Conn) gatedGetProperty(id xproto.XID, prop xproto.Atom) (Property, bool, error) {
-	s := c.server
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := c.faultLocked("GetProperty", id); err != nil {
+	if err := c.gate("GetProperty", id); err != nil {
 		return Property{}, false, err
 	}
 	w, err := c.lookupWin(id, "GetProperty")
@@ -1171,54 +922,17 @@ type PropResult struct {
 // GetProperties reads len(atoms) properties from one window, filling
 // out (whose length must equal len(atoms)). It is the read-side sibling
 // of Batch: the adoption path pulls every ICCCM property it needs in
-// one call instead of one round-trip each. Each property keeps
-// individual GetProperty semantics — the fault/instrument gate fires
+// one call. Each entry is one GetProperty request, so the gate fires
 // once per property and a failure (including a KillTarget fault
 // destroying the window mid-batch) affects only the remaining entries'
-// own lookups, so callers see exactly what N serial calls would have
-// seen.
+// own lookups: callers see exactly what N serial calls would have seen.
 func (c *Conn) GetProperties(id xproto.XID, atoms []xproto.Atom, out []PropResult) {
 	if len(atoms) != len(out) {
 		panic("xserver: GetProperties atoms/out length mismatch")
 	}
-	if g := c.gates.Load(); g != nil && g.faults != nil {
-		c.gatedGetProperties(id, atoms, out)
-		return
-	}
 	for i, prop := range atoms {
-		out[i] = PropResult{}
-		if g := c.gates.Load(); g != nil && g.in != nil {
-			g.in.Request("GetProperty", id)
-		}
-		w, err := c.lookupWin(id, "GetProperty")
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		if e := w.getProp(prop); e != nil {
-			out[i].Prop, out[i].OK = e.property(), true
-		}
-	}
-}
-
-func (c *Conn) gatedGetProperties(id xproto.XID, atoms []xproto.Atom, out []PropResult) {
-	s := c.server
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, prop := range atoms {
-		out[i] = PropResult{}
-		if err := c.faultLocked("GetProperty", id); err != nil {
-			out[i].Err = err
-			continue
-		}
-		w, err := c.lookupWin(id, "GetProperty")
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		if e := w.getProp(prop); e != nil {
-			out[i].Prop, out[i].OK = e.property(), true
-		}
+		r := &out[i]
+		r.Prop, r.OK, r.Err = c.GetProperty(id, prop)
 	}
 }
 
@@ -1251,89 +965,52 @@ func (c *Conn) InternAtoms(names []string, out []xproto.Atom) {
 }
 
 // DeleteProperty removes a property, notifying PropertyChangeMask
-// selectors with state PropertyDeleted. Lock-free.
+// selectors with state PropertyDeleted. Lock-free: the CAS ensures
+// exactly one of two racing deletes emits the notify.
 func (c *Conn) DeleteProperty(id xproto.XID, prop xproto.Atom) error {
-	if c.gate("DeleteProperty", id) {
-		return c.gatedDeleteProperty(id, prop)
-	}
-	w, err := c.lookupWin(id, "DeleteProperty")
-	if err != nil {
-		return err
-	}
-	c.server.deleteProp(w, prop)
-	return nil
-}
-
-func (c *Conn) gatedDeleteProperty(id xproto.XID, prop xproto.Atom) error {
-	s := c.server
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := c.faultLocked("DeleteProperty", id); err != nil {
+	if err := c.gate("DeleteProperty", id); err != nil {
 		return err
 	}
 	w, err := c.lookupWin(id, "DeleteProperty")
 	if err != nil {
 		return err
 	}
-	s.deleteProp(w, prop)
-	return nil
-}
-
-// deleteProp clears the property if present. Safe from any context; the
-// CAS ensures exactly one of two racing deletes emits the notify.
-func (s *Server) deleteProp(w *window, prop xproto.Atom) {
 	ref := w.propRef(prop)
 	if ref == nil {
-		return
+		return nil
 	}
 	for {
 		old := ref.Load()
 		if old == nil {
-			return
+			return nil
 		}
 		if ref.CompareAndSwap(old, nil) {
 			break
 		}
 	}
+	s := c.server
 	if anySelects(w.masks.Load(), xproto.PropertyChangeMask) {
 		s.deliver(w, xproto.PropertyChangeMask, xproto.Event{
 			Type: xproto.PropertyNotify, Window: w.id, Atom: prop,
 			PropertyState: xproto.PropertyDeleted, Time: s.tick(),
 		})
 	}
+	return nil
 }
 
 // ListProperties returns the atoms of all properties set on the window.
 // Lock-free.
 func (c *Conn) ListProperties(id xproto.XID) ([]xproto.Atom, error) {
-	if c.gate("ListProperties", id) {
-		return c.gatedListProperties(id)
-	}
-	w, err := c.lookupWin(id, "ListProperties")
-	if err != nil {
-		return nil, err
-	}
-	return listProps(w), nil
-}
-
-func (c *Conn) gatedListProperties(id xproto.XID) ([]xproto.Atom, error) {
-	s := c.server
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := c.faultLocked("ListProperties", id); err != nil {
+	if err := c.gate("ListProperties", id); err != nil {
 		return nil, err
 	}
 	w, err := c.lookupWin(id, "ListProperties")
 	if err != nil {
 		return nil, err
 	}
-	return listProps(w), nil
-}
-
-func listProps(w *window) []xproto.Atom {
 	tp := w.props.Load()
 	if tp == nil {
-		return nil
+		return nil, nil
 	}
 	out := make([]xproto.Atom, 0, len(tp.sel))
 	for i := range tp.sel {
@@ -1341,7 +1018,7 @@ func listProps(w *window) []xproto.Atom {
 			out = append(out, tp.sel[i].atom)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // --- Save-set and connection shutdown -----------------------------------
@@ -1351,16 +1028,12 @@ func listProps(w *window) []xproto.Atom {
 // reparented back to their screen's root and remapped — this is what
 // keeps clients alive across a window-manager restart.
 func (c *Conn) ChangeSaveSet(id xproto.XID, insert bool) error {
+	if err := c.gate("ChangeSaveSet", id); err != nil {
+		return err
+	}
 	s := c.server
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := c.faultLocked("ChangeSaveSet", id); err != nil {
-		return err
-	}
-	return c.changeSaveSetLocked(id, insert)
-}
-
-func (c *Conn) changeSaveSetLocked(id xproto.XID, insert bool) error {
 	if _, err := c.lookupWin(id, "ChangeSaveSet"); err != nil {
 		return err
 	}
@@ -1396,9 +1069,7 @@ func (c *Conn) Close() {
 			if wasMapped {
 				s.unmapNow(w, false)
 			}
-			w.detach()
-			w.geomXY.Store(packIntPair(rx, ry))
-			w.attach(root)
+			w.moveTo(root, rx, ry)
 			s.deliver(w, xproto.StructureNotifyMask, xproto.Event{
 				Type: xproto.ReparentNotify, Window: w.id, Subwindow: w.id,
 				Parent: root.id, GX: rx, GY: ry, Time: s.tick(),
@@ -1468,23 +1139,9 @@ func (c *Conn) Closed() bool {
 // SetWindowLabel sets the raster label drawn inside the window.
 // Lock-free.
 func (c *Conn) SetWindowLabel(id xproto.XID, label string) error {
-	if c.gate("SetWindowLabel", id) {
-		return c.gatedSetWindowLabel(id, label)
-	}
-	return c.storeWindowLabel(id, label)
-}
-
-func (c *Conn) gatedSetWindowLabel(id xproto.XID, label string) error {
-	s := c.server
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := c.faultLocked("SetWindowLabel", id); err != nil {
+	if err := c.gate("SetWindowLabel", id); err != nil {
 		return err
 	}
-	return c.storeWindowLabel(id, label)
-}
-
-func (c *Conn) storeWindowLabel(id xproto.XID, label string) error {
 	w, err := c.lookupWin(id, "SetWindowLabel")
 	if err != nil {
 		return err
@@ -1500,23 +1157,9 @@ func (c *Conn) storeWindowLabel(id xproto.XID, label string) error {
 // SetWindowFill sets the raster fill glyph for the window background.
 // Lock-free.
 func (c *Conn) SetWindowFill(id xproto.XID, fill byte) error {
-	if c.gate("SetWindowFill", id) {
-		return c.gatedSetWindowFill(id, fill)
-	}
-	return c.storeWindowFill(id, fill)
-}
-
-func (c *Conn) gatedSetWindowFill(id xproto.XID, fill byte) error {
-	s := c.server
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := c.faultLocked("SetWindowFill", id); err != nil {
+	if err := c.gate("SetWindowFill", id); err != nil {
 		return err
 	}
-	return c.storeWindowFill(id, fill)
-}
-
-func (c *Conn) storeWindowFill(id xproto.XID, fill byte) error {
 	w, err := c.lookupWin(id, "SetWindowFill")
 	if err != nil {
 		return err

@@ -106,12 +106,12 @@ func (c *Conn) Pending() int {
 // otherwise it goes to every connection selecting mask on the window.
 // The event is flagged SendEvent.
 func (c *Conn) SendEvent(dst xproto.XID, mask xproto.EventMask, ev xproto.Event) error {
+	if err := c.gate("SendEvent", dst); err != nil {
+		return err
+	}
 	s := c.server
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := c.faultLocked("SendEvent", dst); err != nil {
-		return err
-	}
 	w, err := c.lookupWin(dst, "SendEvent")
 	if err != nil {
 		return err
@@ -134,12 +134,12 @@ func (c *Conn) SendEvent(dst xproto.XID, mask xproto.EventMask, ev xproto.Event)
 // SetInputFocus assigns keyboard focus. PointerRoot means
 // focus-follows-pointer.
 func (c *Conn) SetInputFocus(id xproto.XID) error {
+	if err := c.gate("SetInputFocus", id); err != nil {
+		return err
+	}
 	s := c.server
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := c.faultLocked("SetInputFocus", id); err != nil {
-		return err
-	}
 	if id != xproto.None && id != xproto.PointerRoot {
 		if _, err := c.lookupWin(id, "SetInputFocus"); err != nil {
 			return err
@@ -170,12 +170,11 @@ func (c *Conn) GetInputFocus() xproto.XID {
 // KillClient closes the connection owning the given resource, as the X
 // KillClient request does. Used by f.delete fallbacks.
 func (c *Conn) KillClient(id xproto.XID) error {
-	s := c.server
-	s.mu.Lock()
-	if err := c.faultLocked("KillClient", id); err != nil {
-		s.mu.Unlock()
+	if err := c.gate("KillClient", id); err != nil {
 		return err
 	}
+	s := c.server
+	s.mu.Lock()
 	w, err := c.lookupWin(id, "KillClient")
 	if err != nil {
 		s.mu.Unlock()

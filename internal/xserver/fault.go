@@ -49,31 +49,35 @@ type faultState struct {
 
 // SetFaultPolicy installs (or, with nil, removes) a fault policy on
 // this connection. Counters restart from zero each time a policy is
-// installed. While a policy is installed, every request on this
-// connection routes through its exclusive-locked variant so the
-// deterministic schedule observes a serialized request sequence.
+// installed. Requests keep their ordinary lock scopes: the schedule is
+// stepped under the connection's errMu leaf lock, so a policy changes
+// which requests fail, never how the others are serialized.
 func (c *Conn) SetFaultPolicy(p *FaultPolicy) {
-	c.server.mu.Lock()
-	defer c.server.mu.Unlock()
-	old := c.gates.Load()
+	c.errMu.Lock()
+	defer c.errMu.Unlock()
 	var in Instrument
-	if old != nil {
+	if old := c.gates.Load(); old != nil {
 		in = old.in
 	}
-	if p == nil {
-		if in == nil {
-			c.gates.Store(nil)
-		} else {
-			c.gates.Store(&connGates{in: in})
+	var f *faultState
+	if p != nil {
+		f = &faultState{policy: *p, rng: rand.New(rand.NewSource(p.Seed))}
+		if len(p.Ops) > 0 {
+			f.ops = make(map[string]bool, len(p.Ops))
+			for _, op := range p.Ops {
+				f.ops[op] = true
+			}
 		}
-		return
 	}
-	f := &faultState{policy: *p, rng: rand.New(rand.NewSource(p.Seed))}
-	if len(p.Ops) > 0 {
-		f.ops = make(map[string]bool, len(p.Ops))
-		for _, op := range p.Ops {
-			f.ops[op] = true
-		}
+	c.storeGates(in, f)
+}
+
+// storeGates publishes the request-path hooks, or nil when neither is
+// installed so the gate stays one atomic load. Caller holds errMu.
+func (c *Conn) storeGates(in Instrument, f *faultState) {
+	if in == nil && f == nil {
+		c.gates.Store(nil)
+		return
 	}
 	c.gates.Store(&connGates{in: in, faults: f})
 }
@@ -81,8 +85,8 @@ func (c *Conn) SetFaultPolicy(p *FaultPolicy) {
 // FaultCount reports how many faults have been injected since the
 // current policy was installed.
 func (c *Conn) FaultCount() int {
-	c.server.mu.Lock()
-	defer c.server.mu.Unlock()
+	c.errMu.Lock()
+	defer c.errMu.Unlock()
 	g := c.gates.Load()
 	if g == nil || g.faults == nil {
 		return 0
@@ -102,17 +106,18 @@ func (c *Conn) SetErrorHandler(h func(*xproto.XError)) {
 	c.errHandler = h
 }
 
-// faultLocked is called at the top of every exclusive-locked request
-// variant (before the target lookup, so faults fire for valid requests
-// too). It returns the injected error, or nil to proceed normally.
-// It also fires the connection's instrument: lock-free fast paths fire
-// the instrument themselves through gate() and bypass this function
-// entirely when no fault policy is installed, so each request observes
-// the instrument exactly once either way. The fault schedule itself
-// only ever runs under mu held exclusively (installing a policy forces
-// every request on the connection onto its gated variant), so the
-// counters need no further synchronization.
-func (c *Conn) faultLocked(major string, target xproto.XID) error {
+// gate is the single entry every request method passes, first, before
+// it takes any lock (so faults fire for valid requests too). It fires
+// the connection's instrument for the request named major, then steps
+// the fault schedule, and returns the injected error or nil to proceed.
+// With no hooks installed it costs one atomic load.
+//
+// The schedule state is guarded by errMu, the connection's leaf lock,
+// so injection works from every locking regime and a seeded schedule
+// sees the connection's own request sequence. A KillTarget fault
+// destroys its target as an ordinary exclusive-lock destroy after errMu
+// is released, which is safe because no request holds a lock here.
+func (c *Conn) gate(major string, target xproto.XID) error {
 	g := c.gates.Load()
 	if g == nil {
 		return nil
@@ -124,11 +129,38 @@ func (c *Conn) faultLocked(major string, target xproto.XID) error {
 	if f == nil {
 		return nil
 	}
-	if f.policy.Times > 0 && f.fired >= f.policy.Times {
+	c.errMu.Lock()
+	fired := f.step(major)
+	c.errMu.Unlock()
+	if fired == 0 {
 		return nil
 	}
+	code := f.policy.Code
+	if code == 0 {
+		code = xproto.BadWindow
+	}
+	if f.policy.KillTarget && target != xproto.None {
+		s := c.server
+		s.mu.Lock()
+		if w := s.lookup(target); w != nil && !w.isRoot && w.owner != c {
+			s.destroyLocked(w)
+		}
+		s.mu.Unlock()
+	}
+	return c.note(&xproto.XError{
+		Code: code, Major: major, Resource: target,
+		Detail: fmt.Sprintf("injected fault #%d on 0x%x", fired, uint32(target)),
+	})
+}
+
+// step advances the schedule by one request named major and returns the
+// fault's ordinal when it fires, 0 otherwise. Caller holds errMu.
+func (f *faultState) step(major string) int {
+	if f.policy.Times > 0 && f.fired >= f.policy.Times {
+		return 0
+	}
 	if f.ops != nil && !f.ops[major] {
-		return nil
+		return 0
 	}
 	f.seen++
 	fire := false
@@ -139,22 +171,10 @@ func (c *Conn) faultLocked(major string, target xproto.XID) error {
 		fire = f.rng.Float64() < f.policy.Rate
 	}
 	if !fire {
-		return nil
+		return 0
 	}
 	f.fired++
-	code := f.policy.Code
-	if code == 0 {
-		code = xproto.BadWindow
-	}
-	if f.policy.KillTarget && target != xproto.None {
-		if w := c.server.lookup(target); w != nil && !w.isRoot && w.owner != c {
-			c.server.destroyLocked(w)
-		}
-	}
-	return c.note(&xproto.XError{
-		Code: code, Major: major, Resource: target,
-		Detail: fmt.Sprintf("injected fault #%d on 0x%x", f.fired, uint32(target)),
-	})
+	return f.fired
 }
 
 // note reports err to the connection's error handler (exactly once per

@@ -2,7 +2,11 @@ package xserver
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/xproto"
 )
@@ -165,5 +169,144 @@ func TestErrorHandlerSeesEachErrorOnce(t *testing.T) {
 	}
 	if len(codes) != 2 || codes[0] != xproto.BadWindow || codes[1] != xproto.BadAccess {
 		t.Errorf("handler observed %v, want [BadWindow BadAccess]", codes)
+	}
+}
+
+// rateWorkload issues n requests on c, cycling through lock-free,
+// shared-lock and exclusive-lock request kinds, and returns the indices
+// that failed.
+func rateWorkload(c *Conn, win, root xproto.XID, n int) []int {
+	name := c.InternAtom("WM_NAME")
+	var failed []int
+	for i := 0; i < n; i++ {
+		var err error
+		switch i % 5 {
+		case 0:
+			_, err = c.GetGeometry(win)
+		case 1:
+			err = c.MoveWindow(win, i, i)
+		case 2:
+			err = c.RaiseWindow(win)
+		case 3:
+			err = c.ChangeProperty(win, name, name, 8, xproto.PropModeReplace, []byte("x"))
+		case 4:
+			err = c.ReparentWindow(win, root, i, i)
+		}
+		if err != nil {
+			failed = append(failed, i)
+		}
+	}
+	return failed
+}
+
+// TestFaultPolicyRateUnderConcurrentTraffic pins that a seeded Rate
+// schedule on one connection yields the same failure sequence whether
+// or not another connection is hammering the lock-free and shared-lock
+// paths at the same time: the schedule steps per connection, under its
+// own leaf lock, and requests keep their ordinary lock scopes.
+func TestFaultPolicyRateUnderConcurrentTraffic(t *testing.T) {
+	const n = 400
+	policy := FaultPolicy{Seed: 7, Rate: 0.25, Code: xproto.BadAccess}
+	run := func(concurrent bool) ([]int, int) {
+		s := NewServer()
+		root := s.Screens()[0].Root
+		a, b := s.Connect("a"), s.Connect("b")
+		win := mustCreate(t, a, root, xproto.Rect{Width: 40, Height: 40})
+		other := mustCreate(t, b, root, xproto.Rect{Width: 40, Height: 40})
+		a.SetFaultPolicy(&policy)
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		if concurrent {
+			for g := 0; g < 3; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						b.GetGeometry(win)
+						b.QueryTree(root)
+						b.MoveWindow(other, i%50, i%50)
+						b.MapWindow(other)
+						b.TranslateCoordinates(win, root, 1, 1)
+					}
+				}()
+			}
+		}
+		failed := rateWorkload(a, win, root, n)
+		close(stop)
+		wg.Wait()
+		return failed, a.FaultCount()
+	}
+	want, wantCount := run(false)
+	if len(want) == 0 {
+		t.Fatal("rate 0.25 over 400 requests injected nothing")
+	}
+	got, gotCount := run(true)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("failure sequence under concurrent traffic = %v, want %v", got, want)
+	}
+	if gotCount != wantCount || gotCount != len(want) {
+		t.Errorf("FaultCount = %d (serial %d), want %d", gotCount, wantCount, len(want))
+	}
+}
+
+// TestFaultPolicyKillTargetFromExclusiveRequests fires KillTarget from
+// requests that take the server lock exclusively themselves, and from a
+// batched op: the gate runs before the request's own locking, so the
+// kill is an ordinary destroy and cannot deadlock.
+func TestFaultPolicyKillTargetFromExclusiveRequests(t *testing.T) {
+	cases := []struct {
+		name  string
+		issue func(wm *Conn, target, root xproto.XID) error
+	}{
+		{"ReparentWindow", func(wm *Conn, target, root xproto.XID) error {
+			return wm.ReparentWindow(target, root, 5, 5)
+		}},
+		{"SendEvent", func(wm *Conn, target, root xproto.XID) error {
+			return wm.SendEvent(target, 0, xproto.Event{Type: xproto.ClientMessage})
+		}},
+		{"Batch", func(wm *Conn, target, root xproto.XID) error {
+			b := wm.Batch()
+			killed := b.ReparentWindow(target, root, 5, 5)
+			after := b.MapWindow(target)
+			b.Flush()
+			// The op after the kill sees the death race as a genuine
+			// BadWindow, not a second injected fault.
+			if err := after.Err(); !errors.Is(err, xproto.ErrBadWindow) {
+				return fmt.Errorf("op after the kill: err=%v, want BadWindow", err)
+			}
+			return killed.Err()
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewServer()
+			root := s.Screens()[0].Root
+			wm, client := s.Connect("wm"), s.Connect("client")
+			target := mustCreate(t, client, root, xproto.Rect{Width: 50, Height: 50})
+			wm.SetFaultPolicy(&FaultPolicy{EveryN: 1, Times: 1, Code: xproto.BadAccess, KillTarget: true})
+
+			done := make(chan error, 1)
+			go func() { done <- tc.issue(wm, target, root) }()
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("KillTarget fault deadlocked")
+			}
+			if !errors.Is(err, xproto.ErrBadAccess) {
+				t.Errorf("err = %v, want the injected BadAccess", err)
+			}
+			if _, err := client.GetGeometry(target); !errors.Is(err, xproto.ErrBadWindow) {
+				t.Errorf("target window survived KillTarget: err=%v", err)
+			}
+			if got := wm.FaultCount(); got != 1 {
+				t.Errorf("FaultCount = %d, want 1", got)
+			}
+		})
 	}
 }

@@ -22,12 +22,12 @@ import (
 // grabWindow as the event window and an active grab begins.
 // modifiers may be xproto.AnyModifier; button may be xproto.AnyButton.
 func (c *Conn) GrabButton(grabWindow xproto.XID, button int, modifiers uint16, eventMask xproto.EventMask) error {
+	if err := c.gate("GrabButton", grabWindow); err != nil {
+		return err
+	}
 	s := c.server
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := c.faultLocked("GrabButton", grabWindow); err != nil {
-		return err
-	}
 	if _, err := c.lookupWin(grabWindow, "GrabButton"); err != nil {
 		return err
 	}
@@ -67,12 +67,12 @@ func (c *Conn) UngrabButton(grabWindow xproto.XID, button int, modifiers uint16)
 
 // GrabKey establishes a passive key grab on a window.
 func (c *Conn) GrabKey(grabWindow xproto.XID, keysym string, modifiers uint16) error {
+	if err := c.gate("GrabKey", grabWindow); err != nil {
+		return err
+	}
 	s := c.server
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := c.faultLocked("GrabKey", grabWindow); err != nil {
-		return err
-	}
 	if _, err := c.lookupWin(grabWindow, "GrabKey"); err != nil {
 		return err
 	}
@@ -101,12 +101,12 @@ func (c *Conn) UngrabKey(grabWindow xproto.XID, keysym string, modifiers uint16)
 // events are delivered to this connection with grabWindow as the event
 // window, until UngrabPointer.
 func (c *Conn) GrabPointer(grabWindow xproto.XID, eventMask xproto.EventMask) error {
+	if err := c.gate("GrabPointer", grabWindow); err != nil {
+		return err
+	}
 	s := c.server
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := c.faultLocked("GrabPointer", grabWindow); err != nil {
-		return err
-	}
 	if _, err := c.lookupWin(grabWindow, "GrabPointer"); err != nil {
 		return err
 	}

@@ -4,17 +4,17 @@ import "repro/internal/xproto"
 
 // Instrument observes a connection's request traffic. It is the
 // build-once hook the obs layer attaches to: Request fires once per
-// request from the fault-injection gate every request method passes
-// through (batched ops included, one call per op), and BatchFlush
-// fires once per Batch.Flush with the number of ops applied.
+// request from the gate every request method passes first (batched ops
+// included, one call per op, since Flush replays each op through its
+// request method), and BatchFlush fires once per Batch.Flush with the
+// number of ops about to be applied.
 //
-// Contract (mirrors SetErrorHandler): callbacks run from whatever
-// locking regime the request executes in — lock-free fast paths, the
-// shared lock, or the exclusive lock — and concurrently from different
-// connections, so an Instrument must be safe for concurrent use, must
-// not block, and must not issue requests on any connection.
-// obs.ConnInstrument satisfies this interface structurally (atomics
-// plus a read-only map) without either package importing the other.
+// Contract (mirrors SetErrorHandler): callbacks run before the request
+// takes any lock, and concurrently from different connections, so an
+// Instrument must be safe for concurrent use, must not block, and must
+// not issue requests on any connection. obs.ConnInstrument satisfies
+// this interface structurally (atomics plus a read-only map) without
+// either package importing the other.
 type Instrument interface {
 	Request(major string, target xproto.XID)
 	BatchFlush(ops int)
@@ -22,31 +22,26 @@ type Instrument interface {
 
 // SetInstrument installs (or, with nil, removes) the connection's
 // instrument. The instrument rides in the connection's atomic gates
-// snapshot, so lock-free request paths observe it with a single
-// pointer load. Install before issuing requests; swapping instruments
-// mid-flight is supported but counts in the old and new instrument
-// will not overlap cleanly.
+// snapshot, so request paths observe it with a single pointer load.
+// Install before issuing requests; swapping instruments mid-flight is
+// supported but counts in the old and new instrument will not overlap
+// cleanly.
 func (c *Conn) SetInstrument(in Instrument) {
-	c.server.mu.Lock()
-	defer c.server.mu.Unlock()
-	old := c.gates.Load()
+	c.errMu.Lock()
+	defer c.errMu.Unlock()
 	var f *faultState
-	if old != nil {
+	if old := c.gates.Load(); old != nil {
 		f = old.faults
 	}
-	if in == nil && f == nil {
-		c.gates.Store(nil)
-		return
-	}
-	c.gates.Store(&connGates{in: in, faults: f})
+	c.storeGates(in, f)
 }
 
-// RequestMajors lists every request major routed through the
-// fault-injection/instrument gate, i.e. every value the Instrument's
-// major parameter can take. obs uses it to prebuild one counter per
-// major so the per-request path stays allocation-free; the
-// xserver test suite cross-checks it against the faultLocked call
-// sites so it cannot drift silently.
+// RequestMajors lists every request major passed to the connection's
+// gate, i.e. every value the Instrument's major parameter can take. obs
+// uses it to prebuild one counter per major so the per-request path
+// stays allocation-free; the xserver test suite cross-checks it against
+// the gate call sites (exactly one per major) so it cannot drift
+// silently.
 var RequestMajors = []string{
 	"ChangeProperty",
 	"ChangeSaveSet",

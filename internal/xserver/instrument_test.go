@@ -5,34 +5,44 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/xproto"
 )
 
 // TestRequestMajorsMatchFaultSites cross-checks the RequestMajors list
-// against the faultLocked call sites in this package's sources. The
-// list exists so instrument implementations can pre-build per-major
-// state; a request method added without updating it would silently
-// land in an instrument's "other" bucket.
+// against the gate call sites in this package's sources. The list
+// exists so instrument implementations can pre-build per-major state; a
+// request method added without updating it would silently land in an
+// instrument's "other" bucket. Each major must also have exactly one
+// gate site: one request, one body.
 func TestRequestMajorsMatchFaultSites(t *testing.T) {
-	re := regexp.MustCompile(`faultLocked\("([A-Za-z]+)"`)
-	sites := map[string]bool{}
+	re := regexp.MustCompile(`\.gate\("([A-Za-z]+)"`)
+	sites := map[string]int{}
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
 		src, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range re.FindAllStringSubmatch(string(src), -1) {
-			sites[m[1]] = true
+			sites[m[1]]++
 		}
 	}
 	if len(sites) == 0 {
-		t.Fatal("no faultLocked call sites found — did the gate get renamed?")
+		t.Fatal("no gate call sites found — did the gate get renamed?")
+	}
+	for major, n := range sites {
+		if n != 1 {
+			t.Errorf("request %q has %d gate call sites, want exactly 1", major, n)
+		}
 	}
 
 	listed := map[string]bool{}
@@ -44,12 +54,12 @@ func TestRequestMajorsMatchFaultSites(t *testing.T) {
 	}
 	for major := range sites {
 		if !listed[major] {
-			t.Errorf("faultLocked site %q missing from RequestMajors", major)
+			t.Errorf("gate site %q missing from RequestMajors", major)
 		}
 	}
 	for major := range listed {
-		if !sites[major] {
-			t.Errorf("RequestMajors lists %q but no faultLocked site uses it", major)
+		if sites[major] == 0 {
+			t.Errorf("RequestMajors lists %q but no gate site uses it", major)
 		}
 	}
 	if !sort.StringsAreSorted(RequestMajors) {

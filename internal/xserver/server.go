@@ -37,9 +37,12 @@ import (
 //     stripes of the touched windows, acquired in ascending stripe
 //     order through the stripes.go doorways.
 //   - Tree surgery and rare ops (ReparentWindow, DestroyWindow,
-//     Connect/Close, grabs, focus, SendEvent, batch flush, and any
-//     request on a connection with a fault policy installed) hold mu
-//     *exclusively*, which implies every stripe.
+//     ChangeSaveSet, Connect/Close, grabs, focus, SendEvent, shape
+//     changes) hold mu *exclusively*, which implies every stripe.
+//
+// A batch flush takes no lock of its own (each op takes its request's
+// locks), and an installed fault policy or instrument never changes a
+// request's lock scope.
 //
 // XID allocation is atomic so batches can assign IDs to CreateWindow
 // requests before the batch is flushed (the Xlib model: clients own

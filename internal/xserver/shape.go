@@ -16,12 +16,12 @@ import (
 // Passing no rectangles resets the window to an ordinary rectangular
 // shape.
 func (c *Conn) ShapeCombineRectangles(id xproto.XID, rects []xproto.Rect) error {
+	if err := c.gate("ShapeCombineRectangles", id); err != nil {
+		return err
+	}
 	s := c.server
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := c.faultLocked("ShapeCombineRectangles", id); err != nil {
-		return err
-	}
 	w, err := c.lookupWin(id, "ShapeCombineRectangles")
 	if err != nil {
 		return err
@@ -48,31 +48,13 @@ func (c *Conn) ShapeCombineRectangles(id xproto.XID, rects []xproto.Rect) error 
 // its bounding rectangles (window-relative, sorted for determinism).
 // Lock-free.
 func (c *Conn) ShapeQuery(id xproto.XID) (shaped bool, rects []xproto.Rect, err error) {
-	if c.gate("ShapeQuery", id) {
-		return c.gatedShapeQuery(id)
-	}
-	w, err := c.lookupWin(id, "ShapeQuery")
-	if err != nil {
-		return false, nil, err
-	}
-	return shapeOf(w)
-}
-
-func (c *Conn) gatedShapeQuery(id xproto.XID) (bool, []xproto.Rect, error) {
-	s := c.server
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := c.faultLocked("ShapeQuery", id); err != nil {
+	if err := c.gate("ShapeQuery", id); err != nil {
 		return false, nil, err
 	}
 	w, err := c.lookupWin(id, "ShapeQuery")
 	if err != nil {
 		return false, nil, err
 	}
-	return shapeOf(w)
-}
-
-func shapeOf(w *window) (bool, []xproto.Rect, error) {
 	var out []xproto.Rect
 	if rp := w.shapeRects.Load(); rp != nil {
 		out = append(out, *rp...)
@@ -90,12 +72,12 @@ func shapeOf(w *window) (bool, []xproto.Rect, error) {
 // delivered to this connection (implemented via StructureNotify
 // selection, which is how our model routes ShapeNotify).
 func (c *Conn) ShapeSelectInput(id xproto.XID) error {
+	if err := c.gate("ShapeSelectInput", id); err != nil {
+		return err
+	}
 	s := c.server
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := c.faultLocked("ShapeSelectInput", id); err != nil {
-		return err
-	}
 	w, err := c.lookupWin(id, "ShapeSelectInput")
 	if err != nil {
 		return err

@@ -33,8 +33,9 @@ import (
 //
 // Holding Server.mu exclusively implies every stripe: stripe holders
 // always hold Server.mu shared, so an exclusive holder has the table to
-// itself. Destroy, reparent, connection close and the fault-injection
-// path rely on that escalation instead of acquiring stripes.
+// itself. Destroy (including a KillTarget fault's), reparent and
+// connection close rely on that escalation instead of acquiring
+// stripes.
 
 const (
 	numStripes  = 64

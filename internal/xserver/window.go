@@ -658,27 +658,33 @@ func (w *window) stackIndex() int {
 	return -1
 }
 
-// detach removes w from its parent's children. Caller must hold the
-// parent's stripe or Server.mu exclusively.
+// detach removes w from its parent's children and clears its parent.
+// Only destruction detaches; a live window changes parent through
+// moveTo. Caller must hold the parent's stripe or Server.mu
+// exclusively.
 func (w *window) detach() {
-	p := w.parent.Load()
-	if p == nil {
-		return
+	if p := w.parent.Load(); p != nil {
+		p.removeKid(w)
+		w.parent.Store(nil)
 	}
+}
+
+// removeKid drops the first occurrence of w from p's children. Caller
+// must hold p's stripe or Server.mu exclusively.
+func (p *window) removeKid(w *window) {
 	cur := p.kids()
 	for i, c := range cur {
 		if c == w {
 			// Keep the old backing's capacity so the reparent pattern
-			// (detach here, attach elsewhere, repeat) stays on
+			// (append elsewhere, remove here, repeat) stays on
 			// appendKid's in-place path instead of re-growing.
 			nk := make([]*window, 0, cap(cur))
 			nk = append(nk, cur[:i]...)
 			nk = append(nk, cur[i+1:]...)
 			p.setKids(nk)
-			break
+			return
 		}
 	}
-	w.parent.Store(nil)
 }
 
 // attach appends w on top of parent's children. Caller must hold the
@@ -686,6 +692,28 @@ func (w *window) detach() {
 func (w *window) attach(parent *window) {
 	w.parent.Store(parent)
 	parent.appendKid(w)
+}
+
+// moveTo re-links the live window w on top of np's children at
+// parent-relative (x, y) and returns its old parent. The new parent is
+// published and w appended to its children before w leaves the old
+// parent's list, so a lock-free reader may briefly find w under both
+// parents but never under neither. Moving to the current parent is a
+// raise: one snapshot swap, so w is never missing or listed twice.
+// Caller must hold Server.mu exclusively.
+func (w *window) moveTo(np *window, x, y int) (old *window) {
+	old = w.parent.Load()
+	w.geomXY.Store(packIntPair(x, y))
+	if old == np {
+		w.syncGeoCell()
+		w.restack(xproto.Above, nil)
+		return old
+	}
+	w.attach(np)
+	if old != nil {
+		old.removeKid(w)
+	}
+	return old
 }
 
 // containsPoint reports whether the root-relative point lies within w's
