@@ -128,11 +128,11 @@ func isConstructorOf(p *Pass, fd *ast.FuncDecl, owner *types.Named) bool {
 
 // fieldAccess is one syntactic use of a struct field.
 type fieldAccess struct {
-	sel    *ast.SelectorExpr
-	field  *types.Var
-	fd     *ast.FuncDecl // enclosing function, nil at package level
-	parent ast.Node      // immediate parent node of sel
-	gparent ast.Node     // parent of parent
+	sel     *ast.SelectorExpr
+	field   *types.Var
+	fd      *ast.FuncDecl // enclosing function, nil at package level
+	parent  ast.Node      // immediate parent node of sel
+	gparent ast.Node      // parent of parent
 }
 
 func runAtomicField(p *Pass) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/clients"
+	"repro/internal/swmproto"
 )
 
 // Allocation regression guards for the incremental panner and the
@@ -110,3 +111,52 @@ func TestManageCycleAllocBudget(t *testing.T) {
 		t.Errorf("manage cycle = %.1f allocs/op, budget %d — are warm manages missing the prototype cache?", avg, budget)
 	}
 }
+
+// statsWM is the stats-render fixture: a WM managing 2 clients, the
+// shape of one fleet session under the HTTP workloads.
+func statsWM(t testing.TB) *WM {
+	s, wm := newWM(t, Options{VirtualDesktop: true, EnablePanner: true})
+	for i := 0; i < 2; i++ {
+		launch(t, s, wm, clients.Config{
+			Instance: fmt.Sprintf("st%d", i), Class: "Bench",
+			Width: 200, Height: 150, X: 10 + i, Y: 10 + i,
+		})
+	}
+	wm.Pump()
+	return wm
+}
+
+var statsReq = swmproto.Request{Op: swmproto.OpQuery, Target: swmproto.TargetStats}
+
+// TestStatsRenderAllocBudget bounds one stats render (ServeProto of
+// the stats target) on a WM with 2 clients, the fleet's cache-miss
+// render. The render streams the registry's name-sorted walk into one
+// buffer sized from the previous render: the walk's three slice copies,
+// the visitor and the payload. Before that it built a snapshot of maps
+// and sorted every name twice, at 38 allocs/op; a return to per-render
+// sorting or maps fails here.
+func TestStatsRenderAllocBudget(t *testing.T) {
+	wm := statsWM(t)
+	avg := testing.AllocsPerRun(200, func() {
+		if resp := wm.ServeProto(statsReq); !resp.OK {
+			t.Fatalf("stats: %s", resp.Error)
+		}
+	})
+	const budget = 6 // pre-change: 38
+	if avg > budget {
+		t.Errorf("stats render = %.1f allocs/op, budget %d — is the render sorting or building maps again?", avg, budget)
+	}
+}
+
+// BenchmarkStatsRender times the render TestStatsRenderAllocBudget
+// counts.
+func BenchmarkStatsRender(b *testing.B) {
+	wm := statsWM(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		statsSink = wm.ServeProto(statsReq)
+	}
+}
+
+var statsSink swmproto.Response

@@ -85,6 +85,10 @@ type WM struct {
 	// it to disk.
 	lastPlaces string
 
+	// statsSize is the buffer size for the next stats render: the last
+	// render's length plus headroom (see ServeProto).
+	statsSize int
+
 	focus *Client
 
 	// moveState tracks an interactive f.move between grab and release.

@@ -13,7 +13,7 @@ import (
 
 // newWM spins up a server + swm with the OpenLook template and the
 // Virtual Desktop enabled.
-func newWM(t *testing.T, opts Options) (*xserver.Server, *WM) {
+func newWM(t testing.TB, opts Options) (*xserver.Server, *WM) {
 	t.Helper()
 	s := xserver.NewServer()
 	if opts.DB == nil {
@@ -32,7 +32,7 @@ func newWM(t *testing.T, opts Options) (*xserver.Server, *WM) {
 }
 
 // launch starts a client and pumps the WM so it gets managed.
-func launch(t *testing.T, s *xserver.Server, wm *WM, cfg clients.Config) (*clients.App, *Client) {
+func launch(t testing.TB, s *xserver.Server, wm *WM, cfg clients.Config) (*clients.App, *Client) {
 	t.Helper()
 	app, err := clients.Launch(s, cfg)
 	if err != nil {

@@ -84,16 +84,25 @@ func (wm *WM) ServeProto(req swmproto.Request) swmproto.Response {
 	case swmproto.OpQuery:
 		// The hot targets render through the hand-rolled append
 		// encoders (byte-parity with encoding/json pinned in
-		// swmproto's encode_test.go): one exact-size allocation per
-		// render, no reflect walk. These rendered bytes are what the
-		// fleet's per-session snapshot cache publishes, so a render
-		// here is the *miss* path — the warm path never reaches the
-		// lane at all. Trace stays on reflection: its Entry Kind needs
-		// a custom marshaler and the result is cached upstream anyway.
+		// swmproto's encode_test.go), with no reflect walk. These
+		// rendered bytes are what the fleet's per-session snapshot
+		// cache publishes, so a render here is the *miss* path — the
+		// warm path never reaches the lane at all. Stats streams
+		// straight off the registry's sorted walk into one buffer
+		// sized from the previous render, so the payload is a single
+		// allocation that the cache can keep without slack. Trace
+		// stays on reflection: its Entry Kind needs a custom
+		// marshaler and the result is cached upstream anyway.
 		switch req.Target {
 		case swmproto.TargetStats:
-			res := wm.statsResult()
-			return swmproto.OKResult(swmproto.AppendStatsResult(make([]byte, 0, 2048), &res))
+			var lastErr string
+			if err := wm.LastError(); err != nil {
+				lastErr = err.Error()
+			}
+			data := swmproto.AppendStats(make([]byte, 0, wm.statsSize), wm.metrics.registry, wm.Degraded(), lastErr)
+			// Headroom for counters gaining digits between renders.
+			wm.statsSize = len(data) + len(data)/16
+			return swmproto.OKResult(data)
 		case swmproto.TargetTrace:
 			data, err := json.Marshal(wm.traceResult())
 			if err != nil {
@@ -128,17 +137,6 @@ func (wm *WM) sendReply(req swmproto.Request, resp swmproto.Response) {
 	wm.check(nil, "write SWM_REPLY", wm.conn.ChangeProperty(
 		xproto.XID(req.ReplyWindow), wm.conn.InternAtom(swmproto.ReplyProperty),
 		wm.conn.InternAtom("STRING"), 8, xproto.PropModeReplace, data))
-}
-
-func (wm *WM) statsResult() swmproto.StatsResult {
-	res := swmproto.StatsResult{
-		Metrics:  wm.metrics.registry.Snapshot(),
-		Degraded: wm.Degraded(),
-	}
-	if err := wm.LastError(); err != nil {
-		res.LastError = err.Error()
-	}
-	return res
 }
 
 func (wm *WM) traceResult() swmproto.TraceResult {

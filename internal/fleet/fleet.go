@@ -84,7 +84,7 @@ type taskKind int
 
 const (
 	taskStart taskKind = iota
-	taskWork  // pump, exec — requires Running
+	taskWork           // pump, exec — requires Running
 	taskRestart
 	taskStop
 )
@@ -158,9 +158,11 @@ type Session struct {
 
 	state atomic.Int32
 
-	// mu guards tasks and queued.
+	// mu guards tasks, head and queued. tasks[head:] are pending, in
+	// FIFO order; the slots before head have run and been cleared.
 	mu     sync.Mutex
 	tasks  []task
+	head   int
 	queued bool
 
 	// wm is owned by the session's scheduler lane; outside a task it
@@ -339,6 +341,13 @@ func (s *Session) enqueue(k taskKind, fn func(), mutate bool) bool {
 	if mutate {
 		s.gen.Add(1)
 	}
+	if len(s.tasks) == cap(s.tasks) && s.head > len(s.tasks)/2 {
+		// Mostly run slots: slide the pending tasks down over them
+		// rather than growing the queue.
+		n := copy(s.tasks, s.tasks[s.head:])
+		clear(s.tasks[n:])
+		s.tasks, s.head = s.tasks[:n], 0
+	}
 	s.tasks = append(s.tasks, task{kind: k, fn: fn})
 	already := s.queued
 	s.queued = true
@@ -367,14 +376,17 @@ func (m *Manager) worker() {
 func (m *Manager) drainSession(s *Session) {
 	for {
 		s.mu.Lock()
-		if len(s.tasks) == 0 {
+		if s.head == len(s.tasks) {
+			s.tasks, s.head = s.tasks[:0], 0
 			s.queued = false
 			s.mu.Unlock()
 			return
 		}
-		t := s.tasks[0]
-		copy(s.tasks, s.tasks[1:])
-		s.tasks = s.tasks[:len(s.tasks)-1]
+		// Pop without shifting the rest; clearing the slot lets the
+		// task's closure be collected once it has run.
+		t := s.tasks[s.head]
+		s.tasks[s.head] = task{}
+		s.head++
 		s.mu.Unlock()
 		if s.admits(t.kind) {
 			m.runIsolated(s, t.fn)

@@ -218,3 +218,53 @@ func TestFleetConfigValidation(t *testing.T) {
 		t.Fatal("New accepted zero sessions")
 	}
 }
+
+// TestSessionTaskQueueFIFO drives a session's task queue through
+// growth, pops and in-place compaction: tasks posted while the queue is
+// draining must still run in post order, and no run task's closure may
+// stay reachable from the queue afterwards.
+func TestSessionTaskQueueFIFO(t *testing.T) {
+	m, err := New(Config{Sessions: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	m.StartAll()
+	m.Drain()
+
+	s := m.sessions[0]
+	const total = 1000
+	var ran []int
+	var post func(i int)
+	post = func(i int) {
+		s.post(taskWork, func() {
+			ran = append(ran, i)
+			if i+100 < total {
+				post(i + 100)
+			}
+		})
+	}
+	release := make(chan struct{})
+	s.post(taskWork, func() { <-release })
+	for i := 0; i < 100; i++ {
+		post(i)
+	}
+	close(release)
+	m.Drain()
+
+	if len(ran) != total {
+		t.Fatalf("ran %d tasks, want %d", len(ran), total)
+	}
+	for i, v := range ran {
+		if v != i {
+			t.Fatalf("task %d ran at position %d: order %v", v, i, ran)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, tk := range s.tasks[:cap(s.tasks)] {
+		if tk.fn != nil {
+			t.Errorf("queue slot %d still holds a run task", i)
+		}
+	}
+}

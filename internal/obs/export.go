@@ -1,13 +1,14 @@
 // Text exposition and the visitor seam. The registry has exactly one
 // enumeration doorway — Visit — and every consumer rides it: Snapshot
-// (the JSON shape swmcmd -query stats and SWM_OBS_SNAPSHOT round-trip)
-// and ExportText (the Prometheus text form /metrics serves) are both
-// visitors, so neither reaches into registry internals and the two
-// views cannot drift apart.
+// (the JSON shape SWM_OBS_SNAPSHOT writes), swmproto.AppendStats (the
+// same shape streamed as the stats query payload) and ExportText (the
+// Prometheus text form /metrics serves) are all visitors, so none
+// reaches into registry internals and the views cannot drift apart.
 package obs
 
 import (
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -25,48 +26,26 @@ type Visitor interface {
 }
 
 // Visit walks the registry: counters, then gauges, then histograms,
-// each in sorted name order. The walk happens outside the registry
-// lock — the instrument set is copied first — so a visitor may take as
-// long as it likes (a slow scrape) without blocking registration.
+// each in sorted name order. The three name-sorted slices are copied
+// under the registry lock and walked outside it, so a visitor may take
+// as long as it likes (a slow scrape) without blocking registration,
+// and the walk needs no sort and no map: the order was settled when
+// each name was registered.
 func (r *Registry) Visit(v Visitor) {
-	type namedCounter struct {
-		name string
-		c    *Counter
-	}
-	type namedGauge struct {
-		name string
-		g    *Gauge
-	}
-	type namedHistogram struct {
-		name string
-		h    *Histogram
-	}
 	r.mu.Lock()
-	counters := make([]namedCounter, 0, len(r.counters))
-	for name, c := range r.counters {
-		counters = append(counters, namedCounter{name, c})
-	}
-	gauges := make([]namedGauge, 0, len(r.gauges))
-	for name, g := range r.gauges {
-		gauges = append(gauges, namedGauge{name, g})
-	}
-	histograms := make([]namedHistogram, 0, len(r.histograms))
-	for name, h := range r.histograms {
-		histograms = append(histograms, namedHistogram{name, h})
-	}
+	counters := slices.Clone(r.counters)
+	gauges := slices.Clone(r.gauges)
+	histograms := slices.Clone(r.histograms)
 	r.mu.Unlock()
 
-	sort.Slice(counters, func(i, j int) bool { return counters[i].name < counters[j].name })
-	sort.Slice(gauges, func(i, j int) bool { return gauges[i].name < gauges[j].name })
-	sort.Slice(histograms, func(i, j int) bool { return histograms[i].name < histograms[j].name })
-	for _, nc := range counters {
-		v.VisitCounter(nc.name, nc.c.Value())
+	for _, c := range counters {
+		v.VisitCounter(c.name, c.inst.Value())
 	}
-	for _, ng := range gauges {
-		v.VisitGauge(ng.name, ng.g.Value())
+	for _, g := range gauges {
+		v.VisitGauge(g.name, g.inst.Value())
 	}
-	for _, nh := range histograms {
-		v.VisitHistogram(nh.name, nh.h)
+	for _, h := range histograms {
+		v.VisitHistogram(h.name, h.inst)
 	}
 }
 

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"io"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -32,6 +35,80 @@ func TestVisitOrderAndValues(t *testing.T) {
 	}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("visit order = %v, want %v", got, want)
+	}
+}
+
+// TestVisitOrderAfterLateRegistration pins the sorted-slice registry:
+// names registered after a Visit land at their sorted position in the
+// next one, and re-registering an existing name adds nothing.
+func TestVisitOrderAfterLateRegistration(t *testing.T) {
+	r := populated()
+	r.Visit(visitRecorder{names: new([]string)})
+	r.Counter("a.early").Inc()
+	r.Counter("z.late").Inc()
+	r.Counter("wm.managed").Inc()
+	r.Gauge("Upper").Set(1)
+	r.Histogram("batch.size", SizeBounds)
+	var got []string
+	r.Visit(visitRecorder{names: &got})
+	want := []string{
+		"counter:a.early=1",
+		"counter:degrade.core=2",
+		"counter:wm.managed=8",
+		"counter:z.late=1",
+		"gauge:Upper=1",
+		"gauge:fleet.sessions_live=64",
+		"histogram:batch.size",
+		"histogram:pump.ns",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("visit order = %v, want %v", got, want)
+	}
+}
+
+// TestRegistrationConcurrentWithReads runs registration of every kind
+// against Visit, Snapshot and ExportText. Run under -race it checks
+// that readers walk copies of the sorted slices, never the slices a
+// registration is inserting into.
+func TestRegistrationConcurrentWithReads(t *testing.T) {
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				name := "n." + strconv.Itoa((i*7919+w*31)%200)
+				r.Counter(name).Inc()
+				r.Gauge(name).Set(int64(i))
+				r.Histogram(name, SizeBounds).Observe(int64(i))
+			}
+		}()
+	}
+	readers := []func(){
+		func() { r.Visit(visitRecorder{names: new([]string)}) },
+		func() { r.Snapshot() },
+		func() { _ = r.Export(io.Discard) },
+	}
+	for _, read := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				read()
+			}
+		}()
+	}
+	wg.Wait()
+
+	var got []string
+	r.Visit(visitRecorder{names: &got})
+	if len(got) != 3*200 {
+		t.Fatalf("visited %d instruments, want %d", len(got), 3*200)
+	}
+	names := r.CounterNames()
+	if !slices.IsSorted(names) {
+		t.Errorf("counter names not sorted: %v", names)
 	}
 }
 

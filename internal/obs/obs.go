@@ -16,9 +16,13 @@
 //  2. Instruments are registered once, at construction time, and held
 //     as struct fields thereafter. Registry lookups never happen on a
 //     hot path.
-//  3. Readers never block writers. Snapshot() assembles a consistent-
-//     enough view from atomic loads; it allocates freely because it
-//     runs on the cold query path (swmcmd -query stats).
+//  3. Readers never block writers, and reading is cheap too. Each
+//     instrument kind is a name-sorted slice; Visit copies the three
+//     slices under the registry lock and walks the copies outside it,
+//     with no sort and no map. The stats render streams straight off
+//     that walk (swmproto.AppendStats), because a stats miss sits on a
+//     fleet lane's serving path. Snapshot() still builds maps, for
+//     callers that want the decoded shape.
 //
 // Instruments may be invoked while the X server's lock is held (the
 // connection instrument fires inside the request gate), so nothing in
@@ -27,7 +31,8 @@
 package obs
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -164,44 +169,52 @@ var SizeBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 // existing instrument — and guarded by a mutex; it happens at
 // construction time only. Reads of registered instruments are plain
 // atomic loads on the instruments themselves.
+//
+// Each kind is one slice kept sorted by name: registration binary-
+// searches it and inserts a new name in place, so enumeration (Visit)
+// never sorts. Names never change after registration, which is why
+// the order is paid for once, at construction, rather than per read.
 type Registry struct {
 	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	counters   []named[*Counter]
+	gauges     []named[*Gauge]
+	histograms []named[*Histogram]
+}
+
+// named is one registered instrument and its name.
+type named[T any] struct {
+	name string
+	inst T
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
+func NewRegistry() *Registry { return &Registry{} }
+
+// register returns the instrument called name in the sorted slice s,
+// inserting mk() at its sorted position on first use. The caller holds
+// the registry lock.
+func register[T any](s *[]named[T], name string, mk func() T) T {
+	i, found := slices.BinarySearchFunc(*s, name, func(e named[T], name string) int {
+		return strings.Compare(e.name, name)
+	})
+	if !found {
+		*s = slices.Insert(*s, i, named[T]{name, mk()})
 	}
+	return (*s)[i].inst
 }
 
 // Counter returns the named counter, registering it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return register(&r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, registering it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return register(&r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named histogram, registering it with the given
@@ -210,12 +223,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = NewHistogram(bounds)
-		r.histograms[name] = h
-	}
-	return h
+	return register(&r.histograms, name, func() *Histogram { return NewHistogram(bounds) })
 }
 
 // Snapshot is a point-in-time copy of every registered instrument,
@@ -246,10 +254,9 @@ func (r *Registry) Snapshot() Snapshot {
 func (r *Registry) CounterNames() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		out = append(out, name)
+	out := make([]string, len(r.counters))
+	for i, c := range r.counters {
+		out[i] = c.name
 	}
-	sort.Strings(out)
 	return out
 }

@@ -136,102 +136,88 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 	return append(dst, '}')
 }
 
-// AppendStatsResult appends the TargetStats payload, byte-identical to
-// json.Marshal(*s).
-func AppendStatsResult(dst []byte, s *StatsResult) []byte {
-	dst = append(dst, `{"metrics":`...)
-	dst = appendMetricsSnapshot(dst, &s.Metrics)
-	dst = append(dst, `,"degraded":`...)
-	dst = strconv.AppendInt(dst, int64(s.Degraded), 10)
-	if s.LastError != "" {
+// AppendStats appends the TargetStats payload for reg, byte-identical
+// to json.Marshal(StatsResult{Metrics: reg.Snapshot(), Degraded:
+// degraded, LastError: lastError}). It streams straight off
+// reg.Visit, whose name-sorted walk is already encoding/json's map key
+// order, so no snapshot maps are built and no keys are sorted.
+func AppendStats(dst []byte, reg *obs.Registry, degraded int, lastError string) []byte {
+	w := &statsWriter{dst: dst}
+	reg.Visit(w)
+	w.open(len(statsSections))
+	dst = append(w.dst, `,"degraded":`...)
+	dst = strconv.AppendInt(dst, int64(degraded), 10)
+	if lastError != "" {
 		dst = append(dst, `,"last_error":`...)
-		dst = appendJSONString(dst, s.LastError)
+		dst = appendJSONString(dst, lastError)
 	}
 	return append(dst, '}')
 }
 
-func appendMetricsSnapshot(dst []byte, s *obs.Snapshot) []byte {
-	dst = append(dst, `{"counters":`...)
-	dst = appendInt64Map(dst, s.Counters)
-	dst = append(dst, `,"gauges":`...)
-	dst = appendInt64Map(dst, s.Gauges)
-	dst = append(dst, `,"histograms":`...)
-	dst = appendHistogramMap(dst, s.Histograms)
-	return append(dst, '}')
+// statsSections are the fixed bytes in front of each instrument kind's
+// object, and (last) the bytes that close the metrics object.
+var statsSections = [...]string{`{"metrics":{"counters":{`, `},"gauges":{`, `},"histograms":{`, `}}`}
+
+// statsWriter is the obs.Visitor behind AppendStats. Visit calls
+// arrive kind by kind, but a kind with no instruments makes no call at
+// all, so each call first emits every section header it has skipped.
+type statsWriter struct {
+	dst     []byte
+	written int  // statsSections emitted so far
+	first   bool // no entry yet in the open section
 }
 
-func appendInt64Map(dst []byte, m map[string]int64) []byte {
-	if m == nil {
-		return append(dst, "null"...)
+// open emits statsSections up to and including statsSections[n-1].
+func (w *statsWriter) open(n int) {
+	for ; w.written < n; w.written++ {
+		w.dst = append(w.dst, statsSections[w.written]...)
+		w.first = true
 	}
-	dst = append(dst, '{')
-	for i, k := range sortedKeys(m) {
-		if i > 0 {
-			dst = append(dst, ',')
+}
+
+// key opens section n (1 counters, 2 gauges, 3 histograms) and appends
+// name as the next member's key.
+func (w *statsWriter) key(n int, name string) {
+	w.open(n)
+	if !w.first {
+		w.dst = append(w.dst, ',')
+	}
+	w.first = false
+	w.dst = appendJSONString(w.dst, name)
+	w.dst = append(w.dst, ':')
+}
+
+func (w *statsWriter) VisitCounter(name string, value int64) {
+	w.key(1, name)
+	w.dst = strconv.AppendInt(w.dst, value, 10)
+}
+
+func (w *statsWriter) VisitGauge(name string, value int64) {
+	w.key(2, name)
+	w.dst = strconv.AppendInt(w.dst, value, 10)
+}
+
+// VisitHistogram appends the obs.HistogramSnapshot form of h.
+func (w *statsWriter) VisitHistogram(name string, h *obs.Histogram) {
+	w.key(3, name)
+	w.dst = append(w.dst, `{"count":`...)
+	w.dst = strconv.AppendInt(w.dst, h.Count(), 10)
+	w.dst = append(w.dst, `,"sum":`...)
+	w.dst = strconv.AppendInt(w.dst, h.Sum(), 10)
+	w.dst = append(w.dst, `,"buckets":[`...)
+	sep := false
+	h.Range(func(upperBound, count int64) {
+		if sep {
+			w.dst = append(w.dst, ',')
 		}
-		dst = appendJSONString(dst, k)
-		dst = append(dst, ':')
-		dst = strconv.AppendInt(dst, m[k], 10)
-	}
-	return append(dst, '}')
-}
-
-func appendHistogramMap(dst []byte, m map[string]obs.HistogramSnapshot) []byte {
-	if m == nil {
-		return append(dst, "null"...)
-	}
-	dst = append(dst, '{')
-	for i, k := range sortedKeys(m) {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendJSONString(dst, k)
-		dst = append(dst, ':')
-		dst = appendHistogramSnapshot(dst, m[k])
-	}
-	return append(dst, '}')
-}
-
-func appendHistogramSnapshot(dst []byte, h obs.HistogramSnapshot) []byte {
-	dst = append(dst, `{"count":`...)
-	dst = strconv.AppendInt(dst, h.Count, 10)
-	dst = append(dst, `,"sum":`...)
-	dst = strconv.AppendInt(dst, h.Sum, 10)
-	dst = append(dst, `,"buckets":`...)
-	if h.Buckets == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, b := range h.Buckets {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"le":`...)
-			dst = strconv.AppendInt(dst, b.UpperBound, 10)
-			dst = append(dst, `,"count":`...)
-			dst = strconv.AppendInt(dst, b.Count, 10)
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
-	}
-	return append(dst, '}')
-}
-
-// sortedKeys returns m's keys in encoding/json's map order (ascending
-// byte-wise), for either snapshot map type.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	// Insertion sort: snapshot maps are small (tens of keys) and this
-	// keeps the encoder dependency-free.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
+		sep = true
+		w.dst = append(w.dst, `{"le":`...)
+		w.dst = strconv.AppendInt(w.dst, upperBound, 10)
+		w.dst = append(w.dst, `,"count":`...)
+		w.dst = strconv.AppendInt(w.dst, count, 10)
+		w.dst = append(w.dst, '}')
+	})
+	w.dst = append(w.dst, "]}"...)
 }
 
 // AppendClientsResult appends the TargetClients payload, byte-identical

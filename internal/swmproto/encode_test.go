@@ -73,25 +73,68 @@ func TestAppendResponseParity(t *testing.T) {
 	}
 }
 
-func TestAppendStatsResultParity(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("wm.managed").Add(3)
-	reg.Counter("a.first").Inc()
-	reg.Counter("Z.capital-sorts-first").Inc()
-	reg.Counter("weird<name>&").Inc()
-	reg.Gauge("fleet.sessions_live").Set(-2)
-	h := reg.Histogram("pump.latency_ns", obs.LatencyBounds)
-	h.Observe(120)
-	h.Observe(5_000_000)
+// statsParity fails the test unless AppendStats renders reg
+// byte-identically to json.Marshal of the StatsResult built from
+// reg.Snapshot(), once with lastError set and once without.
+func statsParity(t *testing.T, reg *obs.Registry) {
+	t.Helper()
+	for _, lastError := range []string{"", "X error <Window> & more\n"} {
+		parity(t, AppendStats(nil, reg, 2, lastError),
+			StatsResult{Metrics: reg.Snapshot(), Degraded: 2, LastError: lastError})
+	}
+}
 
-	cases := []StatsResult{
-		{Metrics: reg.Snapshot(), Degraded: 2, LastError: "X error <Window> & more\n"},
-		{Metrics: reg.Snapshot()},
-		{}, // zero value: nil snapshot maps must render as null
+func TestAppendStatsParity(t *testing.T) {
+	hist := func(reg *obs.Registry, name string) {
+		h := reg.Histogram(name, obs.LatencyBounds)
+		h.Observe(120)
+		h.Observe(5_000_000)
 	}
-	for _, res := range cases {
-		parity(t, AppendStatsResult(nil, &res), res)
+	cases := map[string]func(reg *obs.Registry){
+		"empty": func(*obs.Registry) {},
+		"counters only": func(reg *obs.Registry) {
+			reg.Counter("wm.managed").Add(3)
+			reg.Counter("a.first").Inc()
+		},
+		"gauges only": func(reg *obs.Registry) {
+			reg.Gauge("fleet.sessions_live").Set(-2)
+			reg.Gauge("adopt.queue")
+		},
+		"histograms only": func(reg *obs.Registry) {
+			hist(reg, "pump.latency_ns")
+			reg.Histogram("batch.size", obs.SizeBounds)
+		},
+		"all kinds, names needing escapes": func(reg *obs.Registry) {
+			reg.Counter("wm.managed").Add(3)
+			reg.Counter("Z.capital-sorts-first").Inc()
+			reg.Counter("weird<name>&").Inc()
+			reg.Gauge("g\"quoted\"").Set(1 << 40)
+			hist(reg, "h\u2028sep")
+		},
 	}
+	for name, fill := range cases {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			fill(reg)
+			statsParity(t, reg)
+		})
+	}
+}
+
+// TestAppendStatsLateRegistration pins parity for instruments
+// registered after a render has already walked the registry: each
+// must land at its sorted position, not at the end.
+func TestAppendStatsLateRegistration(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("m.middle").Inc()
+	reg.Histogram("h.middle", obs.SizeBounds).Observe(3)
+	statsParity(t, reg)
+
+	reg.Counter("a.early").Add(5)
+	reg.Counter("z.late").Add(6)
+	reg.Gauge("g.new").Set(7)
+	reg.Histogram("a.hist", obs.SizeBounds).Observe(300)
+	statsParity(t, reg)
 }
 
 func TestAppendClientsResultParity(t *testing.T) {

@@ -147,7 +147,7 @@ type DesktopResult struct {
 type DesktopInfo struct {
 	Screen         int  `json:"screen"`
 	Enabled        bool `json:"enabled"`
-	Width          int  `json:"width"`  // desktop size (screen size when disabled)
+	Width          int  `json:"width"` // desktop size (screen size when disabled)
 	Height         int  `json:"height"`
 	ViewWidth      int  `json:"view_width"` // the physical screen
 	ViewHeight     int  `json:"view_height"`

@@ -402,7 +402,7 @@ func unpackIntPair(v uint64) (int, int) {
 	return int(int32(uint32(v >> 32))), int(int32(uint32(v)))
 }
 
-func (w *window) pos() (x, y int)  { return unpackIntPair(w.geomXY.Load()) }
+func (w *window) pos() (x, y int)   { return unpackIntPair(w.geomXY.Load()) }
 func (w *window) size() (ww, h int) { return unpackIntPair(w.geomWH.Load()) }
 
 func (w *window) rect() xproto.Rect {
