@@ -54,6 +54,12 @@ func (wm *WM) handleSwmQuery(scr *Screen) {
 // reported in-band: OK=false plus a typed Code and human-readable
 // Error.
 //
+// Query results take one of two render paths. Stats streams through
+// swmproto.AppendStats; trace, clients and desktop build their result
+// value and json.Marshal it. In a fleet these are the bytes the
+// per-session snapshot cache publishes, so a render here is a cache
+// miss: warm reads never reach the lane.
+//
 // Like every other WM entry point, ServeProto must run on the event
 // loop (or the session's scheduler lane in a fleet); it is not
 // internally synchronized.
@@ -82,42 +88,33 @@ func (wm *WM) ServeProto(req swmproto.Request) swmproto.Response {
 		}
 		return swmproto.Response{OK: true}
 	case swmproto.OpQuery:
-		// The hot targets render through the hand-rolled append
-		// encoders (byte-parity with encoding/json pinned in
-		// swmproto's encode_test.go), with no reflect walk. These
-		// rendered bytes are what the fleet's per-session snapshot
-		// cache publishes, so a render here is the *miss* path — the
-		// warm path never reaches the lane at all. Stats streams
-		// straight off the registry's sorted walk into one buffer
-		// sized from the previous render, so the payload is a single
-		// allocation that the cache can keep without slack. Trace
-		// stays on reflection: its Entry Kind needs a custom
-		// marshaler and the result is cached upstream anyway.
+		var v any
 		switch req.Target {
 		case swmproto.TargetStats:
 			var lastErr string
 			if err := wm.LastError(); err != nil {
 				lastErr = err.Error()
 			}
+			// One buffer sized from the previous render: a single
+			// allocation the cache keeps without slack, with headroom
+			// for counters gaining digits between renders.
 			data := swmproto.AppendStats(make([]byte, 0, wm.statsSize), wm.metrics.registry, wm.Degraded(), lastErr)
-			// Headroom for counters gaining digits between renders.
 			wm.statsSize = len(data) + len(data)/16
 			return swmproto.OKResult(data)
 		case swmproto.TargetTrace:
-			data, err := json.Marshal(wm.traceResult())
-			if err != nil {
-				return swmproto.Errorf(swmproto.CodeInternal, "%v", err)
-			}
-			return swmproto.OKResult(data)
+			v = wm.traceResult()
 		case swmproto.TargetClients:
-			res := wm.clientsResult()
-			return swmproto.OKResult(swmproto.AppendClientsResult(make([]byte, 0, 64+128*len(res.Clients)), &res))
+			v = wm.clientsResult()
 		case swmproto.TargetDesktop:
-			res := wm.desktopResult()
-			return swmproto.OKResult(swmproto.AppendDesktopResult(make([]byte, 0, 256), &res))
+			v = wm.desktopResult()
 		default:
 			return swmproto.Errorf(swmproto.CodeUnknownTarget, "unknown query target %s", req.Target)
 		}
+		data, err := json.Marshal(v)
+		if err != nil {
+			return swmproto.Errorf(swmproto.CodeInternal, "%v", err)
+		}
+		return swmproto.OKResult(data)
 	default:
 		return swmproto.Errorf(swmproto.CodeUnknownOp, "unknown op %s", req.Op)
 	}

@@ -49,19 +49,30 @@ func TestQueryCacheWarmHit(t *testing.T) {
 	}
 }
 
-// TestQueryCacheMissRendersSiblings pins the grouped render: one miss
-// on any of the cheap trio warms all three in a single lane turn, so
-// the mixed-target load pattern pays one turn per generation, not
-// three. Trace is excluded — it must render only on its own miss.
-func TestQueryCacheMissRendersSiblings(t *testing.T) {
+// TestQueryCacheMissRendersOnlyItsTarget pins the per-target render: a
+// miss fills its own slot and no other, and a later miss on another
+// target at the same generation leaves the published payloads alone.
+func TestQueryCacheMissRendersOnlyItsTarget(t *testing.T) {
 	m := serveFleet(t, 1)
 	s := m.Session(0)
 
-	if queryResult(t, m, 0, swmproto.TargetStats); s.cache[slotClients].Load() == nil || s.cache[slotDesktop].Load() == nil {
-		t.Error("stats miss did not pre-render clients/desktop siblings")
+	queryResult(t, m, 0, swmproto.TargetStats)
+	stats := s.cache[slotStats].Load()
+	if stats == nil {
+		t.Fatal("stats miss did not publish its payload")
 	}
-	if s.cache[slotTrace].Load() != nil {
-		t.Error("stats miss rendered trace — the heavy target must stay on-demand")
+	for _, slot := range []int{slotClients, slotDesktop, slotTrace} {
+		if s.cache[slot].Load() != nil {
+			t.Errorf("stats miss rendered slot %d", slot)
+		}
+	}
+
+	queryResult(t, m, 0, swmproto.TargetDesktop)
+	if s.cache[slotDesktop].Load() == nil {
+		t.Error("desktop miss did not publish its payload")
+	}
+	if s.cache[slotStats].Load() != stats {
+		t.Error("desktop miss replaced the stats payload")
 	}
 }
 

@@ -182,10 +182,11 @@ type Session struct {
 	gen atomic.Uint64
 
 	// cache holds the session's pre-rendered query payloads, one slot
-	// per cacheable target (see cacheSlot). Each payload is immutable
-	// after publish — DESIGN.md §15's snapshot-cache protocol: a warm
-	// query is an atomic gen load plus an atomic payload load, zero
-	// lane turns, zero registry iteration.
+	// per cacheable target (see cacheSlot), each filled only by a miss
+	// on its own target. Each payload is immutable after publish —
+	// DESIGN.md §15's snapshot-cache protocol: a warm query is an
+	// atomic gen load plus an atomic payload load, zero lane turns,
+	// zero registry iteration.
 	cache [slotCount]atomic.Pointer[queryPayload]
 
 	panics   atomic.Int64
@@ -200,9 +201,9 @@ type queryPayload struct {
 	body []byte
 }
 
-// Cache slots, one per cacheable query target. Trace gets its own slot
-// but is rendered only on demand — it is heavy (the whole ring) and
-// pointless to refresh alongside the cheap trio.
+// Cache slots, one per cacheable query target. A slot is rendered
+// only when a query for its own target misses, so a read of one
+// target never pays for the others.
 const (
 	slotStats = iota
 	slotClients
@@ -225,12 +226,6 @@ func cacheSlot(target string) int {
 		return slotTrace
 	}
 	return -1
-}
-
-// slotTargets names each slot's query target, for sibling renders.
-var slotTargets = [slotCount]string{
-	swmproto.TargetStats, swmproto.TargetClients,
-	swmproto.TargetDesktop, swmproto.TargetTrace,
 }
 
 // New creates a fleet: the shared database and prototype cache, the
@@ -683,40 +678,14 @@ func (m *Manager) serveSession(id int, req swmproto.Request) swmproto.Response {
 	// Buffered so the lane's send cannot block if the caller timed out
 	// and walked away.
 	ch := make(chan swmproto.Response, 1)
-	var fn func()
-	if slot >= 0 {
-		// Cache miss: render on the lane, answer the caller, then
-		// publish — this render plus the cheap sibling targets, so one
-		// lane turn warms stats, clients and desktop together (the
-		// load mix hits all three; per-target misses would triple the
-		// turns). Trace refreshes only on its own miss: it serializes
-		// the whole ring and most traffic never asks for it.
-		renderSlot, renderGen := slot, gen
-		fn = func() {
-			resp := s.wm.ServeProto(req)
-			ch <- resp
-			if !resp.OK {
-				return
-			}
-			s.cache[renderSlot].Store(&queryPayload{gen: renderGen, body: resp.Result})
-			if renderSlot == slotTrace {
-				return
-			}
-			for sib := slotStats; sib <= slotDesktop; sib++ {
-				if sib == renderSlot {
-					continue
-				}
-				if p := s.cache[sib].Load(); p != nil && p.gen == renderGen {
-					continue
-				}
-				sr := s.wm.ServeProto(swmproto.Request{Op: swmproto.OpQuery, Target: slotTargets[sib]})
-				if sr.OK {
-					s.cache[sib].Store(&queryPayload{gen: renderGen, body: sr.Result})
-				}
-			}
+	fn := func() {
+		resp := s.wm.ServeProto(req)
+		if slot >= 0 && resp.OK {
+			// Cache miss: publish under the generation read before the
+			// render, then answer, so the caller's next read hits.
+			s.cache[slot].Store(&queryPayload{gen: gen, body: resp.Result})
 		}
-	} else {
-		fn = func() { ch <- s.wm.ServeProto(req) }
+		ch <- resp
 	}
 	var posted bool
 	if req.Op == swmproto.OpExec {

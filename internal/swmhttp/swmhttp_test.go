@@ -387,7 +387,7 @@ func TestResponseHeaders(t *testing.T) {
 	urls := []string{
 		ts.URL + "/v1/sessions/0/stats",   // warm-path envelope
 		ts.URL + "/v1/sessions/0/stats",   // repeat: served from cache
-		ts.URL + "/v1/sessions/0/clients", // sibling-rendered payload
+		ts.URL + "/v1/sessions/0/clients", // miss on a second target
 		ts.URL + "/v1/sessions/99/stats",  // error envelope
 		ts.URL + "/no/such/route",         // catch-all envelope
 		ts.URL + "/v1/sessions",           // discovery (writeJSON)

@@ -137,36 +137,6 @@ func TestAppendStatsLateRegistration(t *testing.T) {
 	statsParity(t, reg)
 }
 
-func TestAppendClientsResultParity(t *testing.T) {
-	cases := []ClientsResult{
-		{}, // nil slice
-		{Clients: []ClientInfo{}},
-		{Clients: []ClientInfo{
-			{Window: 0x400001, Name: "xterm <1>", Class: "XTerm", Instance: "s0c0",
-				State: "normal", X: -4, Y: 12, Width: 120, Height: 90},
-			{Window: 2, State: "iconic", Sticky: true, Transient: true},
-		}},
-	}
-	for _, res := range cases {
-		parity(t, AppendClientsResult(nil, &res), res)
-	}
-}
-
-func TestAppendDesktopResultParity(t *testing.T) {
-	cases := []DesktopResult{
-		{}, // nil slice
-		{Screens: []DesktopInfo{}},
-		{Screens: []DesktopInfo{
-			{Screen: 0, Enabled: true, Width: 3456, Height: 2700, ViewWidth: 1152,
-				ViewHeight: 900, PanX: 1152, PanY: -900, CurrentDesktop: 2, Desktops: 3},
-			{Screen: 1, Width: 1152, Height: 900, ViewWidth: 1152, ViewHeight: 900},
-		}},
-	}
-	for _, res := range cases {
-		parity(t, AppendDesktopResult(nil, &res), res)
-	}
-}
-
 // FuzzStringEncodeParity pins appendJSONString to encoding/json across
 // arbitrary byte sequences — the invalid-UTF-8 and escaping corners a
 // table can miss.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -1104,20 +1105,10 @@ func (c *Conn) Close() {
 			w.setMask(c, 0)
 		}
 	})
-	grabs := s.buttonGrabs[:0]
-	for _, g := range s.buttonGrabs {
-		if g.conn != c {
-			grabs = append(grabs, g)
-		}
-	}
-	s.buttonGrabs = grabs
-	kgrabs := s.keyGrabs[:0]
-	for _, g := range s.keyGrabs {
-		if g.conn != c {
-			kgrabs = append(kgrabs, g)
-		}
-	}
-	s.keyGrabs = kgrabs
+	// DeleteFunc zeroes the vacated tail, so no slot past len keeps
+	// the closed conn (and its event queue) reachable.
+	s.buttonGrabs = slices.DeleteFunc(s.buttonGrabs, func(g *buttonGrab) bool { return g.conn == c })
+	s.keyGrabs = slices.DeleteFunc(s.keyGrabs, func(g *keyGrab) bool { return g.conn == c })
 	if s.activeGrab != nil && s.activeGrab.conn == c {
 		s.activeGrab = nil
 	}

@@ -2,6 +2,7 @@ package xserver
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/xproto"
 )
@@ -55,14 +56,9 @@ func (c *Conn) UngrabButton(grabWindow xproto.XID, button int, modifiers uint16)
 	s := c.server
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := s.buttonGrabs[:0]
-	for _, g := range s.buttonGrabs {
-		if g.conn == c && g.window == grabWindow && g.button == button && g.modifiers == modifiers {
-			continue
-		}
-		out = append(out, g)
-	}
-	s.buttonGrabs = out
+	s.buttonGrabs = slices.DeleteFunc(s.buttonGrabs, func(g *buttonGrab) bool {
+		return g.conn == c && g.window == grabWindow && g.button == button && g.modifiers == modifiers
+	})
 }
 
 // GrabKey establishes a passive key grab on a window.
@@ -87,14 +83,9 @@ func (c *Conn) UngrabKey(grabWindow xproto.XID, keysym string, modifiers uint16)
 	s := c.server
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := s.keyGrabs[:0]
-	for _, g := range s.keyGrabs {
-		if g.conn == c && g.window == grabWindow && g.keysym == keysym && g.modifiers == modifiers {
-			continue
-		}
-		out = append(out, g)
-	}
-	s.keyGrabs = out
+	s.keyGrabs = slices.DeleteFunc(s.keyGrabs, func(g *keyGrab) bool {
+		return g.conn == c && g.window == grabWindow && g.keysym == keysym && g.modifiers == modifiers
+	})
 }
 
 // GrabPointer begins an active pointer grab: all subsequent pointer
