@@ -130,11 +130,12 @@ var statsReq = swmproto.Request{Op: swmproto.OpQuery, Target: swmproto.TargetSta
 
 // TestStatsRenderAllocBudget bounds one stats render (ServeProto of
 // the stats target) on a WM with 2 clients, the fleet's cache-miss
-// render. The render streams the registry's name-sorted walk into one
-// buffer sized from the previous render: the walk's three slice copies,
-// the visitor and the payload. Before that it built a snapshot of maps
-// and sorted every name twice, at 38 allocs/op; a return to per-render
-// sorting or maps fails here.
+// render. The render streams the registry's name-sorted walk, which
+// copies nothing in steady state, into one buffer sized from the
+// previous render: the visitor and the payload. Before that it built a
+// snapshot of maps and sorted every name twice, at 38 allocs/op, and
+// then copied the three instrument slices per walk, at 5; a return to
+// per-render sorting, maps or copies fails here.
 func TestStatsRenderAllocBudget(t *testing.T) {
 	wm := statsWM(t)
 	avg := testing.AllocsPerRun(200, func() {
@@ -142,7 +143,7 @@ func TestStatsRenderAllocBudget(t *testing.T) {
 			t.Fatalf("stats: %s", resp.Error)
 		}
 	})
-	const budget = 6 // pre-change: 38
+	const budget = 2 // with per-walk slice copies: 5; with maps: 38
 	if avg > budget {
 		t.Errorf("stats render = %.1f allocs/op, budget %d — is the render sorting or building maps again?", avg, budget)
 	}

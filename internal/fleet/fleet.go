@@ -13,11 +13,15 @@
 //     structures are read-mostly and ownership-explicit (the xrdb
 //     database behind its atomic snapshot, the SharedProtoCache behind
 //     its lock — see those types for the contract).
-//   - All WM work runs as tasks on a bounded worker pool, not a
-//     goroutine per session. A session's tasks are FIFO and never run
-//     concurrently with each other (the session is enqueued at most
-//     once, and only the worker that dequeued it drains it), which is
-//     what makes lock-free core.WM safe to drive here.
+//   - All WM work runs as tasks on a session's scheduler lane, drained
+//     by a bounded worker pool, not a goroutine per session. A
+//     session's tasks are FIFO and never run concurrently with each
+//     other (the session is enqueued at most once, and only the
+//     goroutine that set its queued flag drains it), which is what
+//     makes lock-free core.WM safe to drive here. A ServeSession
+//     request that finds its lane idle is that goroutine: the caller
+//     runs its own task and hands any later arrivals to the pool, so
+//     an exec or a cache miss costs no goroutine handoff.
 //   - Tasks run isolated: a panic marks that one session Failed,
 //     increments fleet.session_panics, and the worker moves on. A
 //     crashing session degrades; it never takes down the fleet. A
@@ -89,9 +93,39 @@ const (
 	taskStop
 )
 
+// task is one entry in a session's FIFO: posted work (fn) or a
+// ServeSession request (call), never both.
 type task struct {
 	kind taskKind
 	fn   func()
+	call *serveCall
+}
+
+// serveCall is one ServeSession request on its session's lane. The
+// caller that finds the lane idle runs it itself and reads resp back
+// directly; on a busy lane done is made inside the append's critical
+// section, before any drainer can pop the task, and the drainer
+// signals it. ran is false when the state gate skipped the task or it
+// panicked. The drainer writes resp and ran before it signals, and the
+// caller reads them only after the task has run on its own goroutine
+// or after receiving from done.
+type serveCall struct {
+	req  swmproto.Request
+	slot int    // cache slot to publish a miss into, -1 for none
+	gen  uint64 // generation read before the render (see postMutate)
+	resp swmproto.Response
+	ran  bool
+	done chan struct{}
+}
+
+// run serves the request against the session's WM. A cache miss is
+// published under the generation read before the render, so the
+// caller's next read hits.
+func (c *serveCall) run(s *Session) {
+	c.resp = s.wm.ServeProto(c.req)
+	if c.slot >= 0 && c.resp.OK {
+		s.cache[c.slot].Store(&queryPayload{gen: c.gen, body: c.resp.Result})
+	}
 }
 
 // Config configures a Manager.
@@ -112,10 +146,11 @@ type Config struct {
 	// Log receives fleet diagnostics (panics, start failures); nil
 	// discards them.
 	Log io.Writer
-	// ServeTimeout bounds how long ServeSession waits for a session's
-	// scheduler lane to serve a protocol request (default 5s). A
-	// session that panics between the state check and its lane turn
-	// answers with a timeout envelope instead of hanging the caller.
+	// ServeTimeout bounds how long ServeSession waits for a busy
+	// session lane to reach a protocol request (default 5s): a lane
+	// stuck behind a long task answers with a timeout envelope instead
+	// of hanging the caller. A request that finds its lane idle runs
+	// on the caller and never waits.
 	ServeTimeout time.Duration
 }
 
@@ -144,7 +179,8 @@ type Manager struct {
 }
 
 // Session is one display+WM pair. Its WM state is owned by the
-// scheduler lane: at most one worker drains a session's task queue at
+// scheduler lane: at most one goroutine (a worker, or a ServeSession
+// caller that found the lane idle) drains a session's task queue at
 // any moment, so tasks see the WM exactly as a single event-loop
 // goroutine would.
 type Session struct {
@@ -168,6 +204,11 @@ type Session struct {
 	// wm is owned by the session's scheduler lane; outside a task it
 	// may only be read through a Drain barrier (see WM).
 	wm *core.WM
+
+	// mirror holds the gauges in wm's registry that publish copies
+	// the fleet instruments into, resolved once when install sets wm
+	// so a pump makes no registry lookups. Lane-owned, like wm.
+	mirror struct{ live, depth, panics, restarts *obs.Gauge }
 
 	// reg mirrors wm.Metrics() behind an atomic pointer so scrape
 	// paths (the /metrics exporter) can read a session's registry from
@@ -304,7 +345,8 @@ func (m *Manager) logf(format string, args ...any) {
 // with the scheduler if it is not already waiting. It reports false if
 // the fleet is closed (the task is dropped).
 func (s *Session) post(k taskKind, fn func()) bool {
-	return s.enqueue(k, fn, false)
+	posted, _ := s.enqueue(task{kind: k, fn: fn}, false)
+	return posted
 }
 
 // postMutate is post for tasks that may change observable session
@@ -321,15 +363,22 @@ func (s *Session) post(k taskKind, fn func()) bool {
 // the mutation's append, and publish pre-mutation bytes tagged g+1 —
 // stale bytes served as current.
 func (s *Session) postMutate(k taskKind, fn func()) bool {
-	return s.enqueue(k, fn, true)
+	posted, _ := s.enqueue(task{kind: k, fn: fn}, true)
+	return posted
 }
 
-func (s *Session) enqueue(k taskKind, fn func(), mutate bool) bool {
+// enqueue appends t to the session's FIFO, bumping the generation
+// first when mutate is set. posted is false if the fleet is closed
+// (the task is dropped). If the lane was idle, posted work puts the
+// session on the scheduler queue; a ServeSession call instead claims
+// the lane for the caller (owned), which must then run it with
+// drainSession(s, true).
+func (s *Session) enqueue(t task, mutate bool) (posted, owned bool) {
 	m := s.mgr
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return false
+		return false, false
 	}
 	m.tasksWG.Add(1)
 	s.mu.Lock()
@@ -343,33 +392,49 @@ func (s *Session) enqueue(k taskKind, fn func(), mutate bool) bool {
 		clear(s.tasks[n:])
 		s.tasks, s.head = s.tasks[:n], 0
 	}
-	s.tasks = append(s.tasks, task{kind: k, fn: fn})
+	s.tasks = append(s.tasks, t)
 	already := s.queued
 	s.queued = true
+	owned = !already && t.call != nil
+	if already && t.call != nil {
+		// Buffered so the drainer's send cannot block if the caller
+		// timed out and walked away.
+		t.call.done = make(chan struct{}, 1)
+	}
 	s.mu.Unlock()
-	if !already {
-		// Never blocks: the queue holds every session once, and the
-		// queued flag guarantees at-most-once membership.
-		m.queue <- s
-		m.queueDepth.Set(int64(len(m.queue)))
+	if !already && !owned {
+		m.push(s)
 	}
 	m.mu.Unlock()
-	return true
+	return true, owned
+}
+
+// push hands a session whose lane is claimed (queued set) to the
+// worker pool. The caller holds m.mu and has checked m.closed. It
+// never blocks: the queue holds every session once, and the queued
+// flag guarantees at-most-once membership.
+func (m *Manager) push(s *Session) {
+	m.queue <- s
+	m.queueDepth.Set(int64(len(m.queue)))
 }
 
 func (m *Manager) worker() {
 	defer m.workersWG.Done()
 	for s := range m.queue {
 		m.queueDepth.Set(int64(len(m.queue)))
-		m.drainSession(s)
+		m.drainSession(s, false)
 	}
 }
 
-// drainSession runs the session's queued tasks to exhaustion. Only the
-// worker that dequeued the session runs this, which serializes all of a
-// session's tasks.
-func (m *Manager) drainSession(s *Session) {
-	for {
+// drainSession runs the session's queued tasks in FIFO order. Only the
+// goroutine that set the session's queued flag runs this, which
+// serializes all of a session's tasks. A worker (caller false) drains
+// to exhaustion. A ServeSession caller that claimed an idle lane
+// (caller true) runs only the first task, its own, and then hands any
+// tasks that arrived meanwhile to the pool: a caller never runs
+// another request's work.
+func (m *Manager) drainSession(s *Session, caller bool) {
+	for ran := false; ; ran = true {
 		s.mu.Lock()
 		if s.head == len(s.tasks) {
 			s.tasks, s.head = s.tasks[:0], 0
@@ -377,14 +442,32 @@ func (m *Manager) drainSession(s *Session) {
 			s.mu.Unlock()
 			return
 		}
+		if caller && ran {
+			s.mu.Unlock()
+			m.mu.Lock()
+			if !m.closed {
+				m.push(s)
+				m.mu.Unlock()
+				return
+			}
+			m.mu.Unlock()
+			// Close raced this request and the pool is gone: the
+			// tasks posted before it closed still have to run.
+			caller = false
+			continue
+		}
 		// Pop without shifting the rest; clearing the slot lets the
 		// task's closure be collected once it has run.
 		t := s.tasks[s.head]
 		s.tasks[s.head] = task{}
 		s.head++
 		s.mu.Unlock()
-		if s.admits(t.kind) {
-			m.runIsolated(s, t.fn)
+		ok := s.admits(t.kind) && m.runIsolated(s, t)
+		if t.call != nil {
+			t.call.ran = ok
+			if t.call.done != nil {
+				t.call.done <- struct{}{}
+			}
 		}
 		m.tasksWG.Done()
 	}
@@ -407,8 +490,9 @@ func (s *Session) admits(k taskKind) bool {
 
 // runIsolated executes one task with panic isolation: a panic marks the
 // session Failed and is accounted, never propagated. The deferred
-// recover is the fleet's blast wall.
-func (m *Manager) runIsolated(s *Session, fn func()) {
+// recover is the fleet's blast wall. It reports whether the task ran
+// to completion.
+func (m *Manager) runIsolated(s *Session, t task) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
@@ -420,7 +504,12 @@ func (m *Manager) runIsolated(s *Session, fn func()) {
 			m.logf("session %d panic (now failed): %v\n%s", s.ID, r, debug.Stack())
 		}
 	}()
-	fn()
+	if t.call != nil {
+		t.call.run(s)
+	} else {
+		t.fn()
+	}
+	return true
 }
 
 // liveCount recounts running sessions; cheap (an atomic load per
@@ -445,16 +534,28 @@ func (m *Manager) wmOptions() core.Options {
 	return opts
 }
 
-// publish mirrors the fleet instruments into a session WM's registry so
-// `swmcmd -query stats` against any fleet session shows fleet health
-// alongside its own. Counters mirror as gauges: the value is a
-// point-in-time copy taken at the session's last start/pump.
-func (m *Manager) publish(wm *core.WM) {
+// install makes wm the session's WM: it publishes the registry
+// pointer for scrapes and resolves the mirror gauges publish writes.
+// It runs on the session's lane.
+func (s *Session) install(wm *core.WM) {
+	s.wm = wm
 	reg := wm.Metrics()
-	reg.Gauge("fleet.sessions_live").Set(m.sessionsLive.Value())
-	reg.Gauge("fleet.queue_depth").Set(m.queueDepth.Value())
-	reg.Gauge("fleet.session_panics").Set(m.sessionPanics.Value())
-	reg.Gauge("fleet.session_restarts").Set(m.sessionRestarts.Value())
+	s.reg.Store(reg)
+	s.mirror.live = reg.Gauge("fleet.sessions_live")
+	s.mirror.depth = reg.Gauge("fleet.queue_depth")
+	s.mirror.panics = reg.Gauge("fleet.session_panics")
+	s.mirror.restarts = reg.Gauge("fleet.session_restarts")
+}
+
+// publish mirrors the fleet instruments into the session WM's registry
+// so `swmcmd -query stats` against any fleet session shows fleet
+// health alongside its own. Counters mirror as gauges: the value is a
+// point-in-time copy taken at the session's last start/pump.
+func (m *Manager) publish(s *Session) {
+	s.mirror.live.Set(m.sessionsLive.Value())
+	s.mirror.depth.Set(m.queueDepth.Value())
+	s.mirror.panics.Set(m.sessionPanics.Value())
+	s.mirror.restarts.Set(m.sessionRestarts.Value())
 }
 
 // Start brings session i up. No-op unless the session is Stopped.
@@ -471,12 +572,11 @@ func (m *Manager) Start(i int) {
 			m.logf("session %d start: %v", s.ID, err)
 			return
 		}
-		s.wm = wm
-		s.reg.Store(wm.Metrics())
+		s.install(wm)
 		s.state.Store(int32(StateRunning))
 		m.sessionsStarted.Inc()
 		m.sessionsLive.Set(m.liveCount())
-		m.publish(wm)
+		m.publish(s)
 	})
 }
 
@@ -518,13 +618,12 @@ func (m *Manager) Restart(i int) {
 			m.logf("session %d restart: %v", s.ID, err)
 			return
 		}
-		s.wm = wm
-		s.reg.Store(wm.Metrics())
+		s.install(wm)
 		s.restarts.Add(1)
 		m.sessionRestarts.Inc()
 		s.state.Store(int32(StateRunning))
 		m.sessionsLive.Set(m.liveCount())
-		m.publish(wm)
+		m.publish(s)
 	})
 }
 
@@ -533,7 +632,7 @@ func (m *Manager) Pump(i int) {
 	s := m.sessions[i]
 	s.postMutate(taskWork, func() {
 		s.wm.Pump()
-		m.publish(s.wm)
+		m.publish(s)
 	})
 }
 
@@ -630,16 +729,21 @@ type Stats struct {
 // the Manager runs them on the addressed session's lane.
 var _ swmproto.SessionHandler = (*Manager)(nil)
 
-// ServeSession serves one protocol request against session id: the
-// request is posted to the session's scheduler lane — the same
-// serialization a Pump gets, which is what makes the lane-owned WM
-// safe to query — and the caller blocks for the response. All failure
-// modes come back as protocol envelopes (unknown_session,
+// ServeSession serves one protocol request against session id. A warm
+// cacheable query is answered from the session's snapshot cache;
+// anything else is appended to the session's scheduler lane — the same
+// FIFO and serialization a Pump gets, which is what makes the
+// lane-owned WM safe to query. If the lane is idle the caller drains
+// it for that one task on its own goroutine; if it is busy the caller
+// waits up to Config.ServeTimeout for a worker to reach the task. All
+// failure modes come back as protocol envelopes (unknown_session,
 // session_down, timeout), never as Go errors: the envelope is the
 // transport contract, and HTTP status / exit codes derive from the
-// code. Safe to call from any goroutine; concurrent requests against
-// one session serialize on its lane, requests against different
-// sessions run in parallel across the worker pool.
+// code. A request the state gate skipped, or whose task panicked,
+// answers session_down as soon as its lane turn comes. Safe to call
+// from any goroutine; concurrent requests against one session
+// serialize on its lane, requests against different sessions run in
+// parallel.
 func (m *Manager) ServeSession(id int, req swmproto.Request) swmproto.Response {
 	resp := m.serveSession(id, req)
 	// Stamp the envelope header exactly as the property transport's
@@ -675,44 +779,42 @@ func (m *Manager) serveSession(id int, req swmproto.Request) swmproto.Response {
 		}
 	}
 
-	// Buffered so the lane's send cannot block if the caller timed out
-	// and walked away.
-	ch := make(chan swmproto.Response, 1)
-	fn := func() {
-		resp := s.wm.ServeProto(req)
-		if slot >= 0 && resp.OK {
-			// Cache miss: publish under the generation read before the
-			// render, then answer, so the caller's next read hits.
-			s.cache[slot].Store(&queryPayload{gen: gen, body: resp.Result})
-		}
-		ch <- resp
-	}
-	var posted bool
-	if req.Op == swmproto.OpExec {
-		// Execs mutate observable state; their post must invalidate
-		// the cache like every other mutating task.
-		posted = s.postMutate(taskWork, fn)
-	} else {
-		posted = s.post(taskWork, fn)
-	}
+	return m.serveOnLane(s, &serveCall{req: req, slot: slot, gen: gen})
+}
+
+// serveOnLane appends c to the session's lane and answers it: on an
+// idle lane by running it on the calling goroutine, on a busy lane by
+// waiting for the drainer's signal, up to the serve timeout.
+func (m *Manager) serveOnLane(s *Session, c *serveCall) swmproto.Response {
+	// Execs mutate observable state; their append must invalidate the
+	// cache like every other mutating task.
+	posted, owned := s.enqueue(task{kind: taskWork, call: c}, c.req.Op == swmproto.OpExec)
 	if !posted {
 		return swmproto.Errorf(swmproto.CodeSessionDown, "fleet is closed")
 	}
-	timeout := m.cfg.ServeTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
+	if owned {
+		m.drainSession(s, true)
+	} else {
+		timeout := m.cfg.ServeTimeout
+		if timeout <= 0 {
+			timeout = 5 * time.Second
+		}
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
+		select {
+		case <-c.done:
+		case <-timer.C:
+			// The lane is stuck behind a long task: degrade to a
+			// timeout envelope rather than hang the transport.
+			return swmproto.Errorf(swmproto.CodeTimeout, "session %d did not serve request %d within %v", s.ID, c.req.ID, timeout)
+		}
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case resp := <-ch:
-		return resp
-	case <-timer.C:
-		// The session crashed or stopped between the state check and
-		// its lane turn: the state gate skipped the task and nobody
-		// will ever send. Degrade to a timeout envelope.
-		return swmproto.Errorf(swmproto.CodeTimeout, "session %d did not serve request %d within %v", id, req.ID, timeout)
+	if !c.ran {
+		// The session stopped or crashed between the state check and
+		// its lane turn: the gate skipped the task, or it panicked.
+		return swmproto.Errorf(swmproto.CodeSessionDown, "session %d is %s", s.ID, s.State())
 	}
+	return c.resp
 }
 
 // SessionState names session i's lifecycle state for discovery

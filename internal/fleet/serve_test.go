@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/swmproto"
 )
 
@@ -141,6 +142,162 @@ func TestServeSessionFailedLane(t *testing.T) {
 	m.Drain()
 	if resp := m.ServeSession(0, swmproto.Request{Op: swmproto.OpQuery, Target: swmproto.TargetDesktop}); !resp.OK {
 		t.Errorf("restarted session = %+v", resp)
+	}
+}
+
+// TestServeSessionPanicAnswersAtOnce pins the inline lane's failure
+// path: a request whose task panics on the caller's goroutine answers
+// session_down as soon as runIsolated has recovered, not a timeout
+// envelope after ServeTimeout, and the session is Failed.
+func TestServeSessionPanicAnswersAtOnce(t *testing.T) {
+	m := serveFleet(t, 1)
+
+	// Between Drain and the next post the lane is idle and the test
+	// owns the WM; without one, ServeProto panics.
+	s := m.sessions[0]
+	s.wm = nil
+	resp := m.ServeSession(0, swmproto.Request{ID: 4, Op: swmproto.OpQuery, Target: swmproto.TargetStats})
+	if resp.OK || resp.Code != swmproto.CodeSessionDown || resp.ID != 4 {
+		t.Errorf("panicking request = %+v, want code %s", resp, swmproto.CodeSessionDown)
+	}
+	if st := s.State(); st != StateFailed {
+		t.Errorf("session state = %s, want failed", st)
+	}
+	if n := s.Panics(); n != 1 {
+		t.Errorf("session panics = %d, want 1", n)
+	}
+}
+
+// TestServeSessionStoppedBeforeLaneTurn pins the gate-skip path on
+// both kinds of lane: a request whose session stops between the state
+// check and its lane turn answers session_down when that turn comes,
+// not a timeout envelope after ServeTimeout.
+func TestServeSessionStoppedBeforeLaneTurn(t *testing.T) {
+	m := serveFleet(t, 1)
+	s := m.sessions[0]
+
+	// Idle lane: the state check passed, then a Stop ran to
+	// completion before the request reached its lane.
+	m.Stop(0)
+	m.Drain()
+	nop := swmproto.Request{Op: swmproto.OpExec, Command: "f.nop"}
+	if resp := m.serveOnLane(s, &serveCall{req: nop, slot: -1}); resp.Code != swmproto.CodeSessionDown {
+		t.Errorf("idle lane, stopped session = %+v, want code %s", resp, swmproto.CodeSessionDown)
+	}
+
+	// Busy lane: a Stop queued behind a blocking task lands ahead of
+	// the request, which waits on a worker.
+	m.Start(0)
+	m.Drain()
+	release := make(chan struct{})
+	s.post(taskWork, func() { <-release })
+	m.Stop(0)
+	got := make(chan swmproto.Response)
+	go func() { got <- m.ServeSession(0, nop) }()
+	// Release the lane once the request is queued behind the Stop.
+	for pending := 0; pending < 2; {
+		time.Sleep(time.Millisecond)
+		s.mu.Lock()
+		pending = len(s.tasks) - s.head
+		s.mu.Unlock()
+	}
+	close(release)
+	if resp := <-got; resp.Code != swmproto.CodeSessionDown {
+		t.Errorf("busy lane, stopped session = %+v, want code %s", resp, swmproto.CodeSessionDown)
+	}
+}
+
+// TestServeSessionIdleLaneAllocBudget pins the inline lane's cost: an
+// exec on an idle lane runs on the caller with no closure, channel,
+// timer or goroutine handoff. What is left is the request's serveCall
+// and ServeProto's own two allocations; the pool round trip cost 8.
+func TestServeSessionIdleLaneAllocBudget(t *testing.T) {
+	m := serveFleet(t, 1)
+	req := swmproto.Request{Op: swmproto.OpExec, Command: "f.nop"}
+	avg := testing.AllocsPerRun(200, func() {
+		if resp := m.ServeSession(0, req); !resp.OK {
+			t.Fatalf("exec: %+v", resp)
+		}
+	})
+	const budget = 3 // through the worker pool: 8
+	if avg > budget {
+		t.Errorf("idle-lane exec = %.1f allocs/op, budget %d — is the request crossing to a worker again?", avg, budget)
+	}
+}
+
+// TestServeSessionInlineConcurrent drives inline and busy lanes at
+// once: 16 goroutines send mixed execs and queries to 4 sessions while
+// async Exec posts and PumpAll keep the lanes contended. Before each
+// request a goroutine posts an Exec witness; since the request is
+// appended after it, the witness must have run by the time the
+// response comes back (FIFO across posts and served requests, cache
+// hits included), and each goroutine's witnesses run in posting order.
+func TestServeSessionInlineConcurrent(t *testing.T) {
+	const sessions, goroutines, rounds = 4, 16, 100
+	m := serveFleet(t, sessions)
+	for i := 0; i < sessions; i++ {
+		launchClients(t, m, i, 2)
+	}
+	m.Drain()
+
+	reqs := []swmproto.Request{
+		{Op: swmproto.OpExec, Command: "f.circleup"},
+		{Op: swmproto.OpQuery, Target: swmproto.TargetStats},
+		{Op: swmproto.OpExec, Command: "f.nop"},
+		{Op: swmproto.OpQuery, Target: swmproto.TargetClients},
+		{Op: swmproto.OpQuery, Target: swmproto.TargetDesktop},
+	}
+	var (
+		mu      sync.Mutex
+		applied [goroutines]int // last witness each goroutine saw run
+		wg      sync.WaitGroup
+	)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			session := g % sessions
+			for k := 1; k <= rounds; k++ {
+				m.Exec(session, func(*core.WM) {
+					mu.Lock()
+					defer mu.Unlock()
+					if applied[g] != k-1 {
+						t.Errorf("goroutine %d: witness %d ran after %d", g, k, applied[g])
+					}
+					applied[g] = k
+				})
+				req := reqs[(g+k)%len(reqs)]
+				req.ID = uint64(g*1000 + k)
+				resp := m.ServeSession(session, req)
+				if !resp.OK {
+					t.Errorf("goroutine %d request %d (%s %s%s): %+v", g, k, req.Op, req.Target, req.Command, resp)
+				}
+				mu.Lock()
+				if applied[g] != k {
+					t.Errorf("goroutine %d: request %d answered before its witness ran (last %d)", g, k, applied[g])
+				}
+				mu.Unlock()
+				if k%8 == 0 {
+					m.PumpAll()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	drained := make(chan struct{})
+	go func() {
+		m.Drain()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Drain did not return")
+	}
+	for g, k := range applied {
+		if k != rounds {
+			t.Errorf("goroutine %d: %d witnesses ran, want %d", g, k, rounds)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ package obs
 
 import (
 	"io"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -26,25 +25,22 @@ type Visitor interface {
 }
 
 // Visit walks the registry: counters, then gauges, then histograms,
-// each in sorted name order. The three name-sorted slices are copied
-// under the registry lock and walked outside it, so a visitor may take
+// each in sorted name order. It walks an immutable view of the three
+// name-sorted slices outside the registry lock, so a visitor may take
 // as long as it likes (a slow scrape) without blocking registration,
-// and the walk needs no sort and no map: the order was settled when
-// each name was registered.
+// and the walk needs no sort, no map and no allocation: the order was
+// settled when each name was registered, and only the first Visit
+// after a registration that added a name rebuilds the view. A name
+// registered during a walk shows up in the next one.
 func (r *Registry) Visit(v Visitor) {
-	r.mu.Lock()
-	counters := slices.Clone(r.counters)
-	gauges := slices.Clone(r.gauges)
-	histograms := slices.Clone(r.histograms)
-	r.mu.Unlock()
-
-	for _, c := range counters {
+	all := r.current()
+	for _, c := range all.counters {
 		v.VisitCounter(c.name, c.inst.Value())
 	}
-	for _, g := range gauges {
+	for _, g := range all.gauges {
 		v.VisitGauge(g.name, g.inst.Value())
 	}
-	for _, h := range histograms {
+	for _, h := range all.histograms {
 		v.VisitHistogram(h.name, h.inst)
 	}
 }

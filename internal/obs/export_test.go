@@ -112,6 +112,35 @@ func TestRegistrationConcurrentWithReads(t *testing.T) {
 	}
 }
 
+// TestVisitAllocFree pins the immutable Visit view: once the first
+// Visit has built it, a walk allocates nothing, and a registration that
+// adds a name is seen by the next walk.
+func TestVisitAllocFree(t *testing.T) {
+	r := populated()
+	var v visitCounter
+	r.Visit(&v)
+	if allocs := testing.AllocsPerRun(100, func() { r.Visit(&v) }); allocs != 0 {
+		t.Errorf("Visit = %.1f allocs/op, want 0", allocs)
+	}
+	r.Counter("wm.managed") // existing name: the view stays
+	if allocs := testing.AllocsPerRun(100, func() { r.Visit(&v) }); allocs != 0 {
+		t.Errorf("Visit after re-registration = %.1f allocs/op, want 0", allocs)
+	}
+	r.Gauge("late")
+	v = visitCounter{}
+	r.Visit(&v)
+	if v.n != 5 {
+		t.Errorf("Visit after a new name saw %d instruments, want 5", v.n)
+	}
+}
+
+// visitCounter counts instruments without allocating.
+type visitCounter struct{ n int }
+
+func (v *visitCounter) VisitCounter(string, int64)        { v.n++ }
+func (v *visitCounter) VisitGauge(string, int64)          { v.n++ }
+func (v *visitCounter) VisitHistogram(string, *Histogram) { v.n++ }
+
 type visitRecorder struct{ names *[]string }
 
 func (v visitRecorder) VisitCounter(name string, value int64) {

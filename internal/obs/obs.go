@@ -17,12 +17,14 @@
 //     as struct fields thereafter. Registry lookups never happen on a
 //     hot path.
 //  3. Readers never block writers, and reading is cheap too. Each
-//     instrument kind is a name-sorted slice; Visit copies the three
-//     slices under the registry lock and walks the copies outside it,
-//     with no sort and no map. The stats render streams straight off
-//     that walk (swmproto.AppendStats), because a stats miss sits on a
-//     fleet lane's serving path. Snapshot() still builds maps, for
-//     callers that want the decoded shape.
+//     instrument kind is a name-sorted slice. Visit walks an immutable
+//     view of the three slices outside the registry lock, with no
+//     sort, no map and no allocation; only the first Visit after a
+//     registration that added a name rebuilds that view. The stats
+//     render streams straight off the walk (swmproto.AppendStats),
+//     because a stats miss sits on a fleet lane's serving path.
+//     Snapshot() still builds maps, for callers that want the decoded
+//     shape.
 //
 // Instruments may be invoked while the X server's lock is held (the
 // connection instrument fires inside the request gate), so nothing in
@@ -175,7 +177,20 @@ var SizeBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 // never sorts. Names never change after registration, which is why
 // the order is paid for once, at construction, rather than per read.
 type Registry struct {
-	mu         sync.Mutex
+	mu  sync.Mutex
+	all instruments // guarded by mu; registration inserts here
+
+	// view is what Visit walks without the lock: the slices of all as
+	// they were when it was built, sharing their backing arrays. While
+	// it is set, registration copies all before inserting (unshare), so
+	// a view is never written; nil once a registration has added a
+	// name since it was built.
+	view atomic.Pointer[instruments]
+}
+
+// instruments is every registered instrument, one name-sorted slice
+// per kind.
+type instruments struct {
 	counters   []named[*Counter]
 	gauges     []named[*Gauge]
 	histograms []named[*Histogram]
@@ -190,31 +205,47 @@ type named[T any] struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// register returns the instrument called name in the sorted slice s,
+// register returns the instrument called name in r's sorted slice s,
 // inserting mk() at its sorted position on first use. The caller holds
 // the registry lock.
-func register[T any](s *[]named[T], name string, mk func() T) T {
+func register[T any](r *Registry, s *[]named[T], name string, mk func() T) T {
 	i, found := slices.BinarySearchFunc(*s, name, func(e named[T], name string) int {
 		return strings.Compare(e.name, name)
 	})
 	if !found {
+		r.unshare()
 		*s = slices.Insert(*s, i, named[T]{name, mk()})
 	}
 	return (*s)[i].inst
+}
+
+// unshare drops the Visit view and, if there was one, gives
+// registration its own copy of the slices: an insert shifts entries in
+// place, and a walk may still be reading the view. Registrations
+// between two Visits copy once. The caller holds the registry lock.
+func (r *Registry) unshare() {
+	if r.view.Swap(nil) == nil {
+		return
+	}
+	r.all = instruments{
+		counters:   slices.Clone(r.all.counters),
+		gauges:     slices.Clone(r.all.gauges),
+		histograms: slices.Clone(r.all.histograms),
+	}
 }
 
 // Counter returns the named counter, registering it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return register(&r.counters, name, func() *Counter { return &Counter{} })
+	return register(r, &r.all.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, registering it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return register(&r.gauges, name, func() *Gauge { return &Gauge{} })
+	return register(r, &r.all.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named histogram, registering it with the given
@@ -223,7 +254,24 @@ func (r *Registry) Gauge(name string) *Gauge {
 func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return register(&r.histograms, name, func() *Histogram { return NewHistogram(bounds) })
+	return register(r, &r.all.histograms, name, func() *Histogram { return NewHistogram(bounds) })
+}
+
+// current returns the view Visit walks, rebuilding it under the lock if
+// a registration has added a name since it was built.
+func (r *Registry) current() *instruments {
+	if v := r.view.Load(); v != nil {
+		return v
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v := r.view.Load()
+	if v == nil {
+		all := r.all
+		v = &all
+		r.view.Store(v)
+	}
+	return v
 }
 
 // Snapshot is a point-in-time copy of every registered instrument,
@@ -254,8 +302,8 @@ func (r *Registry) Snapshot() Snapshot {
 func (r *Registry) CounterNames() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]string, len(r.counters))
-	for i, c := range r.counters {
+	out := make([]string, len(r.all.counters))
+	for i, c := range r.all.counters {
 		out[i] = c.name
 	}
 	return out

@@ -103,10 +103,10 @@ var AllocBudgets = map[string]int64{
 // measured wall time on the development machine so CI hardware and
 // scheduler noise cannot flake it while an asymptotic regression still
 // trips loudly. fleet-1000-sessions gets the same treatment on allocs:
-// ~25% headroom over the measured 947k allocs/op (10,000 managed
-// clients plus 250 restart-adopts), so a return to per-session
-// prototype builds or trie recompiles — tens of millions of allocs at
-// this scale — fails immediately.
+// BENCH_10 measured 1,175,906 allocs/op (10,000 managed clients plus
+// 250 restart-adopts), 2% under the 1.2M ceiling, so a return to
+// per-session prototype builds or trie recompiles — tens of millions
+// of allocs at this scale — fails immediately.
 // concurrent-clients-64 likewise pins the 64-connection storm to an
 // order of magnitude: measured ~3.0-4.3ms/op on the striped tree
 // against ~10-16ms/op for the identical workload on the pre-striping

@@ -237,6 +237,22 @@ var (
 	ccNoStore  = []string{"no-store"}
 )
 
+// maxPooledEnvBuf caps the buffers envBufPool keeps. An exec body can
+// grow a buffer to MaxExecBody (1 MiB by default), and once pooled it
+// would stay in circulation under steady traffic; the largest envelope
+// the hot paths render, stats, is about 7 KB.
+const maxPooledEnvBuf = 64 << 10
+
+// putEnvBuf empties bp and returns it to envBufPool, or drops it if it
+// has grown past maxPooledEnvBuf.
+func putEnvBuf(bp *[]byte) {
+	if cap(*bp) > maxPooledEnvBuf {
+		return
+	}
+	*bp = (*bp)[:0]
+	envBufPool.Put(bp)
+}
+
 // statusWriter remembers whether and what the handler wrote, for the
 // recovery envelope and the request log.
 type statusWriter struct {
@@ -293,8 +309,8 @@ func (s *Server) writeEnvelope(w http.ResponseWriter, resp swmproto.Response) {
 	if _, err := w.Write(buf); err != nil && s.cfg.Log != nil {
 		fmt.Fprintf(s.cfg.Log, "swmhttp: write envelope: %v\n", err)
 	}
-	*bp = buf[:0]
-	envBufPool.Put(bp)
+	*bp = buf
+	putEnvBuf(bp)
 }
 
 // writeJSON serves a non-envelope payload (discovery, health).
@@ -362,11 +378,11 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	bp := envBufPool.Get().(*[]byte)
-	defer func() { envBufPool.Put(bp) }()
+	defer putEnvBuf(bp)
 	rd := bytes.NewBuffer((*bp)[:0])
 	_, err := rd.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxExecBody))
 	body := rd.Bytes()
-	*bp = body[:0]
+	*bp = body
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
