@@ -8,9 +8,9 @@
 // actually exists, and the paper's 32767x32767 desktop coordinate
 // limit.
 //
-// The concurrency suite machine-checks the striped/lock-free xserver
-// scheme (DESIGN.md §12–13): lockorder models the full hierarchy
-// Server.mu > stripes > inputMu > Conn.qMu/errMu, atomicfield forbids
+// The concurrency suite machine-checks the lock-free xserver scheme
+// (DESIGN.md §12–13): lockorder models the full hierarchy
+// Server.mu > inputMu > Conn.qMu/errMu, atomicfield forbids
 // mixed atomic/plain access to a field, snapshotimmut freezes values
 // published through atomic.Pointer Stores, seqlock pins the odd/even
 // writer and retry-reader protocols of seq-guarded entries, and

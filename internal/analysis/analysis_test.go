@@ -50,10 +50,10 @@ func TestConnCheckGolden(t *testing.T) {
 }
 
 func TestLockOrderGolden(t *testing.T) {
-	// Two waivers: the legacy peek escape and the striped Drain escape.
+	// One waiver: the peek escape.
 	fs := analysis.RunGolden(t, sharedLoader(t), analysis.LockOrder, "testdata/lockorder")
-	if got := waivedReasons(t, fs); len(got) != 2 {
-		t.Errorf("waived findings = %d, want 2 (%q)", len(got), got)
+	if got := waivedReasons(t, fs); len(got) != 1 {
+		t.Errorf("waived findings = %d, want 1 (%q)", len(got), got)
 	}
 }
 

@@ -5,26 +5,20 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// LockOrder guards the locking discipline of internal/xserver across
-// its two generations. The PR 2 shape — request methods take
-// `Server.mu` once at their entry and then work through *Locked
-// helpers, which never re-acquire — still holds for the exclusive
-// paths. The striped refactor added a second lock class: per-stripe
-// locks guarding shards of the window index, which sit *below* the
-// server lock in the hierarchy and may only be taken through the
-// doorways in stripes.go (lockStripe / lockStripes2), whose two-stripe
-// form acquires in ascending stripe order.
+// LockOrder guards the locking discipline of internal/xserver. Request
+// methods take `Server.mu` once at their entry — exclusively through
+// the writeLock doorway, which reports contention, or shared with a
+// plain RLock — and then work through *Locked helpers, which never
+// re-acquire.
 //
 // The analyzer builds the package's intra-package call graph, computes
 // per lock class which functions may acquire — the server class is a
-// field named `mu` of type sync.Mutex/RWMutex on any type except
-// `stripe` (or the readLock helper); the stripe class is a `mu` field
-// on a type named `stripe`, or a doorway call — and reports:
+// field named `mu` of type sync.Mutex/RWMutex, or a call to the
+// writeLock doorway — and reports:
 //
 //   - lockorder.reentrant — a function that is holding the server lock
 //     calls a function that (transitively) acquires it again. The held
@@ -32,24 +26,7 @@ import (
 //     source order; a deferred unlock holds to the end of the function.
 //   - lockorder.held — a function following the *Locked naming
 //     convention (callable only with the server lock held exclusively)
-//     acquires either lock class itself, or calls a function that
-//     acquires the server lock. Holding mu exclusively already owns
-//     every stripe, so a *Locked helper taking a stripe is as wrong as
-//     one taking mu.
-//   - lockorder.stripe — re-entrant stripe acquisition: a second
-//     doorway acquire, or a call to a function that may acquire a
-//     stripe, while a stripe is already held. stripeFor is dynamic, so
-//     any nested acquire may hit the same stripe and self-deadlock;
-//     holding two stripes is legal only through the ascending-order
-//     lockStripes2 doorway.
-//   - lockorder.order — acquiring the server lock (directly or through
-//     a call) while holding a stripe. The hierarchy is mu above
-//     stripes; taking them bottom-up deadlocks against every
-//     RLock-then-stripe taker.
-//   - lockorder.stripeescape — a direct stripe-lock operation outside
-//     stripes.go. The doorways are the only sanctioned way in; a raw
-//     st.mu.Lock() elsewhere bypasses both the ordering and the
-//     contention observer.
+//     acquires the lock itself, or calls a function that acquires it.
 //   - lockorder.goroutine — a function literal spawned with `go` calls
 //     a *Locked helper without first acquiring the lock. A goroutine
 //     does not inherit its spawner's lock, so the hold region of the
@@ -57,8 +34,8 @@ import (
 //     spawned literal is analyzed as its own context (named like
 //     Go does, "Spawner.func1"), starting unheld.
 //
-// Below the stripes the hierarchy continues through the input-dispatch
-// lock and the per-connection leaf locks: Server.mu > stripes >
+// Below the server lock the hierarchy continues through the
+// input-dispatch lock and the per-connection leaf locks: Server.mu >
 // inputMu > Conn.qMu/errMu. Fields named inputMu, qMu and errMu of
 // type sync.Mutex/RWMutex form three more classes; acquiring up the
 // chain while holding a lower lock (or a leaf while holding its peer
@@ -70,7 +47,7 @@ import (
 // safe approximation elsewhere; intentional exceptions carry //swm:ok.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "flags re-entrant or misordered Server.mu/stripe acquisition and locking calls from *Locked helpers",
+	Doc:  "flags re-entrant or misordered Server.mu acquisition and locking calls from *Locked helpers",
 	Run:  runLockOrder,
 }
 
@@ -83,17 +60,16 @@ const (
 )
 
 // lockClass distinguishes the modeled lock classes, in hierarchy order:
-// Server.mu > stripes > inputMu > Conn.qMu/errMu (DESIGN.md §12). The
+// Server.mu > inputMu > Conn.qMu/errMu (DESIGN.md §12). The
 // two connection leaf locks share a rank and are unordered peers —
 // holding both is itself a violation.
 type lockClass int
 
 const (
-	classServer lockClass = iota
-	classStripe
-	classInput   // a field named inputMu (the input-dispatch lock)
-	classConnQ   // a field named qMu (per-connection event queue leaf)
-	classConnErr // a field named errMu (per-connection error queue leaf)
+	classServer  lockClass = iota
+	classInput             // a field named inputMu (the input-dispatch lock)
+	classConnQ             // a field named qMu (per-connection event queue leaf)
+	classConnErr           // a field named errMu (per-connection error queue leaf)
 	numLockClasses
 )
 
@@ -102,8 +78,6 @@ func lockClassName(c lockClass) string {
 	switch c {
 	case classServer:
 		return "the server lock"
-	case classStripe:
-		return "a stripe"
 	case classInput:
 		return "inputMu"
 	case classConnQ:
@@ -122,24 +96,19 @@ func leafPeer(c lockClass) lockClass {
 	return classConnQ
 }
 
-// stripesFile is the one file allowed to touch stripe locks directly.
-const stripesFile = "stripes.go"
-
 type lockEvent struct {
 	pos    token.Pos
 	kind   lockEventKind
 	class  lockClass
-	direct bool          // a literal <x>.mu.Lock(), not a doorway call
 	callee *types.Func   // for evCall
 	call   *ast.CallExpr // for evCall
 }
 
 type funcLockInfo struct {
-	decl      *ast.FuncDecl
-	events    []lockEvent
-	acquires  [numLockClasses]bool // direct acquire per class
-	inStripes bool                 // declared in stripes.go (doorway implementation)
-	spawned   []*spawnInfo
+	decl     *ast.FuncDecl
+	events   []lockEvent
+	acquires [numLockClasses]bool // direct acquire per class
+	spawned  []*spawnInfo
 }
 
 // spawnInfo is the event stream of one go-spawned function literal (or
@@ -162,9 +131,7 @@ func runLockOrder(p *Pass) {
 		if !ok {
 			continue
 		}
-		info := collectLockEvents(p, fd)
-		info.inStripes = filepath.Base(p.Fset.Position(fd.Pos()).Filename) == stripesFile
-		infos[fn] = info
+		infos[fn] = collectLockEvents(p, fd)
 	}
 
 	// mayAcquire per class: direct acquire, or a call (anywhere in the
@@ -206,12 +173,10 @@ func runLockOrder(p *Pass) {
 		acquiresClass[c] = acquiresFn(func(i *funcLockInfo) bool { return i.acquires[c] })
 	}
 	acquiresServer := acquiresClass[classServer]
-	acquiresStripe := acquiresClass[classStripe]
 
 	for fn, info := range infos {
 		heldByName := strings.HasSuffix(fn.Name(), "Locked")
 		held := heldByName
-		stripeHeld := false
 		var heldC [numLockClasses]bool // classInput and below
 		heldBelow := func() (lockClass, bool) {
 			for _, c := range []lockClass{classInput, classConnQ, classConnErr} {
@@ -227,32 +192,12 @@ func runLockOrder(p *Pass) {
 				if heldByName {
 					p.Reportf(ev.pos, "held",
 						"%s follows the *Locked convention (lock already held) but acquires the lock itself", fn.Name())
-				} else if stripeHeld && !info.inStripes {
-					p.Reportf(ev.pos, "order",
-						"%s acquires the server lock while holding a stripe (hierarchy is mu above stripes)", fn.Name())
 				} else if below, ok := heldBelow(); ok {
 					p.Reportf(ev.pos, "order",
-						"%s acquires the server lock while holding %s (hierarchy is Server.mu > stripes > inputMu > qMu/errMu)",
+						"%s acquires the server lock while holding %s (hierarchy is Server.mu > inputMu > qMu/errMu)",
 						fn.Name(), lockClassName(below))
 				}
 				held = true
-			case ev.kind == evAcquire && ev.class == classStripe:
-				if ev.direct && !info.inStripes {
-					p.Reportf(ev.pos, "stripeescape",
-						"%s performs a direct stripe lock operation outside %s; use the lockStripe/lockStripes2 doorways", fn.Name(), stripesFile)
-				}
-				if heldByName {
-					p.Reportf(ev.pos, "held",
-						"%s follows the *Locked convention (exclusive lock already owns every stripe) but acquires a stripe", fn.Name())
-				} else if stripeHeld && !info.inStripes {
-					p.Reportf(ev.pos, "stripe",
-						"%s acquires a second stripe while holding one; only the ascending lockStripes2 doorway may hold two", fn.Name())
-				} else if below, ok := heldBelow(); ok {
-					p.Reportf(ev.pos, "order",
-						"%s acquires a stripe while holding %s (hierarchy is Server.mu > stripes > inputMu > qMu/errMu)",
-						fn.Name(), lockClassName(below))
-				}
-				stripeHeld = true
 			case ev.kind == evAcquire && ev.class >= classInput:
 				label := lockClassName(ev.class)
 				switch {
@@ -265,7 +210,7 @@ func runLockOrder(p *Pass) {
 						below = classConnErr
 					}
 					p.Reportf(ev.pos, "order",
-						"%s acquires inputMu while holding %s (hierarchy is Server.mu > stripes > inputMu > qMu/errMu)",
+						"%s acquires inputMu while holding %s (hierarchy is Server.mu > inputMu > qMu/errMu)",
 						fn.Name(), lockClassName(below))
 				case ev.class != classInput && heldC[leafPeer(ev.class)]:
 					p.Reportf(ev.pos, "order",
@@ -275,14 +220,10 @@ func runLockOrder(p *Pass) {
 				heldC[ev.class] = true
 			case ev.kind == evRelease && ev.class == classServer:
 				held = false
-			case ev.kind == evRelease && ev.class == classStripe:
-				stripeHeld = false
 			case ev.kind == evRelease && ev.class >= classInput:
 				heldC[ev.class] = false
 			case ev.kind == evCall:
-				sAcq := acquiresServer(ev.callee)
-				stAcq := acquiresStripe(ev.callee)
-				if sAcq {
+				if acquiresServer(ev.callee) {
 					if heldByName {
 						p.Reportf(ev.pos, "held",
 							"%s follows the *Locked convention (lock already held) but calls %s, which acquires the lock",
@@ -291,24 +232,9 @@ func runLockOrder(p *Pass) {
 						p.Reportf(ev.pos, "reentrant",
 							"%s calls %s while holding the lock; %s re-acquires it (sync.RWMutex is not re-entrant)",
 							fn.Name(), ev.callee.Name(), ev.callee.Name())
-					} else if stripeHeld && !info.inStripes {
-						p.Reportf(ev.pos, "order",
-							"%s calls %s, which acquires the server lock, while holding a stripe (hierarchy is mu above stripes)",
-							fn.Name(), ev.callee.Name())
 					} else if below, ok := heldBelow(); ok {
 						p.Reportf(ev.pos, "order",
-							"%s calls %s, which acquires the server lock, while holding %s (hierarchy is Server.mu > stripes > inputMu > qMu/errMu)",
-							fn.Name(), ev.callee.Name(), lockClassName(below))
-					}
-				}
-				if stAcq {
-					if stripeHeld && !info.inStripes {
-						p.Reportf(ev.pos, "stripe",
-							"%s calls %s while holding a stripe; %s re-acquires a stripe (stripeFor is dynamic, so this can self-deadlock)",
-							fn.Name(), ev.callee.Name(), ev.callee.Name())
-					} else if below, ok := heldBelow(); ok {
-						p.Reportf(ev.pos, "order",
-							"%s calls %s, which acquires a stripe, while holding %s (hierarchy is Server.mu > stripes > inputMu > qMu/errMu)",
+							"%s calls %s, which acquires the server lock, while holding %s (hierarchy is Server.mu > inputMu > qMu/errMu)",
 							fn.Name(), ev.callee.Name(), lockClassName(below))
 					}
 				}
@@ -325,7 +251,7 @@ func runLockOrder(p *Pass) {
 					case c == classInput && (heldC[classConnQ] || heldC[classConnErr]):
 						below, _ := heldBelow()
 						p.Reportf(ev.pos, "order",
-							"%s calls %s, which acquires inputMu, while holding %s (hierarchy is Server.mu > stripes > inputMu > qMu/errMu)",
+							"%s calls %s, which acquires inputMu, while holding %s (hierarchy is Server.mu > inputMu > qMu/errMu)",
 							fn.Name(), ev.callee.Name(), lockClassName(below))
 					case c != classInput && heldC[leafPeer(c)]:
 						p.Reportf(ev.pos, "order",
@@ -342,21 +268,12 @@ func runLockOrder(p *Pass) {
 		// invoked on a goroutine that never took the lock.
 		for _, sp := range info.spawned {
 			held := false
-			stripeHeld := false
 			for _, ev := range sp.events {
 				switch {
 				case ev.kind == evAcquire && ev.class == classServer:
 					held = true
-				case ev.kind == evAcquire && ev.class == classStripe:
-					if stripeHeld {
-						p.Reportf(ev.pos, "stripe",
-							"%s acquires a second stripe while holding one; only the ascending lockStripes2 doorway may hold two", sp.name)
-					}
-					stripeHeld = true
 				case ev.kind == evRelease && ev.class == classServer:
 					held = false
-				case ev.kind == evRelease && ev.class == classStripe:
-					stripeHeld = false
 				case ev.kind == evCall:
 					if acquiresServer(ev.callee) {
 						if held {
@@ -373,18 +290,6 @@ func runLockOrder(p *Pass) {
 			}
 		}
 	}
-}
-
-// doorway maps the stripes.go doorway function names to their event
-// shape at a call site.
-func doorway(name string) (lockEventKind, bool) {
-	switch name {
-	case "lockStripe", "lockStripes2", "acquireStripe":
-		return evAcquire, true
-	case "unlockStripe", "unlockStripes2":
-		return evRelease, true
-	}
-	return 0, false
 }
 
 // collectLockEvents linearizes a function body into acquire / release /
@@ -437,10 +342,10 @@ func collectLockEvents(p *Pass, fd *ast.FuncDecl) *funcLockInfo {
 			if kind, class, isMu := muOp(p.Info, call); isMu {
 				// Deferred unlocks hold to function end: no release event.
 				if kind == evAcquire {
-					*events = append(*events, lockEvent{pos: call.Pos(), kind: evAcquire, class: class, direct: true})
+					*events = append(*events, lockEvent{pos: call.Pos(), kind: evAcquire, class: class})
 					acq[class] = true
 				} else if !deferred[call] {
-					*events = append(*events, lockEvent{pos: call.Pos(), kind: evRelease, class: class, direct: true})
+					*events = append(*events, lockEvent{pos: call.Pos(), kind: evRelease, class: class})
 				}
 				return true
 			}
@@ -451,24 +356,11 @@ func collectLockEvents(p *Pass, fd *ast.FuncDecl) *funcLockInfo {
 			if callee == nil || callee.Pkg() != p.Pkg {
 				return true
 			}
-			if kind, isDoorway := doorway(callee.Name()); isDoorway {
-				if kind == evAcquire {
-					*events = append(*events, lockEvent{pos: call.Pos(), kind: evAcquire, class: classStripe})
-					acq[classStripe] = true
-				} else if !deferred[call] {
-					*events = append(*events, lockEvent{pos: call.Pos(), kind: evRelease, class: classStripe})
-				}
-				return true
-			}
-			switch callee.Name() {
-			case "readLock":
+			if callee.Name() == "writeLock" {
+				// The exclusive doorway: callers release with mu.Unlock.
 				*events = append(*events, lockEvent{pos: call.Pos(), kind: evAcquire, class: classServer})
 				acq[classServer] = true
-			case "readUnlock":
-				if !deferred[call] {
-					*events = append(*events, lockEvent{pos: call.Pos(), kind: evRelease, class: classServer})
-				}
-			default:
+			} else {
 				*events = append(*events, lockEvent{pos: call.Pos(), kind: evCall, callee: callee, call: call})
 			}
 			return true
@@ -481,8 +373,8 @@ func collectLockEvents(p *Pass, fd *ast.FuncDecl) *funcLockInfo {
 
 // muOp recognizes <expr>.<field>.Lock() / RLock() / Unlock() /
 // RUnlock() where the field is a sync.Mutex or sync.RWMutex named for
-// one of the modeled classes: `mu` (server, or stripe when the owning
-// type is named "stripe"), `inputMu`, `qMu`, or `errMu`.
+// one of the modeled classes: `mu` (server), `inputMu`, `qMu`, or
+// `errMu`.
 func muOp(info *types.Info, call *ast.CallExpr) (lockEventKind, lockClass, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -524,16 +416,6 @@ func muOp(info *types.Info, call *ast.CallExpr) (lockEventKind, lockClass, bool)
 	}
 	if name := named.Obj().Name(); name != "Mutex" && name != "RWMutex" {
 		return 0, 0, false
-	}
-	if class == classServer {
-		if ot := info.Types[inner.X].Type; ot != nil {
-			if p, isPtr := ot.(*types.Pointer); isPtr {
-				ot = p.Elem()
-			}
-			if onamed, isNamed := ot.(*types.Named); isNamed && onamed.Obj().Name() == "stripe" {
-				class = classStripe
-			}
-		}
 	}
 	return kind, class, true
 }

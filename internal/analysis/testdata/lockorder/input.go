@@ -1,7 +1,7 @@
 // input.go pins the lower half of the lock hierarchy end to end:
-// Server.mu > stripes > inputMu > Conn.qMu/errMu. Descending the chain
-// is clean; acquiring upward from a leaf, holding both unordered leaf
-// locks, or re-entering a leaf through a call are findings.
+// Server.mu > inputMu > Conn.qMu/errMu. Descending the chain is clean;
+// acquiring upward from a leaf, holding both unordered leaf locks, or
+// re-entering a leaf through a call are findings.
 
 package lockorder
 

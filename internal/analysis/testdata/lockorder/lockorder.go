@@ -1,7 +1,7 @@
 // Package lockorder is the golden fixture for the lockorder analyzer:
-// re-entrant acquisition of Server.mu — directly, transitively, or from
-// a *Locked helper — is a finding; the lock-once-then-*Locked shape and
-// release-before-call are clean.
+// re-entrant acquisition of Server.mu — directly, through the writeLock
+// doorway, transitively, or from a *Locked helper — is a finding; the
+// lock-once-then-*Locked shape and release-before-call are clean.
 package lockorder
 
 import "sync"
@@ -188,4 +188,45 @@ func (s *Server) Kick(k int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	go s.storeLocked(k, 3) // want `Kick.func1 runs on a spawned goroutine, which does not inherit the spawner's lock, but calls storeLocked`
+}
+
+// writeLock mirrors the xserver doorway: the one place mu is taken
+// exclusively, with a contention hook on the slow path. A call to it is
+// a server-lock acquire; callers release with mu.Unlock.
+func (s *Server) writeLock() {
+	if s.mu.TryLock() {
+		return
+	}
+	s.mu.Lock()
+	if s.in != nil {
+		s.in.Note(-1)
+	}
+}
+
+// Set is the sanctioned doorway shape. Clean.
+func (s *Server) Set(k, v int) {
+	s.writeLock()
+	defer s.mu.Unlock()
+	s.storeLocked(k, v)
+}
+
+// Bump re-enters through Get after the doorway.
+func (s *Server) Bump(k int) {
+	s.writeLock()
+	defer s.mu.Unlock()
+	s.items[k] = s.Get(k) + 1 // want "Bump calls Get while holding the lock"
+}
+
+// Swap re-enters transitively: Set acquires through the doorway.
+func (s *Server) Swap(k int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.Set(k, 0) // want "Swap calls Set while holding the lock"
+}
+
+// resetLocked breaks its naming contract through the doorway.
+func (s *Server) resetLocked() {
+	s.writeLock() // want "resetLocked .* acquires the lock itself"
+	s.items = nil
+	s.mu.Unlock()
 }

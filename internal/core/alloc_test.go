@@ -74,7 +74,7 @@ func TestMoveStepAllocBudget(t *testing.T) {
 // dominated by decoration building and ran ~1,400 allocs/op; with the
 // prototype cache the warm cycle only clones a cached decoration. The
 // budget enforces that warm manages keep hitting the cache and never
-// go back to resource queries plus a full Build. The striped xserver
+// go back to resource queries plus a full Build. The lock-free xserver
 // raised the structural-write cost slightly (copy-on-write child and
 // mask tables buy lock-free readers; measured 148 warm), still ~10x
 // under the cache-miss cliff the budget exists to catch.

@@ -60,7 +60,7 @@ type wmMetrics struct {
 	pumpNs       *obs.Histogram
 	pannerDamage *obs.Histogram
 
-	// lockInst feeds xserver's stripe-acquire slow path (installed via
+	// lockInst feeds xserver's writer-lock slow path (installed via
 	// Server.SetLockObserver in New): contended acquisitions and how
 	// long they waited.
 	lockInst *obs.LockInstrument

@@ -114,21 +114,20 @@ func TestQueryStatsAdoptionCounters(t *testing.T) {
 	}
 }
 
-// TestQueryStatsStripeContention checks the striped-lock telemetry all
-// the way out the wire: the xserver.stripe_contention counter and
+// TestQueryStatsLockContention checks the writer-lock telemetry all the
+// way out the wire: the xserver.lock_contention counter and
 // xserver.lock_wait_ns histogram must reach `swmcmd -query stats`, and
 // wm.Stats() must agree with the wire view. The test drives the same
-// LockObserver hook the stripe-acquire slow path fires (generating real
-// stripe contention deterministically needs in-package access to the
-// stripes; xserver's TestLockObserverFiresOnContention covers that
-// half).
-func TestQueryStatsStripeContention(t *testing.T) {
+// LockObserver hook the lock-acquire slow path fires (generating real
+// contention deterministically needs in-package access to Server.mu;
+// xserver's TestLockObserverFiresOnContention covers that half).
+func TestQueryStatsLockContention(t *testing.T) {
 	s, wm := newWM(t, Options{VirtualDesktop: true})
 	cl := queryClient(t, s, wm)
 
 	var lo xserver.LockObserver = wm.metrics.lockInst
-	lo.StripeWait(2500)
-	lo.StripeWait(900)
+	lo.LockWait(2500)
+	lo.LockWait(900)
 
 	resp := roundTrip(t, wm, cl, swmproto.Request{Op: swmproto.OpQuery, Target: swmproto.TargetStats})
 	if !resp.OK {
@@ -138,8 +137,8 @@ func TestQueryStatsStripeContention(t *testing.T) {
 	if err := json.Unmarshal(resp.Result, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if n := stats.Metrics.Counters["xserver.stripe_contention"]; n != 2 {
-		t.Errorf("xserver.stripe_contention = %d, want 2", n)
+	if n := stats.Metrics.Counters["xserver.lock_contention"]; n != 2 {
+		t.Errorf("xserver.lock_contention = %d, want 2", n)
 	}
 	h, ok := stats.Metrics.Histograms["xserver.lock_wait_ns"]
 	if !ok {
@@ -148,9 +147,9 @@ func TestQueryStatsStripeContention(t *testing.T) {
 	if h.Count != 2 || h.Sum != 3400 {
 		t.Errorf("lock_wait_ns count/sum = %d/%d, want 2/3400", h.Count, h.Sum)
 	}
-	if st := wm.Stats(); int64(st.StripeContention) != stats.Metrics.Counters["xserver.stripe_contention"] {
-		t.Errorf("Stats().StripeContention = %d disagrees with wire %d",
-			st.StripeContention, stats.Metrics.Counters["xserver.stripe_contention"])
+	if st := wm.Stats(); int64(st.LockContention) != stats.Metrics.Counters["xserver.lock_contention"] {
+		t.Errorf("Stats().LockContention = %d disagrees with wire %d",
+			st.LockContention, stats.Metrics.Counters["xserver.lock_contention"])
 	}
 }
 

@@ -27,11 +27,11 @@ type Stats struct {
 	ProtoMisses    int
 	ProtoEvictions int
 
-	// StripeContention counts X server stripe acquisitions that missed
-	// the uncontended fast path and had to wait (xserver/stripes.go).
-	// Per-wait latency lives in the xserver.lock_wait_ns histogram,
-	// reachable via Metrics().Snapshot().
-	StripeContention int
+	// LockContention counts X server writer-lock acquisitions that
+	// missed the uncontended fast path and had to wait
+	// (xserver/index.go). Per-wait latency lives in the
+	// xserver.lock_wait_ns histogram, reachable via Metrics().Snapshot().
+	LockContention int
 }
 
 // Stats assembles the snapshot from the obs counters. Every read is an
@@ -52,7 +52,7 @@ func (wm *WM) Stats() Stats {
 		ProtoMisses:    int(m.protoMisses.Value()),
 		ProtoEvictions: int(m.protoEvictions.Value()),
 
-		StripeContention: int(m.lockInst.Contended()),
+		LockContention: int(m.lockInst.Contended()),
 	}
 	for t := xproto.KeyPress; t <= xproto.ShapeNotify; t++ {
 		if n := m.events[t].Value(); n > 0 {

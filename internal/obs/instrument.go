@@ -62,32 +62,32 @@ func (in *ConnInstrument) BatchFlush(ops int) {
 	}
 }
 
-// LockInstrument observes striped-lock contention in the X server. It
+// LockInstrument observes writer-lock contention in the X server. It
 // structurally satisfies xserver.LockObserver without this package
-// importing xserver. StripeWait fires from the stripe-acquire slow
-// path — concurrently from any number of connections — so it is
-// restricted to atomic ops on prebuilt instruments.
+// importing xserver. LockWait fires from the lock-acquire slow path —
+// concurrently from any number of connections — so it is restricted
+// to atomic ops on prebuilt instruments.
 type LockInstrument struct {
 	contended *Counter
 	waitNs    *Histogram
 }
 
-// NewLockInstrument registers the stripe-contention instruments in reg.
+// NewLockInstrument registers the lock-contention instruments in reg.
 func NewLockInstrument(reg *Registry) *LockInstrument {
 	return &LockInstrument{
-		contended: reg.Counter("xserver.stripe_contention"),
+		contended: reg.Counter("xserver.lock_contention"),
 		waitNs:    reg.Histogram("xserver.lock_wait_ns", LatencyBounds),
 	}
 }
 
-// StripeWait records one contended stripe acquisition that waited ns
+// LockWait records one contended lock acquisition that waited ns
 // nanoseconds for the holder to release.
-func (in *LockInstrument) StripeWait(ns int64) {
+func (in *LockInstrument) LockWait(ns int64) {
 	in.contended.Inc()
 	in.waitNs.Observe(ns)
 }
 
-// Contended returns the number of contended stripe acquisitions so far.
+// Contended returns the number of contended lock acquisitions so far.
 func (in *LockInstrument) Contended() int64 { return in.contended.Value() }
 
 // SessionInstrument observes session-manager activity. It structurally

@@ -30,10 +30,10 @@ import (
 // query — property churn, move-storm and query traffic in the
 // interaction-density shape of the drag literature.
 //
-// With the striped scheme the connections touch disjoint windows, so
-// writes land on (mostly) disjoint stripes and reads take no lock at
-// all; the child scan costs one packed-geometry load per rejected
-// sibling instead of an ancestor walk under the big lock.
+// Every request in the mix is lock-free — moves, property writes and
+// all the reads — so the connections never touch Server.mu; the child
+// scan costs one packed-geometry load per rejected sibling instead of
+// an ancestor walk under the big lock.
 //
 // One benchmark op = one round = n goroutines × reqsPerRound requests.
 func ConcurrentClients(n int) func(b *testing.B) {

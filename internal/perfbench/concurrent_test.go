@@ -4,9 +4,9 @@ import "testing"
 
 // TestConcurrentClientsRace runs one round of the contended
 // 64-connection storm — the exact workload shape concurrent-clients-64
-// measures — so `go test -race` sweeps the striped xserver hot paths
-// (lock-free property seqlocks, the kidGeo position mirror, per-stripe
-// tree surgery) under real cross-connection contention. One round is
+// measures — so `go test -race` sweeps the lock-free xserver hot paths
+// (property seqlocks, the kidGeo position mirror, the slot-table
+// index) under real cross-connection contention. One round is
 // 64 goroutines × 384 requests; the benchmark's timing loop is what's
 // reduced away, not the concurrency.
 func TestConcurrentClientsRace(t *testing.T) {

@@ -45,11 +45,13 @@ type Baseline struct {
 // manage-100-clients at ≥3x the pre-change speed and ≤1/5th the
 // pre-change allocations.
 //
-// concurrent-clients-64 was measured against the pre-striping xserver
-// (global RWMutex serializing every request) by running the identical
+// concurrent-clients-64 was measured against the global-lock xserver
+// (one RWMutex serializing every request) by running the identical
 // workload on both trees interleaved A/B on one host, so machine drift
 // hits both sides; the recorded number is the mean of five interleaved
-// seed runs. The striped tree's acceptance bar is ≥3x this number.
+// seed runs. The acceptance bar was ≥3x this number. The gain came from
+// the lock-free reads and the lock-free property and geometry writes:
+// the workload's whole mix runs without Server.mu.
 var PreChange = map[string]Baseline{
 	"manage-100-clients":    {NsPerOp: 9204796, AllocsPerOp: 59683},
 	"move-storm":            {NsPerOp: 6386, AllocsPerOp: 6},
@@ -103,15 +105,17 @@ var AllocBudgets = map[string]int64{
 // measured wall time on the development machine so CI hardware and
 // scheduler noise cannot flake it while an asymptotic regression still
 // trips loudly. fleet-1000-sessions gets the same treatment on allocs:
-// BENCH_10 measured 1,175,906 allocs/op (10,000 managed clients plus
-// 250 restart-adopts), 2% under the 1.2M ceiling, so a return to
+// measured 1,085,644 allocs/op (median of five runs on a 2-vCPU host;
+// 10,000 managed clients plus 250 restart-adopts), 9.5% under the 1.2M
+// ceiling, so a return to
 // per-session prototype builds or trie recompiles — tens of millions
 // of allocs at this scale — fails immediately.
 // concurrent-clients-64 likewise pins the 64-connection storm to an
-// order of magnitude: measured ~3.0-4.3ms/op on the striped tree
-// against ~10-16ms/op for the identical workload on the pre-striping
-// global lock, so a ceiling of 9ms/op absorbs host noise while a
-// return to globally serialized request handling still fails.
+// order of magnitude: measured ~2-4.3ms/op with lock-free reads and
+// property/geometry writes against ~10-16ms/op for the identical
+// workload when every request took the global lock, so a ceiling of
+// 9ms/op absorbs host noise while a return to globally serialized
+// request handling still fails.
 // swmload-fleet-http pins the whole network service path — 1,000
 // concurrent HTTP clients against a 64-session fleet, 20,000 requests
 // per op — to an order of magnitude: measured ~2.8s/op, so a 40s
@@ -137,10 +141,10 @@ type LoadBudget struct {
 }
 
 // LoadBudgets are enforced by swmbench -check against the summaries
-// the load workloads record. swmload-fleet-http measured ~33k req/s
-// with p99 ≈ 6ms on the development machine after the snapshot-cache
-// work (up from ~7k req/s before it); the floor of 25k and the 30ms
-// p99 ceiling leave room for CI hardware while a return to
+// the load workloads record. swmload-fleet-http recorded 25.9k req/s
+// with p99 14.2ms and 554,869 allocs/run in BENCH_10 (up from ~7k req/s
+// before the snapshot cache); the floor of 25k and the 30ms p99
+// ceiling leave room for CI hardware while a return to
 // render-per-request throughput (well under 10k req/s) still fails.
 var LoadBudgets = map[string]LoadBudget{
 	"swmload-fleet-http": {MinQPS: 25000, MaxP99: 30 * time.Millisecond},

@@ -15,10 +15,9 @@ import (
 // methods are safe for concurrent use; events are read with WaitEvent,
 // PollEvent or Pending.
 //
-// Requests route per the scheme in stripes.go: window-local reads and
-// property/geometry writes are lock-free, single-window structural ops
-// hold the server lock shared plus the touched stripes, tree surgery
-// and connection lifecycle hold it exclusively. Each request has one
+// Requests route per the scheme in index.go: window-local reads and
+// property/geometry writes are lock-free, structural ops and connection
+// lifecycle hold the server lock exclusively. Each request has one
 // body, and that body passes the connection's gate (see gate) before
 // it takes any lock, so an installed instrument or fault policy never
 // changes a request's lock scope. Batch() records requests and replays
@@ -66,7 +65,7 @@ type connGates struct {
 
 // lookupWin resolves a window id for the request named major, routing a
 // typed BadWindow through the connection's error handler on failure.
-// Lock-free (striped index); callable from any context.
+// Lock-free (slot-table index); callable from any context.
 func (c *Conn) lookupWin(id xproto.XID, major string) (*window, error) {
 	w, err := c.server.lookupErr(id)
 	if err != nil {
@@ -111,8 +110,8 @@ func (c *Conn) createWindow(id, parent xproto.XID, r xproto.Rect, borderWidth in
 		return xproto.None, err
 	}
 	s := c.server
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.writeLock()
+	defer s.mu.Unlock()
 	p, err := c.lookupWin(parent, "CreateWindow")
 	if err != nil {
 		return xproto.None, err
@@ -126,16 +125,6 @@ func (c *Conn) createWindow(id, parent xproto.XID, r xproto.Rect, borderWidth in
 	if id == xproto.None {
 		id = s.allocID()
 	}
-	s1, s2 := s.lockStripes2(p.id, id)
-	w := c.buildWindow(id, p, r, borderWidth, attrs)
-	s.unlockStripes2(s1, s2)
-	return w.id, nil
-}
-
-// buildWindow constructs, attaches and publishes a window. Caller must
-// hold the stripes of parent and id, or the server lock exclusively.
-func (c *Conn) buildWindow(id xproto.XID, p *window, r xproto.Rect, borderWidth int, attrs WindowAttributes) *window {
-	s := c.server
 	w := &window{
 		id:       id,
 		class:    attrs.Class,
@@ -164,7 +153,7 @@ func (c *Conn) buildWindow(id xproto.XID, p *window, r xproto.Rect, borderWidth 
 			Time: s.tick(),
 		})
 	}
-	return w
+	return id, nil
 }
 
 // DestroyWindow destroys the window and all its descendants.
@@ -173,7 +162,7 @@ func (c *Conn) DestroyWindow(id xproto.XID) error {
 		return err
 	}
 	s := c.server
-	s.mu.Lock()
+	s.writeLock()
 	defer s.mu.Unlock()
 	w, err := c.lookupWin(id, "DestroyWindow")
 	if err != nil {
@@ -240,22 +229,12 @@ func (c *Conn) MapWindow(id xproto.XID) error {
 		return err
 	}
 	s := c.server
-	s.mu.RLock()
+	s.writeLock()
+	defer s.mu.Unlock()
 	w, err := c.lookupWin(id, "MapWindow")
 	if err != nil {
-		s.mu.RUnlock()
 		return err
 	}
-	st := s.lockStripe(w.id)
-	err = c.mapCore(w)
-	s.unlockStripe(st)
-	s.mu.RUnlock()
-	return err
-}
-
-// mapCore maps w. Caller must hold w's stripe.
-func (c *Conn) mapCore(w *window) error {
-	s := c.server
 	if w.mapped.Load() {
 		return nil
 	}
@@ -275,7 +254,7 @@ func (c *Conn) mapCore(w *window) error {
 }
 
 // mapNow flips w to mapped and emits the notify/expose events. Caller
-// must hold w's stripe or the server lock exclusively.
+// must hold the server lock exclusively.
 func (s *Server) mapNow(w *window) {
 	w.mapped.Store(true)
 	p := w.parent.Load()
@@ -308,23 +287,20 @@ func (c *Conn) UnmapWindow(id xproto.XID) error {
 		return err
 	}
 	s := c.server
-	s.mu.RLock()
+	s.writeLock()
+	defer s.mu.Unlock()
 	w, err := c.lookupWin(id, "UnmapWindow")
 	if err != nil {
-		s.mu.RUnlock()
 		return err
 	}
-	st := s.lockStripe(w.id)
 	if w.mapped.Load() {
 		s.unmapNow(w, false)
 	}
-	s.unlockStripe(st)
-	s.mu.RUnlock()
 	return nil
 }
 
 // unmapNow flips w to unmapped and emits the notify events. Caller must
-// hold w's stripe or the server lock exclusively.
+// hold the server lock exclusively.
 func (s *Server) unmapNow(w *window, fromConfigure bool) {
 	w.mapped.Store(false)
 	p := w.parent.Load()
@@ -353,7 +329,7 @@ func (c *Conn) ReparentWindow(id, newParent xproto.XID, x, y int) error {
 		return err
 	}
 	s := c.server
-	s.mu.Lock()
+	s.writeLock()
 	defer s.mu.Unlock()
 	w, err := c.lookupWin(id, "ReparentWindow")
 	if err != nil {
@@ -413,42 +389,24 @@ func setScreenIdx(w *window, sc int32) {
 // redirected as a ConfigureRequest.
 //
 // Geometry-only configures are lock-free (atomic field stores);
-// restacks hold the server lock shared plus the stripes of the window
-// and its parent.
+// restacks hold the server lock exclusively.
 func (c *Conn) ConfigureWindow(id xproto.XID, ch xproto.WindowChanges) error {
 	if err := c.gate("ConfigureWindow", id); err != nil {
 		return err
 	}
 	s := c.server
-	if ch.Mask&(xproto.CWStackMode|xproto.CWSibling) == 0 {
-		w, err := c.lookupWin(id, "ConfigureWindow")
-		if err != nil {
-			return err
-		}
-		if c.configRedirected(w, ch) {
-			return nil
-		}
-		return c.note(s.configure(w, ch))
+	if ch.Mask&(xproto.CWStackMode|xproto.CWSibling) != 0 {
+		s.writeLock()
+		defer s.mu.Unlock()
 	}
-	s.mu.RLock()
 	w, err := c.lookupWin(id, "ConfigureWindow")
 	if err != nil {
-		s.mu.RUnlock()
 		return err
 	}
 	if c.configRedirected(w, ch) {
-		s.mu.RUnlock()
 		return nil
 	}
-	pid := w.id
-	if p := w.parent.Load(); p != nil {
-		pid = p.id
-	}
-	s1, s2 := s.lockStripes2(w.id, pid)
-	err = c.note(s.configure(w, ch))
-	s.unlockStripes2(s1, s2)
-	s.mu.RUnlock()
-	return err
+	return c.note(s.configure(w, ch))
 }
 
 // configRedirected forwards the configure as a ConfigureRequest when
@@ -479,8 +437,7 @@ func (c *Conn) configRedirected(w *window, ch xproto.WindowChanges) bool {
 
 // configure applies a configure change. Geometry fields are atomic
 // stores (safe from any context); the restack branch requires the
-// stripes of w and its parent or the server lock exclusively — callers
-// route accordingly. Field application order (and mid-request error
+// server lock exclusively — callers route accordingly. Field application order (and mid-request error
 // behavior) matches the X server: earlier fields stick even when a
 // later one fails validation.
 func (s *Server) configure(w *window, ch xproto.WindowChanges) error {
@@ -742,23 +699,13 @@ func (c *Conn) SelectInput(id xproto.XID, mask xproto.EventMask) error {
 		return err
 	}
 	s := c.server
-	s.mu.RLock()
+	s.writeLock()
+	defer s.mu.Unlock()
 	w, err := c.lookupWin(id, "SelectInput")
 	if err != nil {
-		s.mu.RUnlock()
 		return err
 	}
-	st := s.lockStripe(w.id)
-	err = c.selectCore(w, mask)
-	s.unlockStripe(st)
-	s.mu.RUnlock()
-	return err
-}
-
-// selectCore applies the mask change. Caller must hold w's stripe —
-// the one-redirector invariant needs check-and-set atomicity per
-// window.
-func (c *Conn) selectCore(w *window, mask xproto.EventMask) error {
+	// The exclusive lock makes the one-redirector check-and-set atomic.
 	if mask&xproto.SubstructureRedirectMask != 0 {
 		if mt := w.masks.Load(); mt != nil {
 			for _, ms := range mt.sel {
@@ -958,7 +905,7 @@ func (c *Conn) InternAtoms(names []string, out []xproto.Atom) {
 	if !miss {
 		return
 	}
-	s.mu.Lock()
+	s.writeLock()
 	defer s.mu.Unlock()
 	for i, n := range names {
 		out[i] = s.internAtomLocked(n)
@@ -1033,7 +980,7 @@ func (c *Conn) ChangeSaveSet(id xproto.XID, insert bool) error {
 		return err
 	}
 	s := c.server
-	s.mu.Lock()
+	s.writeLock()
 	defer s.mu.Unlock()
 	if _, err := c.lookupWin(id, "ChangeSaveSet"); err != nil {
 		return err
@@ -1051,7 +998,7 @@ func (c *Conn) ChangeSaveSet(id xproto.XID, insert bool) error {
 // its grabs and event selections are dropped.
 func (c *Conn) Close() {
 	s := c.server
-	s.mu.Lock()
+	s.writeLock()
 	defer s.mu.Unlock()
 	if !c.closed.CompareAndSwap(false, true) {
 		return

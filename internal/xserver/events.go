@@ -110,7 +110,7 @@ func (c *Conn) SendEvent(dst xproto.XID, mask xproto.EventMask, ev xproto.Event)
 		return err
 	}
 	s := c.server
-	s.mu.Lock()
+	s.writeLock()
 	defer s.mu.Unlock()
 	w, err := c.lookupWin(dst, "SendEvent")
 	if err != nil {
@@ -138,7 +138,7 @@ func (c *Conn) SetInputFocus(id xproto.XID) error {
 		return err
 	}
 	s := c.server
-	s.mu.Lock()
+	s.writeLock()
 	defer s.mu.Unlock()
 	if id != xproto.None && id != xproto.PointerRoot {
 		if _, err := c.lookupWin(id, "SetInputFocus"); err != nil {
@@ -174,7 +174,7 @@ func (c *Conn) KillClient(id xproto.XID) error {
 		return err
 	}
 	s := c.server
-	s.mu.Lock()
+	s.writeLock()
 	w, err := c.lookupWin(id, "KillClient")
 	if err != nil {
 		s.mu.Unlock()

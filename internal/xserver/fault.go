@@ -141,7 +141,7 @@ func (c *Conn) gate(major string, target xproto.XID) error {
 	}
 	if f.policy.KillTarget && target != xproto.None {
 		s := c.server
-		s.mu.Lock()
+		s.writeLock()
 		if w := s.lookup(target); w != nil && !w.isRoot && w.owner != c {
 			s.destroyLocked(w)
 		}

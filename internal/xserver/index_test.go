@@ -1,0 +1,438 @@
+package xserver
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/xproto"
+)
+
+// countObserver is a test LockObserver: atomic counters only, like the
+// real obs-backed one.
+type countObserver struct {
+	n      atomic.Int64
+	waitNs atomic.Int64
+}
+
+func (o *countObserver) LockWait(ns int64) {
+	o.n.Add(1)
+	o.waitNs.Add(ns)
+}
+
+// TestLockObserverFiresOnContention proves writeLock's slow path
+// reports to the observer: the test holds Server.mu directly (legal
+// only in tests — the lockorder analyzer skips _test.go files) while a
+// second goroutine maps a window, which must wait on the lock and fire
+// LockWait when it finally gets in.
+func TestLockObserverFiresOnContention(t *testing.T) {
+	s, c := newTestServer(t)
+	w := mustCreate(t, c, s.Screens()[0].Root, xproto.Rect{X: 0, Y: 0, Width: 10, Height: 10})
+	obs := &countObserver{}
+	s.SetLockObserver(obs)
+
+	deadline := time.Now().Add(10 * time.Second)
+	for obs.n.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("observer never fired despite a held Server.mu")
+		}
+		s.mu.Lock()
+		done := make(chan struct{})
+		go func() {
+			// MapWindow takes Server.mu through writeLock.
+			c.MapWindow(w)
+			c.UnmapWindow(w)
+			close(done)
+		}()
+		// Yield so the goroutine reaches the contended acquire while the
+		// lock is held; one round is normally enough, the outer loop
+		// retries if the scheduler didn't cooperate.
+		time.Sleep(2 * time.Millisecond)
+		s.mu.Unlock()
+		<-done
+	}
+	if obs.waitNs.Load() <= 0 {
+		t.Errorf("observer fired %d times but recorded %d ns total wait",
+			obs.n.Load(), obs.waitNs.Load())
+	}
+}
+
+// TestIndexGrowth creates 1,000 windows, interleaving Batch creates
+// (whose ids are allocated at record time) with direct creates that
+// allocate later ids and grow the slot table before the batch flushes,
+// so earlier ids land in an already-grown table. Every live id must
+// resolve and every destroyed one must answer BadWindow.
+func TestIndexGrowth(t *testing.T) {
+	s, c := newTestServer(t)
+	root := s.Screens()[0].Root
+	r := xproto.Rect{X: 0, Y: 0, Width: 10, Height: 10}
+	before := s.NumWindows()
+
+	var ids []xproto.XID
+	for len(ids) < 1000 {
+		b := c.Batch()
+		var cks []*Cookie
+		for i := 0; i < 10; i++ {
+			cks = append(cks, b.CreateWindow(root, r, 0, WindowAttributes{}))
+		}
+		for i := 0; i < 15; i++ {
+			ids = append(ids, mustCreate(t, c, root, r))
+		}
+		if err := b.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		for _, ck := range cks {
+			ids = append(ids, ck.Window())
+		}
+	}
+	dead := make(map[xproto.XID]bool)
+	for i, id := range ids {
+		if i%7 == 0 {
+			if err := c.DestroyWindow(id); err != nil {
+				t.Fatalf("DestroyWindow(0x%x): %v", uint32(id), err)
+			}
+			dead[id] = true
+		}
+	}
+	for _, id := range ids {
+		_, err := c.GetGeometry(id)
+		var xe *xproto.XError
+		switch {
+		case dead[id] && (!errors.As(err, &xe) || xe.Code != xproto.BadWindow):
+			t.Errorf("GetGeometry(destroyed 0x%x) = %v, want BadWindow", uint32(id), err)
+		case !dead[id] && err != nil:
+			t.Errorf("GetGeometry(0x%x): %v", uint32(id), err)
+		}
+	}
+	if got, want := s.NumWindows(), before+len(ids)-len(dead); got != want {
+		t.Errorf("NumWindows = %d, want %d", got, want)
+	}
+	// Doubling keeps the table within twice the ids issued.
+	if n, issued := len(*s.wins.Load()), int(s.nextID.Load()-baseXID); n > 2*issued+64 {
+		t.Errorf("slot table has %d slots for %d ids issued", n, issued)
+	}
+}
+
+// TestConcurrentStructuralWriters runs eight connections through the
+// exclusive-lock paths — create, map, raise, SelectInput, unmap and
+// destroy under one shared parent — while four readers walk the same
+// parent lock-free. Readers must only ever see each child once and
+// never under another parent; afterwards the parent's children must be exactly
+// the surviving windows and NumWindows must count them.
+func TestConcurrentStructuralWriters(t *testing.T) {
+	s, c := newTestServer(t)
+	root := s.Screens()[0].Root
+	r := xproto.Rect{X: 0, Y: 0, Width: 10, Height: 10}
+	parent := mustCreate(t, c, root, xproto.Rect{X: 5, Y: 5, Width: 200, Height: 200})
+	before := s.NumWindows()
+
+	const writers, rounds = 8, 30
+	survivors := make([][]xproto.XID, writers)
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	errs := make(chan error, writers+4)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			cc := s.Connect(fmt.Sprintf("writer-%d", g))
+			for round := 0; round < rounds; round++ {
+				id, err := cc.CreateWindow(parent, r, 0, WindowAttributes{})
+				if err == nil {
+					err = cc.MapWindow(id)
+				}
+				if err == nil {
+					err = cc.RaiseWindow(id)
+				}
+				if err == nil {
+					err = cc.SelectInput(id, xproto.StructureNotifyMask)
+				}
+				if err == nil && round%3 != 0 {
+					err = cc.UnmapWindow(id)
+					if err == nil {
+						err = cc.DestroyWindow(id)
+					}
+				} else if err == nil {
+					survivors[g] = append(survivors[g], id)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("writer %d round %d: %w", g, round, err)
+					return
+				}
+			}
+		}(g)
+	}
+	var rg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for !stop.Load() {
+				_, _, kids, err := c.QueryTree(parent)
+				if err != nil {
+					errs <- fmt.Errorf("QueryTree(parent): %w", err)
+					return
+				}
+				seen := make(map[xproto.XID]bool, len(kids))
+				for _, k := range kids {
+					if seen[k] {
+						errs <- fmt.Errorf("child 0x%x listed twice", uint32(k))
+						return
+					}
+					seen[k] = true
+					// A child may be destroyed under the reader: BadWindow
+					// is the only acceptable error, and a window caught
+					// mid-destroy (detached, not yet marked destroyed)
+					// reports no parent.
+					if _, p, _, err := c.QueryTree(k); err == nil && p != parent && p != xproto.None {
+						errs <- fmt.Errorf("child 0x%x has parent 0x%x", uint32(k), uint32(p))
+						return
+					} else if !isBadWindow(err) {
+						errs <- fmt.Errorf("QueryTree(child): %w", err)
+						return
+					}
+					if _, _, _, err := c.TranslateCoordinates(k, root, 1, 1); !isBadWindow(err) {
+						errs <- fmt.Errorf("TranslateCoordinates: %w", err)
+						return
+					}
+					if _, err := c.GetGeometry(k); !isBadWindow(err) {
+						errs <- fmt.Errorf("GetGeometry: %w", err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stop.Store(true)
+	rg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	want := make(map[xproto.XID]bool)
+	for _, ids := range survivors {
+		for _, id := range ids {
+			want[id] = true
+		}
+	}
+	_, _, kids, err := c.QueryTree(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[xproto.XID]bool, len(kids))
+	for _, k := range kids {
+		if got[k] {
+			t.Errorf("child 0x%x listed twice", uint32(k))
+		}
+		got[k] = true
+		if !want[k] {
+			t.Errorf("child 0x%x is not a surviving window", uint32(k))
+		}
+	}
+	for id := range want {
+		if !got[id] {
+			t.Errorf("survivor 0x%x missing from the parent's children", uint32(id))
+		}
+		if _, p, _, err := c.QueryTree(id); err != nil || p != parent {
+			t.Errorf("survivor 0x%x: parent 0x%x, err %v", uint32(id), uint32(p), err)
+		}
+	}
+	if got, want := s.NumWindows(), before+len(want); got != want {
+		t.Errorf("NumWindows = %d, want %d", got, want)
+	}
+}
+
+// isBadWindow reports whether err is nil or a BadWindow error — the
+// outcomes a reader may see for a window destroyed under it.
+func isBadWindow(err error) bool {
+	var xe *xproto.XError
+	return err == nil || errors.As(err, &xe) && xe.Code == xproto.BadWindow
+}
+
+// TestConcurrentPropertyChurn hammers one window with 64 goroutines of
+// interleaved ChangeProperty/GetProperty. Run under -race this checks
+// the copy-on-write property table: readers must never observe a torn
+// entry, and every read must see a value some writer actually stored.
+func TestConcurrentPropertyChurn(t *testing.T) {
+	s, c := newTestServer(t)
+	w := mustCreate(t, c, s.Screens()[0].Root, xproto.Rect{X: 0, Y: 0, Width: 10, Height: 10})
+	prop := c.InternAtom("CHURN")
+	typ := c.InternAtom("STRING")
+
+	const goroutines = 64
+	const rounds = 50
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				payload := []byte(fmt.Sprintf("writer-%02d", g))
+				for i := 0; i < rounds; i++ {
+					if err := c.ChangeProperty(w, prop, typ, 8, xproto.PropModeReplace, payload); err != nil {
+						errs <- fmt.Errorf("ChangeProperty: %w", err)
+						return
+					}
+				}
+			} else {
+				for i := 0; i < rounds; i++ {
+					p, ok, err := c.GetProperty(w, prop)
+					if err != nil {
+						errs <- fmt.Errorf("GetProperty: %w", err)
+						return
+					}
+					if ok && (len(p.Data) != 9 || string(p.Data[:7]) != "writer-") {
+						errs <- fmt.Errorf("torn property read: %q", p.Data)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestConcurrentReparentVsQueryTree pits structural writers against the
+// lock-free QueryTree read path: windows bounce between two parents
+// while readers walk the tree. Under -race this exercises the
+// copy-on-write children slices and the reparent publication order.
+func TestConcurrentReparentVsQueryTree(t *testing.T) {
+	s, c := newTestServer(t)
+	root := s.Screens()[0].Root
+	r := xproto.Rect{X: 0, Y: 0, Width: 10, Height: 10}
+	pa := mustCreate(t, c, root, r)
+	pb := mustCreate(t, c, root, r)
+	const kids = 8
+	wins := make([]xproto.XID, kids)
+	for i := range wins {
+		wins[i] = mustCreate(t, c, pa, r)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, kids+4)
+	for i, w := range wins {
+		wg.Add(1)
+		go func(i int, w xproto.XID) {
+			defer wg.Done()
+			for round := 0; round < 40; round++ {
+				dst := pa
+				if (round+i)%2 == 0 {
+					dst = pb
+				}
+				if err := c.ReparentWindow(w, dst, i, i); err != nil {
+					errs <- fmt.Errorf("ReparentWindow: %w", err)
+					return
+				}
+			}
+		}(i, w)
+	}
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 100; round++ {
+				na, nb := 0, 0
+				if _, _, ch, err := c.QueryTree(pa); err == nil {
+					na = len(ch)
+				} else {
+					errs <- fmt.Errorf("QueryTree(pa): %w", err)
+					return
+				}
+				if _, _, ch, err := c.QueryTree(pb); err == nil {
+					nb = len(ch)
+				} else {
+					errs <- fmt.Errorf("QueryTree(pb): %w", err)
+					return
+				}
+				// Weakly consistent cut: each parent individually must
+				// never report more children than exist in total.
+				if na > kids || nb > kids {
+					errs <- fmt.Errorf("impossible child counts: pa=%d pb=%d", na, nb)
+					return
+				}
+				for _, w := range wins {
+					if _, parent, _, err := c.QueryTree(w); err != nil {
+						errs <- fmt.Errorf("QueryTree(win): %w", err)
+						return
+					} else if parent != pa && parent != pb {
+						errs <- fmt.Errorf("window 0x%x has parent 0x%x, want pa or pb", uint32(w), uint32(parent))
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestConcurrentConnectClose cycles connections while other clients
+// keep issuing requests — the lifecycle path (Connect registers in the
+// conn table, Close escalates to the exclusive lock and reaps
+// owner-attributed state) racing the lock-free request paths.
+func TestConcurrentConnectClose(t *testing.T) {
+	s, c := newTestServer(t)
+	root := s.Screens()[0].Root
+	r := xproto.Rect{X: 0, Y: 0, Width: 10, Height: 10}
+	w := mustCreate(t, c, root, r)
+	before := s.NumWindows()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 17)
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 25; round++ {
+				cc := s.Connect(fmt.Sprintf("churn-%d-%d", g, round))
+				id, err := cc.CreateWindow(root, r, 0, WindowAttributes{})
+				if err != nil {
+					errs <- fmt.Errorf("CreateWindow: %w", err)
+					return
+				}
+				if err := cc.MapWindow(id); err != nil {
+					errs <- fmt.Errorf("MapWindow: %w", err)
+					return
+				}
+				cc.Close()
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for round := 0; round < 200; round++ {
+			if _, err := c.GetGeometry(w); err != nil {
+				errs <- fmt.Errorf("GetGeometry: %w", err)
+				return
+			}
+			if _, _, _, err := c.QueryTree(root); err != nil {
+				errs <- fmt.Errorf("QueryTree(root): %w", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	// Every closed connection's windows are reaped.
+	if got := s.NumWindows(); got != before {
+		t.Errorf("NumWindows = %d after churn, want %d", got, before)
+	}
+	c.Close()
+}

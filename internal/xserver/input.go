@@ -11,7 +11,7 @@ import (
 // exclusively and read under either mode. Pointer state lives in
 // atomics readable from anywhere; compound pointer updates (motion +
 // crossing recomputation, implicit grab lifecycle) additionally hold
-// inputMu, which sits below the stripes in the lock order — so a
+// inputMu, which sits below Server.mu in the lock order — so a
 // lock-free configure can recheck the pointer without touching the
 // server lock at all. Helpers suffixed *Input require inputMu.
 
@@ -27,7 +27,7 @@ func (c *Conn) GrabButton(grabWindow xproto.XID, button int, modifiers uint16, e
 		return err
 	}
 	s := c.server
-	s.mu.Lock()
+	s.writeLock()
 	defer s.mu.Unlock()
 	if _, err := c.lookupWin(grabWindow, "GrabButton"); err != nil {
 		return err
@@ -54,7 +54,7 @@ func (c *Conn) GrabButton(grabWindow xproto.XID, button int, modifiers uint16, e
 // UngrabButton removes a passive button grab.
 func (c *Conn) UngrabButton(grabWindow xproto.XID, button int, modifiers uint16) {
 	s := c.server
-	s.mu.Lock()
+	s.writeLock()
 	defer s.mu.Unlock()
 	s.buttonGrabs = slices.DeleteFunc(s.buttonGrabs, func(g *buttonGrab) bool {
 		return g.conn == c && g.window == grabWindow && g.button == button && g.modifiers == modifiers
@@ -67,7 +67,7 @@ func (c *Conn) GrabKey(grabWindow xproto.XID, keysym string, modifiers uint16) e
 		return err
 	}
 	s := c.server
-	s.mu.Lock()
+	s.writeLock()
 	defer s.mu.Unlock()
 	if _, err := c.lookupWin(grabWindow, "GrabKey"); err != nil {
 		return err
@@ -81,7 +81,7 @@ func (c *Conn) GrabKey(grabWindow xproto.XID, keysym string, modifiers uint16) e
 // UngrabKey removes passive key grabs matching the arguments.
 func (c *Conn) UngrabKey(grabWindow xproto.XID, keysym string, modifiers uint16) {
 	s := c.server
-	s.mu.Lock()
+	s.writeLock()
 	defer s.mu.Unlock()
 	s.keyGrabs = slices.DeleteFunc(s.keyGrabs, func(g *keyGrab) bool {
 		return g.conn == c && g.window == grabWindow && g.keysym == keysym && g.modifiers == modifiers
@@ -96,7 +96,7 @@ func (c *Conn) GrabPointer(grabWindow xproto.XID, eventMask xproto.EventMask) er
 		return err
 	}
 	s := c.server
-	s.mu.Lock()
+	s.writeLock()
 	defer s.mu.Unlock()
 	if _, err := c.lookupWin(grabWindow, "GrabPointer"); err != nil {
 		return err
@@ -111,7 +111,7 @@ func (c *Conn) GrabPointer(grabWindow xproto.XID, eventMask xproto.EventMask) er
 // UngrabPointer releases an active pointer grab held by this connection.
 func (c *Conn) UngrabPointer() {
 	s := c.server
-	s.mu.Lock()
+	s.writeLock()
 	defer s.mu.Unlock()
 	if s.activeGrab != nil && s.activeGrab.conn == c {
 		s.activeGrab = nil

@@ -23,22 +23,21 @@ import (
 // Server is a simulated X display server. Create one with NewServer and
 // attach clients with Connect.
 //
-// Locking — the global lock is gone from the hot paths. The scheme
-// (detailed in stripes.go) is:
+// Locking — one writer lock, lock-free readers. The scheme (detailed
+// in index.go) is:
 //
 //   - Window lookups, property/geometry/tree reads (GetProperty,
 //     GetGeometry, QueryTree, TranslateCoordinates, ListProperties,
 //     GetWindowAttributes, ShapeQuery, QueryPointer, ...) and
 //     property/geometry writes (ChangeProperty, DeleteProperty,
-//     geometry-only ConfigureWindow) are lock-free: the striped index
-//     and per-window atomics serve them with no shared mutex.
-//   - Structural single-window ops (CreateWindow, Map/UnmapWindow,
-//     SelectInput, restacking configures) hold mu *shared* plus the
-//     stripes of the touched windows, acquired in ascending stripe
-//     order through the stripes.go doorways.
-//   - Tree surgery and rare ops (ReparentWindow, DestroyWindow,
+//     geometry-only ConfigureWindow) are lock-free: the slot-table
+//     index and per-window atomics serve them with no shared mutex.
+//   - Structural ops (CreateWindow, Map/UnmapWindow, SelectInput,
+//     restacking configures, ReparentWindow, DestroyWindow,
 //     ChangeSaveSet, Connect/Close, grabs, focus, SendEvent, shape
-//     changes) hold mu *exclusively*, which implies every stripe.
+//     changes) hold mu exclusively, taken through writeLock.
+//   - Input injection and Snapshot hold mu shared, so the tree and the
+//     grab tables stay stable under them.
 //
 // A batch flush takes no lock of its own (each op takes its request's
 // locks), and an installed fault policy or instrument never changes a
@@ -49,14 +48,14 @@ import (
 // their ID space). Event queues are per-connection with their own
 // mutex, so delivery stays FIFO per client without a global order.
 type Server struct {
-	mu      sync.RWMutex // structural lock; see above
-	inputMu sync.Mutex   // serializes pointer/crossing recomputation; below stripes
+	mu      sync.RWMutex // structural writer lock; see above
+	inputMu sync.Mutex   // serializes pointer/crossing recomputation; below mu
 	nextID  atomic.Uint32
 	now     atomic.Uint64 // advances when an event is generated
 
 	atoms atomic.Pointer[atomTab] // copy-on-write; misses intern under mu
 
-	stripes  [numStripes]stripe
+	wins     atomic.Pointer[winTab] // window index; see index.go
 	winCount atomic.Int64
 
 	screens []*Screen // immutable after NewServer
@@ -197,7 +196,7 @@ func (s *Server) Screens() []*Screen {
 
 // Connect attaches a new client connection. Name is used in diagnostics.
 func (s *Server) Connect(name string) *Conn {
-	s.mu.Lock()
+	s.writeLock()
 	defer s.mu.Unlock()
 	c := &Conn{
 		server:  s,
@@ -233,7 +232,7 @@ func (s *Server) internAtom(name string) xproto.Atom {
 	if a, ok := s.atoms.Load().byName[name]; ok {
 		return a
 	}
-	s.mu.Lock()
+	s.writeLock()
 	defer s.mu.Unlock()
 	return s.internAtomLocked(name)
 }
@@ -263,8 +262,8 @@ func (s *Server) internAtomLocked(name string) xproto.Atom {
 }
 
 // lookupErr resolves id to a live window or a BadWindow error. It takes
-// no lock — the striped index is safe from any context — and is the
-// doorway request impls use so error construction stays in one place.
+// no lock — the index is safe from any context — and is the doorway
+// request impls use so error construction stays in one place.
 func (s *Server) lookupErr(id xproto.XID) (*window, error) {
 	w := s.lookup(id)
 	if w == nil {

@@ -20,7 +20,7 @@ func (c *Conn) ShapeCombineRectangles(id xproto.XID, rects []xproto.Rect) error 
 		return err
 	}
 	s := c.server
-	s.mu.Lock()
+	s.writeLock()
 	defer s.mu.Unlock()
 	w, err := c.lookupWin(id, "ShapeCombineRectangles")
 	if err != nil {
@@ -76,7 +76,7 @@ func (c *Conn) ShapeSelectInput(id xproto.XID) error {
 		return err
 	}
 	s := c.server
-	s.mu.Lock()
+	s.writeLock()
 	defer s.mu.Unlock()
 	w, err := c.lookupWin(id, "ShapeSelectInput")
 	if err != nil {

@@ -264,10 +264,10 @@ type maskSel struct {
 }
 
 // maskTab is a window's full selection set, published as an immutable
-// snapshot: mutation clones (under the window's stripe or Server.mu
-// exclusive), delivery loads and iterates sel with no lock. Small sets
-// — the norm is one or two selections, the owner plus the WM — live in
-// the inline buffer, so publishing a snapshot is a single allocation.
+// snapshot: mutation clones (under Server.mu exclusive), delivery
+// loads and iterates sel with no lock. Small sets — the norm is one or
+// two selections, the owner plus the WM — live in the inline buffer,
+// so publishing a snapshot is a single allocation.
 type maskTab struct {
 	sel []maskSel
 	buf [2]maskSel
@@ -287,8 +287,8 @@ func (w *window) maskOf(c *Conn) xproto.EventMask {
 }
 
 // setMask publishes a new selection snapshot with c's mask set (or the
-// entry dropped when mask is 0). Caller must hold w's stripe or
-// Server.mu exclusively.
+// entry dropped when mask is 0). Caller must hold Server.mu
+// exclusively.
 func (w *window) setMask(c *Conn, mask xproto.EventMask) {
 	var cur []maskSel
 	if tp := w.masks.Load(); tp != nil {
@@ -346,9 +346,9 @@ func anySelects(tp *maskTab, mask xproto.EventMask) bool {
 // so *reads never lock* — any walker (geometry, tree, hit-testing,
 // delivery) may run against concurrent mutation and sees a weakly
 // consistent but tear-free view. Writers are serialized per the scheme
-// in stripes.go: geometry and properties are last-writer-wins atomics
+// in index.go: geometry and properties are last-writer-wins atomics
 // (no lock at all); tree links (parent/children), masks and map state
-// are written under the touched windows' stripes or Server.mu exclusive.
+// are written under Server.mu exclusive.
 type window struct {
 	id       xproto.XID
 	owner    *Conn // creating connection; nil for roots
@@ -470,8 +470,7 @@ func (w *window) kids() []*window {
 
 // setKids publishes a new children snapshot. ks must own its backing
 // array (no published snapshot may share it — appendKid writes past the
-// published count). Caller must hold w's stripe or Server.mu
-// exclusively.
+// published count). Caller must hold Server.mu exclusively.
 func (w *window) setKids(ks []*window) {
 	if len(ks) == 0 {
 		w.kidGeo.Store(nil)
@@ -512,7 +511,7 @@ func (w *window) setKids(ks []*window) {
 // a concurrent reader's previously loaded count never covers the
 // in-flight write. This keeps the attach-heavy manage path O(1)
 // amortized instead of rebuilding the sibling arrays per CreateWindow.
-// Caller must hold p's stripe or Server.mu exclusively.
+// Caller must hold Server.mu exclusively.
 func (p *window) appendKid(w *window) {
 	snap := p.kidGeo.Load()
 	if snap != nil {
@@ -660,8 +659,7 @@ func (w *window) stackIndex() int {
 
 // detach removes w from its parent's children and clears its parent.
 // Only destruction detaches; a live window changes parent through
-// moveTo. Caller must hold the parent's stripe or Server.mu
-// exclusively.
+// moveTo. Caller must hold Server.mu exclusively.
 func (w *window) detach() {
 	if p := w.parent.Load(); p != nil {
 		p.removeKid(w)
@@ -670,7 +668,7 @@ func (w *window) detach() {
 }
 
 // removeKid drops the first occurrence of w from p's children. Caller
-// must hold p's stripe or Server.mu exclusively.
+// must hold Server.mu exclusively.
 func (p *window) removeKid(w *window) {
 	cur := p.kids()
 	for i, c := range cur {
@@ -687,8 +685,8 @@ func (p *window) removeKid(w *window) {
 	}
 }
 
-// attach appends w on top of parent's children. Caller must hold the
-// stripes of both windows or Server.mu exclusively.
+// attach appends w on top of parent's children. Caller must hold
+// Server.mu exclusively.
 func (w *window) attach(parent *window) {
 	w.parent.Store(parent)
 	parent.appendKid(w)
@@ -797,8 +795,8 @@ func (w *window) descendantAtFrom(rootX, rootY, px, py int) *window {
 
 // restack applies a stacking change relative to an optional sibling,
 // mirroring ConfigureWindow's sibling/stack-mode semantics for the modes
-// a WM uses (Above, Below, Opposite). Caller must hold the stripes of w
-// and its parent or Server.mu exclusively.
+// a WM uses (Above, Below, Opposite). Caller must hold Server.mu
+// exclusively.
 func (w *window) restack(mode xproto.StackMode, sibling *window) {
 	parent := w.parent.Load()
 	if parent == nil {
