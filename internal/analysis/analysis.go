@@ -1,9 +1,10 @@
 // Package analysis is swm's repo-specific static-analysis suite. It
-// enforces, by machine, the invariants earlier PRs established by hand:
-// the PR 1 rule that no X request error is silently swallowed (every
-// one is routed through a check helper or explicitly waived), the PR 2
-// rule that the server's RWMutex is never re-entered, the rule that
-// XID-creating requests cannot leak their window, the rule that every
+// enforces, by machine, invariants first established by hand: the rule
+// that no error from an xserver.Conn request or an icccm helper is
+// silently swallowed (every one is routed through a check helper or
+// explicitly waived), the rule that the server lock is never
+// re-entered, the rule that CreateWindow and the XID allocators cannot
+// leak their window, the rule that every
 // `f.*` function name and binding modifier written in a policy string
 // actually exists, and the paper's 32767x32767 desktop coordinate
 // limit.

@@ -7,10 +7,9 @@ import (
 	"strings"
 )
 
-// ConnCheck makes the PR 1 graceful-degradation sweep permanent: no
-// error returned by an X request method — on xserver.Conn, xserver.Batch,
-// xserver.Cookie, or the icccm helpers built on them — may be silently
-// discarded. Errors must be handled, routed into a check helper
+// ConnCheck makes the graceful-degradation sweep permanent: no error
+// returned by an X request method — on xserver.Conn or the icccm
+// helpers built on it — may be silently discarded. Errors must be handled, routed into a check helper
 // (wm.check and friends take the error as an argument, which this
 // analyzer never flags), or waived with //swm:ok and a reason.
 //
@@ -19,11 +18,11 @@ import (
 //	conn.MapWindow(w)            // bare call, error dropped
 //	_ = conn.MapWindow(w)        // explicit discard
 //	p, ok, _ := conn.GetProperty // blank in the error position
-//	defer b.Flush()              // deferred call, error dropped
-//	go b.Flush()                 // goroutine call, error dropped
+//	defer conn.DestroyWindow(w)  // deferred call, error dropped
+//	go conn.MapWindow(w)         // goroutine call, error dropped
 var ConnCheck = &Analyzer{
 	Name: "conncheck",
-	Doc:  "flags discarded errors from xserver.Conn/Batch/Cookie and icccm request methods",
+	Doc:  "flags discarded errors from xserver.Conn and icccm request methods",
 	Run:  runConnCheck,
 }
 
@@ -43,7 +42,7 @@ func isRequestAPI(f *types.Func) (nresults int, ok bool) {
 		if !strings.HasSuffix(pkg.Path(), "internal/xserver") {
 			return 0, false
 		}
-		if recv != "Conn" && recv != "Batch" && recv != "Cookie" {
+		if recv != "Conn" {
 			return 0, false
 		}
 	default:

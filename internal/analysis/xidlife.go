@@ -7,13 +7,13 @@ import (
 )
 
 // XIDLife is a leak heuristic for XID-creating requests. A window
-// created by (*Conn).CreateWindow, a batch CreateWindow op, or a raw
-// allocID/AllocXID whose identifier never escapes the creating function
-// can never be destroyed or rolled back: nothing else will ever hold
-// its XID, so the server-side window outlives every reference to it.
-// PR 1's Manage rollback and PR 2's batch pipeline both depend on the
-// discipline that every created XID reaches either a tracked struct
-// field or a destroy path.
+// created by (*Conn).CreateWindow or a raw allocID/AllocXID whose
+// identifier never escapes the creating function can never be destroyed
+// or rolled back: nothing else will ever hold its XID, so the
+// server-side window outlives every reference to it. Manage's rollback
+// and the panner's miniature index both depend on the discipline that
+// every created XID reaches either a tracked struct field or a destroy
+// path.
 //
 // The identifier "escapes" when it is used as a call argument or
 // receiver, returned, stored into a struct field, map, slice, or
@@ -27,29 +27,20 @@ var XIDLife = &Analyzer{
 	Run:  runXIDLife,
 }
 
-// isXIDCreator reports whether f creates a new XID, and the index of
-// the XID-carrying result (the cookie itself for batch creates).
-func isXIDCreator(f *types.Func) (resultIdx int, ok bool) {
+// isXIDCreator reports whether f creates a new XID. The XID is always
+// f's first result.
+func isXIDCreator(f *types.Func) bool {
 	pkg := f.Pkg()
 	if pkg == nil {
-		return 0, false
+		return false
 	}
-	recv := recvTypeName(f)
 	switch f.Name() {
 	case "CreateWindow":
-		if !strings.HasSuffix(pkg.Path(), "internal/xserver") {
-			return 0, false
-		}
-		switch recv {
-		case "Conn":
-			return 0, true // (XID, error)
-		case "Batch":
-			return 0, true // *Cookie
-		}
+		return strings.HasSuffix(pkg.Path(), "internal/xserver") && recvTypeName(f) == "Conn"
 	case "AllocXID", "allocID":
-		return 0, true
+		return true
 	}
-	return 0, false
+	return false
 }
 
 func runXIDLife(p *Pass) {
@@ -64,7 +55,7 @@ func runXIDLife(p *Pass) {
 			if f == nil {
 				return true
 			}
-			if _, ok := isXIDCreator(f); !ok {
+			if !isXIDCreator(f) {
 				return true
 			}
 			checkXIDUse(p, fd, call, f, parents)
@@ -84,7 +75,7 @@ func checkXIDUse(p *Pass, fd *ast.FuncDecl, call *ast.CallExpr, f *types.Func, p
 	case *ast.AssignStmt:
 		// Which LHS receives the XID? For the tuple form
 		// (id, err := conn.CreateWindow) it is index 0; for the
-		// single-result batch form it is the position of the call.
+		// single-result allocator form it is the position of the call.
 		var lhs ast.Expr
 		if len(parent.Rhs) == 1 && len(parent.Lhs) > 1 {
 			lhs = parent.Lhs[0]

@@ -8,8 +8,8 @@ import (
 	"repro/internal/swmproto"
 )
 
-// Allocation regression guards for the incremental panner and the
-// batched request pipeline. Timing benchmarks (cmd/swmbench,
+// Allocation regression guards for the hot paths: pan, move, manage
+// cycle and stats render. Timing benchmarks (cmd/swmbench,
 // BENCH_*.json) are advisory because wall-clock depends on the
 // machine; allocation counts are deterministic, so these run as plain
 // tests and fail the ordinary test suite when a change reintroduces

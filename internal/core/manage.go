@@ -176,79 +176,45 @@ func (wm *WM) manage(win xproto.XID, pre *adoptPrefetch) (*Client, error) {
 		return f()
 	}
 
-	// The whole setup sequence goes to the server in one batch flush:
-	// save-set insertion (rescue the client if we die, ICCCM / X
-	// save-set), border strip (the decoration replaces the client's
-	// border), reparent into the client slot, slot input selection
-	// (configure requests from the client must keep flowing through the
-	// WM, so the slot — the client's new parent — selects
+	// The setup sequence: save-set insertion (rescue the client if we
+	// die, ICCCM / X save-set), border strip (the decoration replaces
+	// the client's border), reparent into the client slot, slot input
+	// selection (configure requests from the client must keep flowing
+	// through the WM, so the slot — the client's new parent — selects
 	// SubstructureRedirect, exactly as twm-style WMs do on their
-	// frames), and the two maps. Ops apply in record order, so event
-	// semantics match the old one-request-at-a-time sequence, and every
-	// cookie is checked after one Flush.
-	b := wm.conn.Batch()
-	ckSave := b.ChangeSaveSet(win, true)
-	var ckBorder *xserver.Cookie
+	// frames), and the two maps. The first op that fails twice stops the
+	// sequence; the rollback flags record what the server has done.
+	if err := step("save-set", func() error { return wm.conn.ChangeSaveSet(win, true) }); err != nil {
+		return fail(err)
+	}
+	savedSet = true
 	if g.BorderWidth != 0 {
-		ckBorder = b.ConfigureWindow(win, xproto.WindowChanges{
-			Mask: xproto.CWBorderWidth, BorderWidth: 0,
-		})
-	}
-	ckReparent := b.ReparentWindow(win, c.clientSlot.Window, 0, 0)
-	ckSlotIn := b.SelectInput(c.clientSlot.Window,
-		xproto.SubstructureRedirectMask|xproto.SubstructureNotifyMask)
-	ckMapSlot := b.MapWindow(c.clientSlot.Window)
-	ckMapWin := b.MapWindow(win)
-	if flushErr := b.Flush(); flushErr != nil {
-		// At least one op failed. Ops after a failed one still executed
-		// (X wire semantics), so the rollback flags reflect what the
-		// server actually did; then each failed op gets the same
-		// one-retry-unless-dead treatment step gives, re-issued
-		// unbatched. Redoing is keyed off the cookie: ops that
-		// succeeded in the batch are not repeated.
-		savedSet = ckSave.Err() == nil
-		reparented = ckReparent.Err() == nil
-		redo := func(op string, ck *xserver.Cookie, f func() error) error {
-			err := ck.Err()
-			if err == nil || wm.confirmDead(win, err) {
-				return err
-			}
-			wm.logf("manage %s 0x%x: %v (retrying)", op, uint32(win), err)
-			return f()
-		}
-		if err := redo("save-set", ckSave, func() error { return wm.conn.ChangeSaveSet(win, true) }); err != nil {
-			return fail(err)
-		}
-		savedSet = true
-		if ckBorder != nil {
-			if err := redo("strip border", ckBorder, func() error {
-				return wm.conn.ConfigureWindow(win, xproto.WindowChanges{
-					Mask: xproto.CWBorderWidth, BorderWidth: 0,
-				})
-			}); err != nil {
-				return fail(err)
-			}
-		}
-		if err := redo("reparent", ckReparent, func() error {
-			return wm.conn.ReparentWindow(win, c.clientSlot.Window, 0, 0)
+		if err := step("strip border", func() error {
+			return wm.conn.ConfigureWindow(win, xproto.WindowChanges{
+				Mask: xproto.CWBorderWidth, BorderWidth: 0,
+			})
 		}); err != nil {
 			return fail(err)
 		}
-		reparented = true
-		if err := redo("slot input", ckSlotIn, func() error {
-			return wm.conn.SelectInput(c.clientSlot.Window,
-				xproto.SubstructureRedirectMask|xproto.SubstructureNotifyMask)
-		}); err != nil {
-			return fail(err)
-		}
-		if err := redo("map slot", ckMapSlot, func() error { return wm.conn.MapWindow(c.clientSlot.Window) }); err != nil {
-			return fail(err)
-		}
-		if err := redo("map client", ckMapWin, func() error { return wm.conn.MapWindow(win) }); err != nil {
-			return fail(err)
-		}
 	}
-	savedSet, reparented = true, true
+	if err := step("reparent", func() error {
+		return wm.conn.ReparentWindow(win, c.clientSlot.Window, 0, 0)
+	}); err != nil {
+		return fail(err)
+	}
+	reparented = true
+	if err := step("slot input", func() error {
+		return wm.conn.SelectInput(c.clientSlot.Window,
+			xproto.SubstructureRedirectMask|xproto.SubstructureNotifyMask)
+	}); err != nil {
+		return fail(err)
+	}
+	if err := step("map slot", func() error { return wm.conn.MapWindow(c.clientSlot.Window) }); err != nil {
+		return fail(err)
+	}
+	if err := step("map client", func() error { return wm.conn.MapWindow(win) }); err != nil {
+		return fail(err)
+	}
 
 	// Watch the client. SelectInput replaces this connection's mask, so
 	// preserve anything already selected (the panner content window, a

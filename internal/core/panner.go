@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/icccm"
 	"repro/internal/xproto"
-	"repro/internal/xserver"
 )
 
 // Panner is the Virtual Desktop panner (paper §6.1): a miniature
@@ -159,35 +158,17 @@ func (p *Panner) miniRect(c *Client) xproto.Rect {
 
 // syncPanner reconciles the miniatures with the current client set:
 // create on appear, destroy on leave, move/resize/relabel only when
-// the mirrored state actually changed. All requests for one sync ride
-// one batch — one flush and one error check however many miniatures
-// changed. (The previous implementation destroyed and recreated every
-// miniature on every call, at every call site.) The exception: when a
-// miniature is created, its fill and map ops go in a second batch
-// recorded only if the create succeeded — recording them blindly
-// against the pre-allocated XID would turn one failed create into a
-// cascade of BadWindow errors on a window that never existed.
+// the mirrored state actually changed. Each request's error is handled
+// where it is issued: a failed destroy queues an orphan, a failed
+// create records nothing, and a failed update drops the miniature and
+// re-dirties the panner so the next sync recreates it.
 func (wm *WM) syncPanner(scr *Screen) {
 	p := scr.panner
 	if p == nil {
 		return
 	}
-	b := wm.conn.Batch()
-	type pendingDestroy struct {
-		win xproto.XID
-		ck  *xserver.Cookie
-	}
-	type pendingCreate struct {
-		c  *Client
-		ck *xserver.Cookie
-	}
-	type pendingUpdate struct {
-		c  *Client
-		ck *xserver.Cookie
-	}
-	var destroys []pendingDestroy
-	var creates []pendingCreate
-	var updates []pendingUpdate
+	damage := 0
+	retry := false
 
 	// Pass 1: drop miniatures whose client left the desktop (unmanaged,
 	// iconified, stuck, moved to another screen).
@@ -195,7 +176,8 @@ func (wm *WM) syncPanner(scr *Screen) {
 		if wm.clients[c.Win] == c && miniShown(c, scr) {
 			continue
 		}
-		destroys = append(destroys, pendingDestroy{m.win, b.DestroyWindow(m.win)})
+		damage++
+		wm.destroyWindow(m.win)
 		delete(p.miniOf, c)
 		delete(p.minis, m.win)
 	}
@@ -207,110 +189,70 @@ func (wm *WM) syncPanner(scr *Screen) {
 		r := p.miniRect(c)
 		m := p.miniOf[c]
 		if m == nil {
-			label := miniLabel(c)
-			ck := b.CreateWindow(p.content, r, 0, xserverAttrs(label))
-			p.miniOf[c] = &miniature{win: ck.Window(), rect: r, label: label}
-			p.minis[ck.Window()] = c
-			creates = append(creates, pendingCreate{c, ck})
+			damage++
+			wm.createMini(p, c, r)
 			continue
 		}
 		if m.rect != r {
-			updates = append(updates, pendingUpdate{c, b.MoveResizeWindow(m.win, r)})
+			damage++
 			m.rect = r
+			if err := wm.conn.MoveResizeWindow(m.win, r); err != nil {
+				wm.dropFailedMini(p, c, "update miniature", err)
+				retry = true
+				continue
+			}
 		}
 		if label := miniLabel(c); label != m.label {
-			updates = append(updates, pendingUpdate{c, b.SetWindowLabel(m.win, label)})
+			damage++
 			m.label = label
+			if err := wm.conn.SetWindowLabel(m.win, label); err != nil {
+				wm.dropFailedMini(p, c, "update miniature", err)
+				retry = true
+			}
 		}
 	}
-	// The viewport outline rides along: it must stay above any newly
-	// created miniatures, so when there are creates it moves to the
-	// follow-up batch that realizes them.
-	var vpMove, vpRaise *xserver.Cookie
-	recordViewport := func(vb *xserver.Batch) {
-		if p.viewport != xproto.None {
-			vpMove = vb.MoveWindow(p.viewport, scr.PanX/p.scale, scr.PanY/p.scale)
-			vpRaise = vb.RaiseWindow(p.viewport)
-		}
-	}
-	if len(creates) == 0 {
-		recordViewport(b)
+	if retry {
+		scr.pannerDirty = true
 	}
 
 	// Damage for this sync: how many miniatures the incremental index
 	// actually touched (the whole point of the PR 2 diff — a clean pump
 	// observes 0 here).
-	wm.metrics.pannerDamage.Observe(int64(len(destroys) + len(creates) + len(updates)))
+	wm.metrics.pannerDamage.Observe(int64(damage))
 
-	if b.Flush() != nil {
-		// Degraded path: some op failed (fault injection, death races).
-		// Resolve per-cookie, mirroring what the unbatched code did.
-		for _, d := range destroys {
-			if err := d.ck.Err(); err != nil {
-				wm.addOrphan(d.win)
-				wm.logf("destroy miniature 0x%x: %v (queued for retry)", uint32(d.win), err)
-			}
-		}
-		retry := false
-		for _, cr := range creates {
-			if err := cr.ck.Err(); err != nil {
-				wm.check(nil, "create miniature", err)
-				wm.dropMini(p, cr.c)
-			}
-		}
-		for _, u := range updates {
-			if err := u.ck.Err(); err != nil {
-				// The miniature may be gone under us (e.g. an injected
-				// KillTarget); drop it and let the next sync recreate it.
-				wm.check(nil, "update miniature", err)
-				if m := p.miniOf[u.c]; m != nil {
-					wm.destroyWindow(m.win)
-					wm.dropMini(p, u.c)
-				}
-				retry = true
-			}
-		}
-		if retry {
-			scr.pannerDirty = true
-		}
-	}
+	// The viewport outline goes last so it stays above any newly
+	// created miniatures.
+	wm.updatePannerViewport(scr)
+}
 
-	if len(creates) > 0 {
-		type pendingRealize struct {
-			c             *Client
-			fillCk, mapCk *xserver.Cookie
-		}
-		b2 := wm.conn.Batch()
-		var realizes []pendingRealize
-		for _, cr := range creates {
-			if cr.ck.Err() != nil || p.miniOf[cr.c] == nil {
-				continue
-			}
-			realizes = append(realizes, pendingRealize{
-				cr.c, b2.SetWindowFill(cr.ck.Window(), '#'), b2.MapWindow(cr.ck.Window()),
-			})
-		}
-		recordViewport(b2)
-		if b2.Flush() != nil {
-			for _, rz := range realizes {
-				wm.check(nil, "fill miniature", rz.fillCk.Err())
-				if err := rz.mapCk.Err(); err != nil {
-					// Don't keep an unmapped, untracked miniature alive.
-					wm.check(nil, "map miniature", err)
-					if m := p.miniOf[rz.c]; m != nil {
-						wm.destroyWindow(m.win)
-					}
-					wm.dropMini(p, rz.c)
-				}
-			}
-		}
+// createMini creates, fills and maps c's miniature at r. A miniature
+// is recorded only once its window exists, and dropped again if it
+// cannot be mapped.
+func (wm *WM) createMini(p *Panner, c *Client, r xproto.Rect) {
+	label := miniLabel(c)
+	win, err := wm.conn.CreateWindow(p.content, r, 0, xserverAttrs(label))
+	if err != nil {
+		wm.check(nil, "create miniature", err)
+		return
 	}
-	if vpMove != nil {
-		wm.check(nil, "move panner viewport", vpMove.Err())
+	p.miniOf[c] = &miniature{win: win, rect: r, label: label}
+	p.minis[win] = c
+	wm.check(nil, "fill miniature", wm.conn.SetWindowFill(win, '#'))
+	if err := wm.conn.MapWindow(win); err != nil {
+		// Don't keep an unmapped, untracked miniature alive.
+		wm.dropFailedMini(p, c, "map miniature", err)
 	}
-	if vpRaise != nil {
-		wm.check(nil, "raise panner viewport", vpRaise.Err())
+}
+
+// dropFailedMini reports a failed miniature request, then destroys and
+// forgets c's miniature. The window may already be gone under us (e.g.
+// an injected KillTarget); a failed destroy queues it as an orphan.
+func (wm *WM) dropFailedMini(p *Panner, c *Client, op string, err error) {
+	wm.check(nil, op, err)
+	if m := p.miniOf[c]; m != nil {
+		wm.destroyWindow(m.win)
 	}
+	wm.dropMini(p, c)
 }
 
 // dropMini removes c's miniature from both panner indexes.

@@ -161,7 +161,7 @@ func TestSoakFaultInjection(t *testing.T) {
 	// CI artifact: with SWM_OBS_SNAPSHOT set, write the full metrics
 	// registry as JSON so the bench job can upload what a fault-heavy
 	// run actually looks like (per-op error counts, pump latency
-	// distribution, batch sizes) alongside the timing report.
+	// distribution, panner damage) alongside the timing report.
 	if path := os.Getenv("SWM_OBS_SNAPSHOT"); path != "" {
 		data, err := json.MarshalIndent(wm.Metrics().Snapshot(), "", "  ")
 		if err != nil {

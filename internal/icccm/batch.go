@@ -5,16 +5,14 @@ import (
 	"repro/internal/xserver"
 )
 
-// The batched multi-property fetcher. Manage historically issued one
-// GetProperty round-trip per ICCCM property — eight lock acquisitions
-// per adopted client before any window was touched. GetManageProps
-// pulls the whole set through xserver.GetProperties in one flush,
-// while each property keeps the package's uniform (value, ok, error)
-// contract: a failure on one property (fault injection, a window dying
-// mid-batch) is confined to that property's Err and the rest still
-// decode.
+// The multi-property fetcher. GetManageProps interns every ICCCM atom
+// the manage path needs in one InternAtoms call, then issues one
+// lock-free GetProperty per property. Each property keeps the package's
+// uniform (value, ok, error) contract: a failure on one property (fault
+// injection, a window dying mid-fetch) is confined to that property's
+// Err and the rest still decode.
 
-// PropValue is one property's decoded outcome in a batched fetch —
+// PropValue is one property's decoded outcome in a multi-property fetch —
 // Prop.Get's (value, ok, error) triple as a struct:
 //
 //   - OK=false, Err=nil: the property is simply not set.
@@ -27,12 +25,13 @@ type PropValue[T any] struct {
 	Err   error
 }
 
-// decodeResult applies p's decoder to one raw batch slot.
-func decodeResult[T any](p Prop[T], c *xserver.Conn, r xserver.PropResult) PropValue[T] {
-	if r.Err != nil || !r.OK {
-		return PropValue[T]{Err: r.Err}
+// getValue reads property atom from w and applies p's decoder.
+func getValue[T any](p Prop[T], c *xserver.Conn, w xproto.XID, atom xproto.Atom) PropValue[T] {
+	raw, ok, err := c.GetProperty(w, atom)
+	if err != nil || !ok {
+		return PropValue[T]{Err: err}
 	}
-	v, err := p.Decode(c, r.Prop.Data)
+	v, err := p.Decode(c, raw.Data)
 	if err != nil {
 		return PropValue[T]{Err: err}
 	}
@@ -65,21 +64,20 @@ var managePropNames = [...]string{
 
 // GetManageProps reads WM_NAME, WM_ICON_NAME, WM_CLASS, WM_COMMAND,
 // WM_CLIENT_MACHINE, WM_HINTS, WM_NORMAL_HINTS and WM_TRANSIENT_FOR
-// from w in one server flush. It is safe to call concurrently from
-// adoption workers: it only issues read requests on the connection.
+// from w, one GetProperty request per property. It is safe to call
+// concurrently from adoption workers: it only issues read requests on
+// the connection.
 func GetManageProps(c *xserver.Conn, w xproto.XID) ManageProps {
 	var atoms [len(managePropNames)]xproto.Atom
 	c.InternAtoms(managePropNames[:], atoms[:])
-	var raw [len(managePropNames)]xserver.PropResult
-	c.GetProperties(w, atoms[:], raw[:])
 	return ManageProps{
-		Name:      decodeResult(PropName, c, raw[0]),
-		IconName:  decodeResult(PropIconName, c, raw[1]),
-		Class:     decodeResult(PropClass, c, raw[2]),
-		Command:   decodeResult(PropCommand, c, raw[3]),
-		Machine:   decodeResult(PropClientMachine, c, raw[4]),
-		Hints:     decodeResult(PropHints, c, raw[5]),
-		Normal:    decodeResult(PropNormalHints, c, raw[6]),
-		Transient: decodeResult(PropTransientFor, c, raw[7]),
+		Name:      getValue(PropName, c, w, atoms[0]),
+		IconName:  getValue(PropIconName, c, w, atoms[1]),
+		Class:     getValue(PropClass, c, w, atoms[2]),
+		Command:   getValue(PropCommand, c, w, atoms[3]),
+		Machine:   getValue(PropClientMachine, c, w, atoms[4]),
+		Hints:     getValue(PropHints, c, w, atoms[5]),
+		Normal:    getValue(PropNormalHints, c, w, atoms[6]),
+		Transient: getValue(PropTransientFor, c, w, atoms[7]),
 	}
 }

@@ -88,9 +88,9 @@ func TestGetManagePropsAllAbsent(t *testing.T) {
 	}
 }
 
-// TestGetManagePropsPartialFailure is the contract the batched fetcher
-// exists for: one property's GetProperty fails (fault injection
-// standing in for a window dying mid-batch), the failure is confined to
+// TestGetManagePropsPartialFailure is the contract the multi-property
+// fetcher exists for: one property's GetProperty fails (fault injection
+// standing in for a window dying mid-fetch), the failure is confined to
 // that slot's Err, and every other property still decodes.
 func TestGetManagePropsPartialFailure(t *testing.T) {
 	c, w := testConnWindow(t)

@@ -16,8 +16,6 @@ type ConnInstrument struct {
 	requests *Counter
 	byMajor  map[string]*Counter // built once in NewConnInstrument, read-only after
 	other    *Counter
-	flushes  *Counter
-	batchSz  *Histogram
 	trace    *Trace // may be nil
 }
 
@@ -30,8 +28,6 @@ func NewConnInstrument(reg *Registry, trace *Trace, majors []string) *ConnInstru
 		requests: reg.Counter("xreq.total"),
 		byMajor:  make(map[string]*Counter, len(majors)),
 		other:    reg.Counter("xreq.other"),
-		flushes:  reg.Counter("batch.flushes"),
-		batchSz:  reg.Histogram("batch.size", SizeBounds),
 		trace:    trace,
 	}
 	for _, m := range majors {
@@ -50,15 +46,6 @@ func (in *ConnInstrument) Request(major string, target xproto.XID) {
 	}
 	if in.trace != nil {
 		in.trace.Record(KindRequest, major, uint32(target), 0, 0)
-	}
-}
-
-// BatchFlush records one batch flush of ops requests.
-func (in *ConnInstrument) BatchFlush(ops int) {
-	in.flushes.Inc()
-	in.batchSz.Observe(int64(ops))
-	if in.trace != nil {
-		in.trace.Record(KindBatch, "flush", 0, int64(ops), 0)
 	}
 }
 

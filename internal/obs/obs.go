@@ -163,7 +163,7 @@ var LatencyBounds = []int64{
 }
 
 // SizeBounds is the default bucket layout for small cardinalities
-// (batch flush sizes, panner damage per sync).
+// (panner damage per sync).
 var SizeBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // Registry holds named instruments. Registration (Counter, Gauge,

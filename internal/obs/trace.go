@@ -24,8 +24,6 @@ const (
 	// KindDegrade records a degradation event (a failed X operation
 	// the WM survived).
 	KindDegrade
-	// KindBatch records a batch flush.
-	KindBatch
 
 	numKinds
 )
@@ -37,7 +35,6 @@ var kindNames = [numKinds]string{
 	KindUnmanage: "unmanage",
 	KindPan:      "pan",
 	KindDegrade:  "degrade",
-	KindBatch:    "batch",
 }
 
 // String returns the kind's wire name.
@@ -79,7 +76,6 @@ func (k *EventKind) UnmarshalJSON(data []byte) error {
 //	unmanage: Window = client window
 //	pan:      Arg1, Arg2 = new pan origin
 //	degrade:  Window = involved window (0 if none)
-//	batch:    Arg1 = ops flushed
 type Entry struct {
 	Seq    uint64    `json:"seq"`
 	Time   int64     `json:"time_ns"` // unix nanoseconds

@@ -7,8 +7,9 @@
 // Each workload is a plain benchmark function so the two entry points
 // cannot drift apart. The recorded PreChange numbers are the same
 // workloads measured on the tree immediately before the adoption fast
-// path (compiled resource trie, decoration prototype cache, batched
-// manage, parallel restart sweep) went in — the BENCH_2.json report;
+// path (compiled resource trie, decoration prototype cache,
+// multi-property manage fetch, parallel restart sweep) went in — the
+// BENCH_2.json report;
 // AllocBudgets are the blocking regression ceilings derived from the
 // post-change numbers.
 package perfbench
@@ -60,8 +61,8 @@ var PreChange = map[string]Baseline{
 }
 
 // AllocBudgets are blocking ceilings on allocs/op: a regression that
-// undoes the incremental panner, the batched pipeline, or the adoption
-// fast path fails the bench job even when timing noise hides it.
+// undoes the incremental panner or the adoption fast path fails the
+// bench job even when timing noise hides it.
 // pan-storm and xrdb-query are pinned at zero — the obs layer must
 // record metrics without allocating while tracing is disabled, and the
 // compiled resource trie must answer warm queries entirely from the

@@ -20,8 +20,7 @@ import (
 // lifecycle hold the server lock exclusively. Each request has one
 // body, and that body passes the connection's gate (see gate) before
 // it takes any lock, so an installed instrument or fault policy never
-// changes a request's lock scope. Batch() records requests and replays
-// them through the same bodies at Flush.
+// changes a request's lock scope.
 type Conn struct {
 	server *Server
 	fd     int
@@ -100,12 +99,6 @@ type WindowAttributes struct {
 // CreateWindow creates a child of parent at the given parent-relative
 // geometry and returns its XID. The window starts unmapped.
 func (c *Conn) CreateWindow(parent xproto.XID, r xproto.Rect, borderWidth int, attrs WindowAttributes) (xproto.XID, error) {
-	return c.createWindow(xproto.None, parent, r, borderWidth, attrs)
-}
-
-// createWindow is CreateWindow's body. id is an XID a Batch allocated
-// at record time, or None to allocate one once the request validates.
-func (c *Conn) createWindow(id, parent xproto.XID, r xproto.Rect, borderWidth int, attrs WindowAttributes) (xproto.XID, error) {
 	if err := c.gate("CreateWindow", parent); err != nil {
 		return xproto.None, err
 	}
@@ -122,9 +115,7 @@ func (c *Conn) createWindow(id, parent xproto.XID, r xproto.Rect, borderWidth in
 			Detail: fmt.Sprintf("zero-sized window %v", r),
 		})
 	}
-	if id == xproto.None {
-		id = s.allocID()
-	}
+	id := s.allocID()
 	w := &window{
 		id:       id,
 		class:    attrs.Class,
@@ -855,33 +846,6 @@ func (c *Conn) GetProperty(id xproto.XID, prop xproto.Atom) (Property, bool, err
 		return e.property(), true, nil
 	}
 	return Property{}, false, nil
-}
-
-// PropResult is one property's outcome in a GetProperties batch. The
-// fields mirror GetProperty's returns: OK is false with a nil Err when
-// the property is simply unset; a non-nil Err is the request failure
-// for that property alone.
-type PropResult struct {
-	Prop Property
-	OK   bool
-	Err  error
-}
-
-// GetProperties reads len(atoms) properties from one window, filling
-// out (whose length must equal len(atoms)). It is the read-side sibling
-// of Batch: the adoption path pulls every ICCCM property it needs in
-// one call. Each entry is one GetProperty request, so the gate fires
-// once per property and a failure (including a KillTarget fault
-// destroying the window mid-batch) affects only the remaining entries'
-// own lookups: callers see exactly what N serial calls would have seen.
-func (c *Conn) GetProperties(id xproto.XID, atoms []xproto.Atom, out []PropResult) {
-	if len(atoms) != len(out) {
-		panic("xserver: GetProperties atoms/out length mismatch")
-	}
-	for i, prop := range atoms {
-		r := &out[i]
-		r.Prop, r.OK, r.Err = c.GetProperty(id, prop)
-	}
 }
 
 // InternAtoms interns len(names) atoms, filling out (whose length must

@@ -255,31 +255,25 @@ func TestFaultPolicyRateUnderConcurrentTraffic(t *testing.T) {
 }
 
 // TestFaultPolicyKillTargetFromExclusiveRequests fires KillTarget from
-// requests that take the server lock exclusively themselves, and from a
-// batched op: the gate runs before the request's own locking, so the
-// kill is an ordinary destroy and cannot deadlock.
+// requests that take the server lock exclusively themselves: the gate
+// runs before the request's own locking, so the kill is an ordinary
+// destroy and cannot deadlock.
 func TestFaultPolicyKillTargetFromExclusiveRequests(t *testing.T) {
 	cases := []struct {
 		name  string
 		issue func(wm *Conn, target, root xproto.XID) error
 	}{
 		{"ReparentWindow", func(wm *Conn, target, root xproto.XID) error {
-			return wm.ReparentWindow(target, root, 5, 5)
+			err := wm.ReparentWindow(target, root, 5, 5)
+			// The request after the kill sees the death race as a
+			// genuine BadWindow, not a second injected fault.
+			if after := wm.MapWindow(target); !errors.Is(after, xproto.ErrBadWindow) {
+				return fmt.Errorf("request after the kill: err=%v, want BadWindow", after)
+			}
+			return err
 		}},
 		{"SendEvent", func(wm *Conn, target, root xproto.XID) error {
 			return wm.SendEvent(target, 0, xproto.Event{Type: xproto.ClientMessage})
-		}},
-		{"Batch", func(wm *Conn, target, root xproto.XID) error {
-			b := wm.Batch()
-			killed := b.ReparentWindow(target, root, 5, 5)
-			after := b.MapWindow(target)
-			b.Flush()
-			// The op after the kill sees the death race as a genuine
-			// BadWindow, not a second injected fault.
-			if err := after.Err(); !errors.Is(err, xproto.ErrBadWindow) {
-				return fmt.Errorf("op after the kill: err=%v, want BadWindow", err)
-			}
-			return killed.Err()
 		}},
 	}
 	for _, tc := range cases {

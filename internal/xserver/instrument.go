@@ -4,10 +4,7 @@ import "repro/internal/xproto"
 
 // Instrument observes a connection's request traffic. It is the
 // build-once hook the obs layer attaches to: Request fires once per
-// request from the gate every request method passes first (batched ops
-// included, one call per op, since Flush replays each op through its
-// request method), and BatchFlush fires once per Batch.Flush with the
-// number of ops about to be applied.
+// request from the gate every request method passes first.
 //
 // Contract (mirrors SetErrorHandler): callbacks run before the request
 // takes any lock, and concurrently from different connections, so an
@@ -17,7 +14,6 @@ import "repro/internal/xproto"
 // either package importing the other.
 type Instrument interface {
 	Request(major string, target xproto.XID)
-	BatchFlush(ops int)
 }
 
 // SetInstrument installs (or, with nil, removes) the connection's

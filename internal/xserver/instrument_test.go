@@ -71,7 +71,6 @@ func TestRequestMajorsMatchFaultSites(t *testing.T) {
 type recordingInstrument struct {
 	requests map[string]int
 	targets  []xproto.XID
-	flushes  []int
 }
 
 func (r *recordingInstrument) Request(major string, target xproto.XID) {
@@ -81,8 +80,6 @@ func (r *recordingInstrument) Request(major string, target xproto.XID) {
 	r.requests[major]++
 	r.targets = append(r.targets, target)
 }
-
-func (r *recordingInstrument) BatchFlush(ops int) { r.flushes = append(r.flushes, ops) }
 
 func TestInstrumentSeesUnbatchedRequests(t *testing.T) {
 	s := NewServer()
@@ -104,34 +101,6 @@ func TestInstrumentSeesUnbatchedRequests(t *testing.T) {
 	}
 
 	if in.requests["CreateWindow"] != 1 || in.requests["MapWindow"] != 1 || in.requests["GetProperty"] != 1 {
-		t.Errorf("requests = %v", in.requests)
-	}
-	if len(in.flushes) != 0 {
-		t.Errorf("flushes = %v for unbatched traffic", in.flushes)
-	}
-}
-
-func TestInstrumentSeesBatchedOps(t *testing.T) {
-	s := NewServer()
-	c := s.Connect("test")
-	root := s.Screens()[0].Root
-	in := &recordingInstrument{}
-	c.SetInstrument(in)
-
-	b := c.Batch()
-	ck := b.CreateWindow(root, xproto.Rect{Width: 10, Height: 10}, 0, WindowAttributes{})
-	b.MapWindow(ck.Window())
-	b.MoveWindow(ck.Window(), 5, 5)
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	if len(in.flushes) != 1 || in.flushes[0] != 3 {
-		t.Errorf("flushes = %v, want [3]", in.flushes)
-	}
-	// Each batched op passes the same per-request gate as its unbatched
-	// form.
-	if in.requests["CreateWindow"] != 1 || in.requests["MapWindow"] != 1 || in.requests["ConfigureWindow"] != 1 {
 		t.Errorf("requests = %v", in.requests)
 	}
 }

@@ -39,18 +39,13 @@ import (
 //   - Input injection and Snapshot hold mu shared, so the tree and the
 //     grab tables stay stable under them.
 //
-// A batch flush takes no lock of its own (each op takes its request's
-// locks), and an installed fault policy or instrument never changes a
-// request's lock scope.
-//
-// XID allocation is atomic so batches can assign IDs to CreateWindow
-// requests before the batch is flushed (the Xlib model: clients own
-// their ID space). Event queues are per-connection with their own
-// mutex, so delivery stays FIFO per client without a global order.
+// An installed fault policy or instrument never changes a request's
+// lock scope. Event queues are per-connection with their own mutex, so
+// delivery stays FIFO per client without a global order.
 type Server struct {
-	mu      sync.RWMutex // structural writer lock; see above
-	inputMu sync.Mutex   // serializes pointer/crossing recomputation; below mu
-	nextID  atomic.Uint32
+	mu      sync.RWMutex  // structural writer lock; see above
+	inputMu sync.Mutex    // serializes pointer/crossing recomputation; below mu
+	nextID  xproto.XID    // next XID allocID hands out; guarded by mu
 	now     atomic.Uint64 // advances when an event is generated
 
 	atoms atomic.Pointer[atomTab] // copy-on-write; misses intern under mu
@@ -150,8 +145,8 @@ func NewServer(specs ...ScreenSpec) *Server {
 	s := &Server{
 		conns:  make(map[int]*Conn),
 		nextFD: 1,
+		nextID: baseXID,
 	}
-	s.nextID.Store(baseXID)
 	at := &atomTab{
 		byName: make(map[string]xproto.Atom),
 		byID:   make(map[xproto.Atom]string),
@@ -212,11 +207,12 @@ func (s *Server) Connect(name string) *Conn {
 	return c
 }
 
-// allocID reserves a fresh XID. It is lock-free so batch recording can
-// hand out window IDs before the batch is applied, letting later ops in
-// the same batch reference a window created earlier in it.
+// allocID reserves a fresh XID. Caller holds mu exclusively (or owns
+// the server outright, during NewServer).
 func (s *Server) allocID() xproto.XID {
-	return xproto.XID(s.nextID.Add(1) - 1)
+	id := s.nextID
+	s.nextID++
+	return id
 }
 
 // tick advances the server timestamp and returns the new value. The

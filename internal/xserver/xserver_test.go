@@ -1,6 +1,7 @@
 package xserver
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -1081,4 +1082,63 @@ func TestRootCoordsChainProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestConcurrentReadersDuringWrites exercises lock-free reads under the
+// race detector: read-only queries from several goroutines interleaved
+// with structural writes must stay coherent.
+func TestConcurrentReadersDuringWrites(t *testing.T) {
+	s := NewServer()
+	c := s.Connect("writer")
+	root := s.Screens()[0].Root
+	win, err := c.CreateWindow(root, xproto.Rect{Width: 60, Height: 60}, 0, WindowAttributes{})
+	if err != nil {
+		t.Fatalf("CreateWindow: %v", err)
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := s.Connect("reader")
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := r.GetGeometry(win); err != nil {
+					t.Errorf("GetGeometry: %v", err)
+					return
+				}
+				if _, _, _, err := r.QueryTree(root); err != nil {
+					t.Errorf("QueryTree: %v", err)
+					return
+				}
+				if _, _, err := r.GetProperty(win, 1); err != nil {
+					t.Errorf("GetProperty: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 500; i++ {
+		if err := c.MoveWindow(win, i, i); err != nil {
+			t.Fatalf("MoveWindow: %v", err)
+		}
+		w, err := c.CreateWindow(root, xproto.Rect{Width: 10, Height: 10}, 0, WindowAttributes{})
+		if err != nil {
+			t.Fatalf("CreateWindow: %v", err)
+		}
+		if err := c.MapWindow(w); err != nil {
+			t.Fatalf("MapWindow: %v", err)
+		}
+		if err := c.DestroyWindow(w); err != nil {
+			t.Fatalf("DestroyWindow: %v", err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
