@@ -50,7 +50,7 @@ func loadRegistry(moduleDir string) (*Registry, error) {
 	}
 	// Every `"f.name": impl` key of a map composite literal in
 	// functions.go is a registered function. The only such literal is
-	// the table in registerFunctions.
+	// the package-level funcs table.
 	ast.Inspect(f, func(n ast.Node) bool {
 		kv, ok := n.(*ast.KeyValueExpr)
 		if !ok {

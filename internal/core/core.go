@@ -76,8 +76,6 @@ type WM struct {
 	byFrame  map[xproto.XID]*Client // by frame (decoration root) window
 	byObjWin map[xproto.XID]objRef  // decoration/icon object windows
 
-	funcs map[string]funcImpl
-
 	hintTable    *session.Table
 	remoteFormat string
 
@@ -304,13 +302,13 @@ func New(server *xserver.Server, opts Options) (*WM, error) {
 	// starts disabled; swmcmd or tests enable it on demand.
 	reg := obs.NewRegistry()
 	trace := obs.NewTrace(traceCap)
-	wm.metrics = newWMMetrics(reg, trace)
+	m := newWMMetrics(reg, trace)
+	wm.metrics = m
 	wm.deg = degrade.New("swm").Observe(reg, trace)
-	wm.conn.SetInstrument(obs.NewConnInstrument(reg, trace, xserver.RequestMajors))
-	wm.conn.SetErrorHandler(wm.metrics.noteXError)
-	server.SetLockObserver(wm.metrics.lockInst)
-	wm.sessionInst = obs.NewSessionInstrument(reg)
-	wm.registerFunctions()
+	wm.conn.SetInstrument(obs.NewConnInstrument(trace, requestMajor, m.requestsByMajor, m.requests, m.otherRequests))
+	wm.conn.SetErrorHandler(m.noteXError)
+	server.SetLockObserver(m.lockInst)
+	wm.sessionInst = obs.NewSessionInstrument(m.hintHits, m.hintMisses, m.badHints)
 
 	for _, srvScr := range server.Screens() {
 		scr := &Screen{

@@ -11,44 +11,43 @@ import (
 	"repro/internal/xproto"
 )
 
-// registerFunctions installs the window-manager function table
-// (paper §4.2). Functions are dispatched by name from object bindings
-// and from the swmcmd property protocol.
-func (wm *WM) registerFunctions() {
-	wm.funcs = map[string]funcImpl{
-		"f.raise":          fRaise,
-		"f.lower":          fLower,
-		"f.iconify":        fIconify,
-		"f.deiconify":      fDeiconify,
-		"f.move":           fMove,
-		"f.resize":         fResize,
-		"f.zoom":           fZoom,
-		"f.save":           fSave,
-		"f.restore":        fRestore,
-		"f.stick":          fStick,
-		"f.unstick":        fUnstick,
-		"f.focus":          fFocus,
-		"f.delete":         fDelete,
-		"f.destroy":        fDestroy,
-		"f.warpvertical":   fWarpVertical,
-		"f.warphorizontal": fWarpHorizontal,
-		"f.panvertical":    fPanVertical,
-		"f.panhorizontal":  fPanHorizontal,
-		"f.pangoto":        fPanGoto,
-		"f.places":         fPlaces,
-		"f.quit":           fQuit,
-		"f.restart":        fRestart,
-		"f.refresh":        fRefresh,
-		"f.circleup":       fCircleUp,
-		"f.circledown":     fCircleDown,
-		"f.menu":           fMenu,
-		"f.setlabel":       fSetLabel,
-		"f.setbindings":    fSetBindings,
-		"f.nop":            fNop,
-		"f.selectdesktop":  fSelectDesktop,
-		"f.sendtodesktop":  fSendToDesktop,
-		"f.nextdesktop":    fNextDesktop,
-	}
+// funcs is the window-manager function table (paper §4.2). Functions
+// are dispatched by name from object bindings and from the swmcmd
+// property protocol. It is the same for every WM, so it is built once
+// per process and never written after.
+var funcs = map[string]funcImpl{
+	"f.raise":          fRaise,
+	"f.lower":          fLower,
+	"f.iconify":        fIconify,
+	"f.deiconify":      fDeiconify,
+	"f.move":           fMove,
+	"f.resize":         fResize,
+	"f.zoom":           fZoom,
+	"f.save":           fSave,
+	"f.restore":        fRestore,
+	"f.stick":          fStick,
+	"f.unstick":        fUnstick,
+	"f.focus":          fFocus,
+	"f.delete":         fDelete,
+	"f.destroy":        fDestroy,
+	"f.warpvertical":   fWarpVertical,
+	"f.warphorizontal": fWarpHorizontal,
+	"f.panvertical":    fPanVertical,
+	"f.panhorizontal":  fPanHorizontal,
+	"f.pangoto":        fPanGoto,
+	"f.places":         fPlaces,
+	"f.quit":           fQuit,
+	"f.restart":        fRestart,
+	"f.refresh":        fRefresh,
+	"f.circleup":       fCircleUp,
+	"f.circledown":     fCircleDown,
+	"f.menu":           fMenu,
+	"f.setlabel":       fSetLabel,
+	"f.setbindings":    fSetBindings,
+	"f.nop":            fNop,
+	"f.selectdesktop":  fSelectDesktop,
+	"f.sendtodesktop":  fSendToDesktop,
+	"f.nextdesktop":    fNextDesktop,
 }
 
 // Execute runs one invocation in the given context, resolving the
@@ -60,7 +59,7 @@ func (wm *WM) registerFunctions() {
 //	f.iconify(#$)        — the window under the mouse
 //	f.iconify(#0x1234)   — a specific window ID
 func (wm *WM) Execute(ctx *FuncContext, inv bindings.Invocation) error {
-	impl, ok := wm.funcs[inv.Name]
+	impl, ok := funcs[inv.Name]
 	if !ok {
 		return fmt.Errorf("core: unknown window manager function %q", inv.Name)
 	}

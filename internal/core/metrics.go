@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
+	"strings"
+
 	"repro/internal/obs"
 	"repro/internal/xproto"
-
 	"repro/internal/xserver"
 )
 
@@ -37,10 +39,14 @@ type wmMetrics struct {
 	errsByCode [numErrorSlots]*obs.Counter
 	otherErrs  *obs.Counter
 	// errsByOp counts X errors per failing request major ("per-op
-	// X error counts"). Built once from xserver.RequestMajors and
-	// read-only after, so the error handler's map read is lock-free.
-	errsByOp    map[string]*obs.Counter
+	// X error counts"), indexed by requestMajor.
+	errsByOp    []*obs.Counter
 	otherOpErrs *obs.Counter
+
+	// The connection instrument's counters: every request, requests
+	// by major (indexed by requestMajor), and majors outside the table.
+	requests, otherRequests *obs.Counter
+	requestsByMajor         []*obs.Counter
 
 	managed    *obs.Counter
 	unmanaged  *obs.Counter
@@ -60,46 +66,99 @@ type wmMetrics struct {
 	pumpNs       *obs.Histogram
 	pannerDamage *obs.Histogram
 
+	// The session hint table's counters (see loadHintTable).
+	hintHits, hintMisses, badHints *obs.Counter
+
 	// lockInst feeds xserver's writer-lock slow path (installed via
 	// Server.SetLockObserver in New): contended acquisitions and how
 	// long they waited.
-	lockInst *obs.LockInstrument
+	lockContention *obs.Counter
+	lockInst       *obs.LockInstrument
 }
 
-func newWMMetrics(reg *obs.Registry, trace *obs.Trace) *wmMetrics {
-	m := &wmMetrics{
-		registry:     reg,
-		trace:        trace,
-		otherErrs:    reg.Counter("xerr.code.other"),
-		errsByOp:     make(map[string]*obs.Counter, len(xserver.RequestMajors)),
-		otherOpErrs:  reg.Counter("xerr.op.other"),
-		managed:      reg.Counter("wm.managed"),
-		unmanaged:    reg.Counter("wm.unmanaged"),
-		deathRaces:   reg.Counter("wm.death_races"),
-		pans:         reg.Counter("wm.pans"),
-		pumpCycles:   reg.Counter("pump.cycles"),
-		pumpNs:       reg.Histogram("pump.ns", obs.LatencyBounds),
-		pannerDamage: reg.Histogram("panner.damage", obs.SizeBounds),
-
-		protoHits:      reg.Counter("deco.proto_hits"),
-		protoMisses:    reg.Counter("deco.proto_misses"),
-		protoEvictions: reg.Counter("deco.proto_evictions"),
-		adoptQueue:     reg.Gauge("adopt.queue_depth"),
-
-		lockInst: obs.NewLockInstrument(reg),
+// requestMajor maps each request major in xserver.RequestMajors to its
+// index there. One map serves every WM in the process: the connection
+// instrument and noteXError both index per-major counter slices with
+// it. Read-only after package initialization.
+var requestMajor = func() map[string]int {
+	m := make(map[string]int, len(xserver.RequestMajors))
+	for i, major := range xserver.RequestMajors {
+		m[major] = i
 	}
-	for t := xproto.KeyPress; t <= xproto.ShapeNotify; t++ {
-		m.events[t] = reg.Counter("event." + t.String())
+	return m
+}()
+
+// counterField picks the wmMetrics field one registered counter lands
+// in.
+type counterField func(*wmMetrics) **obs.Counter
+
+// wmCounters is every counter a WM registers, sorted by name, and the
+// field each one lands in. The names are the same in every WM, so they
+// are built once per process; newWMMetrics registers all of them in one
+// Registry.Counters call and assigns fields[i] the i-th result.
+var wmCounters = func() (t struct {
+	names  []string
+	fields []counterField
+}) {
+	type entry struct {
+		name  string
+		field counterField
+	}
+	es := []entry{
+		{"xerr.code.other", func(m *wmMetrics) **obs.Counter { return &m.otherErrs }},
+		{"xerr.op.other", func(m *wmMetrics) **obs.Counter { return &m.otherOpErrs }},
+		{"xreq.total", func(m *wmMetrics) **obs.Counter { return &m.requests }},
+		{"xreq.other", func(m *wmMetrics) **obs.Counter { return &m.otherRequests }},
+		{"wm.managed", func(m *wmMetrics) **obs.Counter { return &m.managed }},
+		{"wm.unmanaged", func(m *wmMetrics) **obs.Counter { return &m.unmanaged }},
+		{"wm.death_races", func(m *wmMetrics) **obs.Counter { return &m.deathRaces }},
+		{"wm.pans", func(m *wmMetrics) **obs.Counter { return &m.pans }},
+		{"pump.cycles", func(m *wmMetrics) **obs.Counter { return &m.pumpCycles }},
+		{"deco.proto_hits", func(m *wmMetrics) **obs.Counter { return &m.protoHits }},
+		{"deco.proto_misses", func(m *wmMetrics) **obs.Counter { return &m.protoMisses }},
+		{"deco.proto_evictions", func(m *wmMetrics) **obs.Counter { return &m.protoEvictions }},
+		{"session.hint_hits", func(m *wmMetrics) **obs.Counter { return &m.hintHits }},
+		{"session.hint_misses", func(m *wmMetrics) **obs.Counter { return &m.hintMisses }},
+		{"session.bad_records", func(m *wmMetrics) **obs.Counter { return &m.badHints }},
+		{"xserver.lock_contention", func(m *wmMetrics) **obs.Counter { return &m.lockContention }},
+	}
+	for ev := xproto.KeyPress; ev <= xproto.ShapeNotify; ev++ {
+		es = append(es, entry{"event." + ev.String(), func(m *wmMetrics) **obs.Counter { return &m.events[ev] }})
 	}
 	for _, code := range []xproto.ErrorCode{
 		xproto.BadRequest, xproto.BadValue, xproto.BadWindow, xproto.BadAtom,
 		xproto.BadMatch, xproto.BadDrawable, xproto.BadAccess,
 	} {
-		m.errsByCode[code] = reg.Counter("xerr.code." + code.String())
+		es = append(es, entry{"xerr.code." + code.String(), func(m *wmMetrics) **obs.Counter { return &m.errsByCode[code] }})
 	}
-	for _, major := range xserver.RequestMajors {
-		m.errsByOp[major] = reg.Counter("xerr.op." + major)
+	for i, major := range xserver.RequestMajors {
+		es = append(es,
+			entry{"xreq." + major, func(m *wmMetrics) **obs.Counter { return &m.requestsByMajor[i] }},
+			entry{"xerr.op." + major, func(m *wmMetrics) **obs.Counter { return &m.errsByOp[i] }})
 	}
+	slices.SortFunc(es, func(a, b entry) int { return strings.Compare(a.name, b.name) })
+	for _, e := range es {
+		t.names = append(t.names, e.name)
+		t.fields = append(t.fields, e.field)
+	}
+	return t
+}()
+
+func newWMMetrics(reg *obs.Registry, trace *obs.Trace) *wmMetrics {
+	n := len(xserver.RequestMajors)
+	m := &wmMetrics{
+		registry:        reg,
+		trace:           trace,
+		errsByOp:        make([]*obs.Counter, n),
+		requestsByMajor: make([]*obs.Counter, n),
+		pumpNs:          reg.Histogram("pump.ns", obs.LatencyBounds),
+		pannerDamage:    reg.Histogram("panner.damage", obs.SizeBounds),
+		adoptQueue:      reg.Gauge("adopt.queue_depth"),
+	}
+	for i, c := range reg.Counters(wmCounters.names) {
+		*wmCounters.fields[i](m) = c
+	}
+	m.lockInst = obs.NewLockInstrument(m.lockContention, reg.Histogram("xserver.lock_wait_ns", obs.LatencyBounds))
 	return m
 }
 
@@ -112,8 +171,8 @@ func (m *wmMetrics) noteXError(xe *xproto.XError) {
 	} else {
 		m.otherErrs.Inc()
 	}
-	if c, ok := m.errsByOp[xe.Major]; ok {
-		c.Inc()
+	if i, ok := requestMajor[xe.Major]; ok {
+		m.errsByOp[i].Inc()
 	} else {
 		m.otherOpErrs.Inc()
 	}

@@ -14,33 +14,27 @@ import (
 // written after construction, and the trace's leaf mutex.
 type ConnInstrument struct {
 	requests *Counter
-	byMajor  map[string]*Counter // built once in NewConnInstrument, read-only after
+	majors   map[string]int // major → index into byMajor; shared, read-only
+	byMajor  []*Counter
 	other    *Counter
 	trace    *Trace // may be nil
 }
 
-// NewConnInstrument registers the connection instruments in reg and
-// prebuilds one counter per request major in majors (callers pass
-// xserver.RequestMajors). Requests with an unlisted major fall into
-// xreq.other. trace may be nil to skip trace records.
-func NewConnInstrument(reg *Registry, trace *Trace, majors []string) *ConnInstrument {
-	in := &ConnInstrument{
-		requests: reg.Counter("xreq.total"),
-		byMajor:  make(map[string]*Counter, len(majors)),
-		other:    reg.Counter("xreq.other"),
-		trace:    trace,
-	}
-	for _, m := range majors {
-		in.byMajor[m] = reg.Counter("xreq." + m)
-	}
-	return in
+// NewConnInstrument builds the connection instrument over counters the
+// caller has registered: total counts every request, byMajor[majors[m]]
+// counts request major m, and other counts majors that majors does not
+// list. majors must not be written after this call, so one map can
+// serve every instrument in the process. trace may be nil to skip trace
+// records.
+func NewConnInstrument(trace *Trace, majors map[string]int, byMajor []*Counter, total, other *Counter) *ConnInstrument {
+	return &ConnInstrument{requests: total, majors: majors, byMajor: byMajor, other: other, trace: trace}
 }
 
 // Request records one X request. major must be a static string.
 func (in *ConnInstrument) Request(major string, target xproto.XID) {
 	in.requests.Inc()
-	if c, ok := in.byMajor[major]; ok {
-		c.Inc()
+	if i, ok := in.majors[major]; ok {
+		in.byMajor[i].Inc()
 	} else {
 		in.other.Inc()
 	}
@@ -59,12 +53,11 @@ type LockInstrument struct {
 	waitNs    *Histogram
 }
 
-// NewLockInstrument registers the lock-contention instruments in reg.
-func NewLockInstrument(reg *Registry) *LockInstrument {
-	return &LockInstrument{
-		contended: reg.Counter("xserver.lock_contention"),
-		waitNs:    reg.Histogram("xserver.lock_wait_ns", LatencyBounds),
-	}
+// NewLockInstrument builds the lock-contention instrument over
+// instruments the caller has registered: contended counts contended
+// acquisitions and waitNs observes how long each waited.
+func NewLockInstrument(contended *Counter, waitNs *Histogram) *LockInstrument {
+	return &LockInstrument{contended: contended, waitNs: waitNs}
 }
 
 // LockWait records one contended lock acquisition that waited ns
@@ -85,13 +78,11 @@ type SessionInstrument struct {
 	bad    *Counter
 }
 
-// NewSessionInstrument registers the session instruments in reg.
-func NewSessionInstrument(reg *Registry) *SessionInstrument {
-	return &SessionInstrument{
-		hits:   reg.Counter("session.hint_hits"),
-		misses: reg.Counter("session.hint_misses"),
-		bad:    reg.Counter("session.bad_records"),
-	}
+// NewSessionInstrument builds the session instrument over counters the
+// caller has registered: hint-table hits and misses, and malformed
+// records dropped.
+func NewSessionInstrument(hits, misses, bad *Counter) *SessionInstrument {
+	return &SessionInstrument{hits: hits, misses: misses, bad: bad}
 }
 
 // HintMatch records one hint-table lookup.

@@ -34,7 +34,6 @@ package obs
 
 import (
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -85,15 +84,21 @@ type Histogram struct {
 // NewHistogram builds a histogram with the given ascending upper
 // bounds. Registry.Histogram is the usual doorway.
 func NewHistogram(bounds []int64) *Histogram {
+	h := &Histogram{}
+	h.setBounds(bounds)
+	return h
+}
+
+// setBounds readies a zero Histogram with the given ascending upper
+// bounds.
+func (h *Histogram) setBounds(bounds []int64) {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic("obs: histogram bounds must be strictly ascending")
 		}
 	}
-	return &Histogram{
-		bounds:  append([]int64(nil), bounds...),
-		buckets: make([]atomic.Int64, len(bounds)+1),
-	}
+	h.bounds = append([]int64(nil), bounds...)
+	h.buckets = make([]atomic.Int64, len(bounds)+1)
 }
 
 // Observe records one value.
@@ -166,16 +171,16 @@ var LatencyBounds = []int64{
 // (panner damage per sync).
 var SizeBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// Registry holds named instruments. Registration (Counter, Gauge,
-// Histogram) is idempotent — asking for an existing name returns the
-// existing instrument — and guarded by a mutex; it happens at
+// Registry holds named instruments. Registration (Counter, Counters,
+// Gauge, Histogram) is idempotent — asking for an existing name returns
+// the existing instrument — and guarded by a mutex; it happens at
 // construction time only. Reads of registered instruments are plain
 // atomic loads on the instruments themselves.
 //
-// Each kind is one slice kept sorted by name: registration binary-
-// searches it and inserts a new name in place, so enumeration (Visit)
-// never sorts. Names never change after registration, which is why
-// the order is paid for once, at construction, rather than per read.
+// Each kind is one slice kept sorted by name: registration merges new
+// names in at their sorted positions, so enumeration (Visit) never
+// sorts. Names never change after registration, which is why the order
+// is paid for once, at construction, rather than per read.
 type Registry struct {
 	mu  sync.Mutex
 	all instruments // guarded by mu; registration inserts here
@@ -205,22 +210,62 @@ type named[T any] struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// register returns the instrument called name in r's sorted slice s,
-// inserting mk() at its sorted position on first use. The caller holds
-// the registry lock.
-func register[T any](r *Registry, s *[]named[T], name string, mk func() T) T {
-	i, found := slices.BinarySearchFunc(*s, name, func(e named[T], name string) int {
-		return strings.Compare(e.name, name)
-	})
-	if !found {
-		r.unshare()
-		*s = slices.Insert(*s, i, named[T]{name, mk()})
+// register stores in out[j] the instrument called names[j] in r's
+// sorted slice s, registering the names s lacks. names must be
+// strictly ascending; register panics before changing anything if they
+// are not, as NewHistogram does on unsorted bounds. New instruments
+// come from one block of zero T values, each readied by init (if
+// non-nil) before s is touched, and are merged into s in one pass from
+// the back. Every registration, single or batch, goes through here.
+// The caller holds the registry lock.
+func register[T any](r *Registry, s *[]named[*T], names []string, out []*T, init func(*T)) {
+	fresh, i := 0, 0
+	for j, name := range names {
+		if j > 0 && names[j-1] >= name {
+			panic("obs: registration names must be strictly ascending")
+		}
+		for i < len(*s) && (*s)[i].name < name {
+			i++
+		}
+		if i < len(*s) && (*s)[i].name == name {
+			out[j] = (*s)[i].inst
+		} else {
+			fresh++
+		}
 	}
-	return (*s)[i].inst
+	if fresh == 0 {
+		return
+	}
+	block := make([]T, fresh)
+	if init != nil {
+		for f := range block {
+			init(&block[f])
+		}
+	}
+	r.unshare()
+	i = len(*s) - 1
+	all := slices.Grow(*s, fresh)[:len(*s)+fresh]
+	k := len(all) - 1
+	for j := len(names) - 1; j >= 0; j-- {
+		for i >= 0 && all[i].name > names[j] {
+			all[k] = all[i]
+			i, k = i-1, k-1
+		}
+		if i >= 0 && all[i].name == names[j] {
+			all[k] = all[i]
+			i, k = i-1, k-1
+			continue
+		}
+		fresh--
+		out[j] = &block[fresh]
+		all[k] = named[*T]{names[j], out[j]}
+		k--
+	}
+	*s = all
 }
 
 // unshare drops the Visit view and, if there was one, gives
-// registration its own copy of the slices: an insert shifts entries in
+// registration its own copy of the slices: a merge shifts entries in
 // place, and a walk may still be reading the view. Registrations
 // between two Visits copy once. The caller holds the registry lock.
 func (r *Registry) unshare() {
@@ -236,25 +281,45 @@ func (r *Registry) unshare() {
 
 // Counter returns the named counter, registering it on first use.
 func (r *Registry) Counter(name string) *Counter {
+	var c [1]*Counter
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return register(r, &r.all.counters, name, func() *Counter { return &Counter{} })
+	register(r, &r.all.counters, []string{name}, c[:], nil)
+	return c[0]
+}
+
+// Counters returns the counters called names, in names order,
+// registering the ones that are new. names must be strictly ascending
+// (sorted, no duplicates); Counters panics otherwise and registers
+// nothing. It is the batch form of Counter for a component that
+// registers a fixed set: one merge pass and one allocation for all the
+// new counters, instead of a search, an insert and an allocation each.
+func (r *Registry) Counters(names []string) []*Counter {
+	out := make([]*Counter, len(names))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	register(r, &r.all.counters, names, out, nil)
+	return out
 }
 
 // Gauge returns the named gauge, registering it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
+	var g [1]*Gauge
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return register(r, &r.all.gauges, name, func() *Gauge { return &Gauge{} })
+	register(r, &r.all.gauges, []string{name}, g[:], nil)
+	return g[0]
 }
 
 // Histogram returns the named histogram, registering it with the given
 // bounds on first use. Later calls ignore bounds and return the
 // existing instrument.
 func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
+	var h [1]*Histogram
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return register(r, &r.all.histograms, name, func() *Histogram { return NewHistogram(bounds) })
+	register(r, &r.all.histograms, []string{name}, h[:], func(h *Histogram) { h.setBounds(bounds) })
+	return h[0]
 }
 
 // current returns the view Visit walks, rebuilding it under the lock if

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -111,5 +113,124 @@ func TestCounterRecordAllocs(t *testing.T) {
 	h := reg.Histogram("hist", SizeBounds)
 	if n := testing.AllocsPerRun(100, func() { c.Inc(); h.Observe(3) }); n != 0 {
 		t.Errorf("record path allocates %v/op, want 0", n)
+	}
+}
+
+// TestCountersBatch pins batch registration: new names are merged into
+// the sorted counter list, names already registered (by either form)
+// return the existing counters, and results come back in input order.
+func TestCountersBatch(t *testing.T) {
+	reg := NewRegistry()
+	b := reg.Counter("b")
+	d := reg.Counter("d")
+	got := reg.Counters([]string{"a", "b", "c", "d", "e"})
+	if len(got) != 5 {
+		t.Fatalf("Counters returned %d counters, want 5", len(got))
+	}
+	if got[1] != b || got[3] != d {
+		t.Error("batch did not return the counters registered one at a time")
+	}
+	for i, c := range got {
+		c.Add(int64(i + 1))
+	}
+	if want := []string{"a", "b", "c", "d", "e"}; !slices.Equal(reg.CounterNames(), want) {
+		t.Errorf("CounterNames = %v, want %v", reg.CounterNames(), want)
+	}
+	for i, name := range []string{"a", "b", "c", "d", "e"} {
+		if c := reg.Counter(name); c != got[i] || c.Value() != int64(i+1) {
+			t.Errorf("Counter(%q) is not the batch's counter %d", name, i)
+		}
+	}
+	again := reg.Counters([]string{"a", "c", "e"})
+	if again[0] != got[0] || again[1] != got[2] || again[2] != got[4] {
+		t.Error("re-registering a batch did not return the existing counters")
+	}
+	if n := len(reg.CounterNames()); n != 5 {
+		t.Errorf("re-registration grew the registry to %d names", n)
+	}
+}
+
+// TestCountersRejectsUnsortedNames pins the one defined behavior for
+// unsorted or duplicate batch input: Counters panics and registers
+// nothing, as NewHistogram does on unsorted bounds.
+func TestCountersRejectsUnsortedNames(t *testing.T) {
+	for _, names := range [][]string{{"b", "a"}, {"a", "a"}, {"a", "c", "b"}} {
+		reg := NewRegistry()
+		reg.Counter("m")
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Counters(%q) did not panic", names)
+				}
+			}()
+			reg.Counters(names)
+		}()
+		if got := reg.CounterNames(); !slices.Equal(got, []string{"m"}) {
+			t.Errorf("after Counters(%q) panicked the registry holds %v, want [m]", names, got)
+		}
+	}
+}
+
+// TestCountersBatchKeepsView checks that a batch merge leaves a Visit
+// view taken before it untouched: the merge shifts entries in place,
+// so it must copy first.
+func TestCountersBatchKeepsView(t *testing.T) {
+	reg := NewRegistry()
+	// Register until the list has spare capacity, so a merge that
+	// skipped the copy would shift entries inside the view's array.
+	for i := 0; i == 0 || cap(reg.all.counters) == len(reg.all.counters); i++ {
+		reg.Counter(fmt.Sprintf("m%03d", i))
+	}
+	before := reg.current()
+	held := slices.Clone(before.counters)
+	reg.Counters([]string{"a"})
+	if !slices.Equal(before.counters, held) {
+		t.Error("batch registration wrote into a published view")
+	}
+	var v visitCounter
+	reg.Visit(&v)
+	if want := len(held) + 1; v.n != want {
+		t.Errorf("Visit after the batch saw %d counters, want %d", v.n, want)
+	}
+}
+
+// TestCountersBatchAllocs checks that a batch of new names costs as
+// many allocations as a batch of one (the result, one block of counters
+// and the grown list), not one or more per name.
+func TestCountersBatchAllocs(t *testing.T) {
+	names := make([]string, 100)
+	for i := range names {
+		names[i] = fmt.Sprintf("c%03d", i)
+	}
+	one := testing.AllocsPerRun(20, func() { NewRegistry().Counters(names[:1]) })
+	many := testing.AllocsPerRun(20, func() { NewRegistry().Counters(names) })
+	if many > one {
+		t.Errorf("registering 100 counters = %.0f allocs, registering 1 = %.0f; want no more", many, one)
+	}
+}
+
+// TestHistogramBadBoundsRegistersNothing checks that a histogram whose
+// bounds are rejected leaves the registry as it was.
+func TestHistogramBadBoundsRegistersNothing(t *testing.T) {
+	reg := NewRegistry()
+	// Three names leave the list spare capacity, so a merge begun before
+	// the panic would shift entries inside the registry's own array.
+	reg.Histogram("b", SizeBounds)
+	reg.Histogram("c", SizeBounds)
+	reg.Histogram("d", SizeBounds)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("no panic for unsorted bounds")
+			}
+		}()
+		reg.Histogram("a", []int64{2, 1})
+	}()
+	var l visitRecorder
+	var got []string
+	l.names = &got
+	reg.Visit(l)
+	if want := []string{"histogram:b", "histogram:c", "histogram:d"}; !slices.Equal(got, want) {
+		t.Errorf("after a rejected registration Visit saw %v, want %v", got, want)
 	}
 }

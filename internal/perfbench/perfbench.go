@@ -91,7 +91,7 @@ var AllocBudgets = map[string]int64{
 	"move-storm":            38,
 	"pan-storm":             0,
 	"xrdb-query":            0,
-	"fleet-1000-sessions":   1_200_000,
+	"fleet-1000-sessions":   960_000,
 	"concurrent-clients-64": 6000,
 	"http-stats-query":      20,
 	"swmload-fleet-http":    800_000,
@@ -106,11 +106,13 @@ var AllocBudgets = map[string]int64{
 // measured wall time on the development machine so CI hardware and
 // scheduler noise cannot flake it while an asymptotic regression still
 // trips loudly. fleet-1000-sessions gets the same treatment on allocs:
-// measured 1,085,644 allocs/op (median of five runs on a 2-vCPU host;
-// 10,000 managed clients plus 250 restart-adopts), 9.5% under the 1.2M
-// ceiling, so a return to
-// per-session prototype builds or trie recompiles — tens of millions
-// of allocs at this scale — fails immediately.
+// measured 801,890 allocs/op (median of five runs on a 2-vCPU host,
+// go1.24; 10,000 managed clients plus 250 restart-adopts) once each
+// session's constant tables were built once per process (1,068,142
+// before), 16.5% under the 960k ceiling. Rebuilding those tables per
+// session (~216 allocs each, ~270k at this scale) fails it, and a
+// return to per-session prototype builds or trie recompiles — tens of
+// millions of allocs at this scale — fails immediately.
 // concurrent-clients-64 likewise pins the 64-connection storm to an
 // order of magnitude: measured ~2-4.3ms/op with lock-free reads and
 // property/geometry writes against ~10-16ms/op for the identical

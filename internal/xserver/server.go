@@ -135,6 +135,26 @@ type atomTab struct {
 	next   xproto.Atom
 }
 
+// predefinedAtoms is the table every server starts from: the protocol's
+// predefined atoms, ids 1..len(xproto.PredefinedAtoms) in order. It is
+// built once per process and shared, which is safe because an atomTab
+// is never written after it is published; a server's first interning
+// miss clones it like any other.
+var predefinedAtoms = func() *atomTab {
+	at := &atomTab{
+		byName: make(map[string]xproto.Atom, len(xproto.PredefinedAtoms)),
+		byID:   make(map[xproto.Atom]string, len(xproto.PredefinedAtoms)),
+		next:   1,
+	}
+	for _, name := range xproto.PredefinedAtoms {
+		a := at.next
+		at.next++
+		at.byName[name] = a
+		at.byID[a] = name
+	}
+	return at
+}()
+
 // NewServer creates a server with the given screens. With no specs, a
 // single 1152x900 color screen is created (the Sun-era default that swm
 // was developed on).
@@ -147,18 +167,7 @@ func NewServer(specs ...ScreenSpec) *Server {
 		nextFD: 1,
 		nextID: baseXID,
 	}
-	at := &atomTab{
-		byName: make(map[string]xproto.Atom),
-		byID:   make(map[xproto.Atom]string),
-		next:   1,
-	}
-	for _, name := range xproto.PredefinedAtoms {
-		a := at.next
-		at.next++
-		at.byName[name] = a
-		at.byID[a] = name
-	}
-	s.atoms.Store(at)
+	s.atoms.Store(predefinedAtoms)
 	for i, spec := range specs {
 		root := &window{
 			id:     s.allocID(),

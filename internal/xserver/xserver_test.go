@@ -1,6 +1,7 @@
 package xserver
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -446,12 +447,107 @@ func TestInternAtomStable(t *testing.T) {
 	}
 }
 
+// TestPredefinedAtoms checks the predefined atoms on two servers, which
+// start from one shared table: both number them 1..23 in protocol
+// order, and an atom one server interns stays unknown to the other.
 func TestPredefinedAtoms(t *testing.T) {
-	_, c := func() (*Server, *Conn) { s := NewServer(); return s, s.Connect("t") }()
-	for _, name := range xproto.PredefinedAtoms {
-		if c.InternAtom(name) == xproto.NoAtom {
-			t.Errorf("predefined atom %q not interned", name)
+	s1, c1 := newTestServer(t)
+	s2, c2 := newTestServer(t)
+	for i, name := range xproto.PredefinedAtoms {
+		want := xproto.Atom(i + 1)
+		if a := c1.InternAtom(name); a != want {
+			t.Errorf("server 1: predefined atom %q = %d, want %d", name, a, want)
 		}
+		if a := c2.InternAtom(name); a != want {
+			t.Errorf("server 2: predefined atom %q = %d, want %d", name, a, want)
+		}
+	}
+	if n := len(xproto.PredefinedAtoms); n != 23 {
+		t.Errorf("%d predefined atoms, want 23", n)
+	}
+	a := c1.InternAtom("ONLY_ON_ONE")
+	if got := c1.AtomName(a); got != "ONLY_ON_ONE" {
+		t.Errorf("server 1: AtomName(%d) = %q", a, got)
+	}
+	if got := c2.AtomName(a); got != "" {
+		t.Errorf("server 2 knows atom %d as %q, interned only on server 1", a, got)
+	}
+	if _, ok := s2.atoms.Load().byName["ONLY_ON_ONE"]; ok {
+		t.Error("server 2's atom table holds a name interned on server 1")
+	}
+	if _, ok := predefinedAtoms.byName["ONLY_ON_ONE"]; ok || len(predefinedAtoms.byName) != 23 {
+		t.Error("interning on a server wrote into the shared predefined table")
+	}
+	if s1.atoms.Load() == predefinedAtoms || s2.atoms.Load() != predefinedAtoms {
+		t.Error("only the server that missed should have left the shared table")
+	}
+}
+
+// TestConcurrentAtomMissesAcrossServers interns the same new names
+// concurrently on several servers that all start from the shared
+// predefined table. Each server must hand out its own dense ids, agree
+// with itself across goroutines, and never see another server's names;
+// the race detector checks that no miss writes the shared table.
+func TestConcurrentAtomMissesAcrossServers(t *testing.T) {
+	const servers, workers, names = 4, 4, 16
+	conns := make([][]*Conn, servers)
+	for i := range conns {
+		s := NewServer()
+		for w := 0; w < workers; w++ {
+			conns[i] = append(conns[i], s.Connect("t"))
+		}
+	}
+	got := make([][][]xproto.Atom, servers)
+	var wg sync.WaitGroup
+	for i := range conns {
+		got[i] = make([][]xproto.Atom, workers)
+		for w, c := range conns[i] {
+			wg.Add(1)
+			go func(i, w int, c *Conn) {
+				defer wg.Done()
+				out := make([]xproto.Atom, names)
+				for k := range out {
+					// Each server also interns one name no other
+					// server does.
+					name := fmt.Sprintf("SHARED_%d", k)
+					if k == names-1 {
+						name = fmt.Sprintf("SERVER_%d", i)
+					}
+					out[k] = c.InternAtom(name)
+				}
+				got[i][w] = out
+			}(i, w, c)
+		}
+	}
+	wg.Wait()
+	first := xproto.Atom(len(xproto.PredefinedAtoms) + 1)
+	for i := range got {
+		seen := make(map[xproto.Atom]bool)
+		for w := range got[i] {
+			for k, a := range got[i][w] {
+				if a != got[i][0][k] {
+					t.Errorf("server %d: workers disagree on name %d: %d vs %d", i, k, a, got[i][0][k])
+				}
+				if a < first || a >= first+names {
+					t.Errorf("server %d: atom %d outside its own range [%d,%d)", i, a, first, first+names)
+				}
+				seen[a] = true
+			}
+		}
+		if len(seen) != names {
+			t.Errorf("server %d: %d distinct atoms, want %d", i, len(seen), names)
+		}
+		c := conns[i][0]
+		for j := 0; j < servers; j++ {
+			other := fmt.Sprintf("SERVER_%d", j)
+			_, ok := c.server.atoms.Load().byName[other]
+			if ok != (i == j) {
+				t.Errorf("server %d: holds %s = %v", i, other, ok)
+			}
+		}
+	}
+	if len(predefinedAtoms.byName) != len(xproto.PredefinedAtoms) {
+		t.Errorf("shared predefined table grew to %d names", len(predefinedAtoms.byName))
 	}
 }
 
