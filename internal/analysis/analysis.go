@@ -11,11 +11,11 @@
 //
 // The concurrency suite machine-checks the lock-free xserver scheme
 // (DESIGN.md §12–13): lockorder models the full hierarchy
-// Server.mu > inputMu > Conn.qMu/errMu, atomicfield forbids
+// Server.mu > inputMu > Conn.qMu/errMu, with the property cell's
+// propMu a leaf never held across another acquire, atomicfield forbids
 // mixed atomic/plain access to a field, snapshotimmut freezes values
-// published through atomic.Pointer Stores, seqlock pins the odd/even
-// writer and retry-reader protocols of seq-guarded entries, and
-// waiveraudit keeps the //swm:ok ledger from accreting dead entries.
+// published through atomic.Pointer Stores, and waiveraudit keeps the
+// //swm:ok ledger from accreting dead entries.
 //
 // The suite is built only on the standard library (go/parser, go/ast,
 // go/types); there is deliberately no golang.org/x/tools dependency so
@@ -63,7 +63,6 @@ func All() []*Analyzer {
 		CoordGuard,
 		AtomicField,
 		SnapshotImmut,
-		SeqLock,
 		WaiverAudit,
 	}
 }

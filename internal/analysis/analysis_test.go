@@ -95,15 +95,6 @@ func TestSnapshotImmutGolden(t *testing.T) {
 	}
 }
 
-func TestSeqLockGolden(t *testing.T) {
-	// The waived diagnostic reader carries two findings (no re-check,
-	// no oddness test) under one waiver.
-	fs := analysis.RunGolden(t, sharedLoader(t), analysis.SeqLock, "testdata/seqlock")
-	if got := waivedReasons(t, fs); len(got) != 2 {
-		t.Errorf("waived findings = %d, want 2 (%q)", len(got), got)
-	}
-}
-
 func TestWaiverAuditGolden(t *testing.T) {
 	// Three dead waivers (one plain, two stacked), none waivable; the
 	// live waiver in the fixture must stay unreported.

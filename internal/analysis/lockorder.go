@@ -35,12 +35,13 @@ import (
 //     Go does, "Spawner.func1"), starting unheld.
 //
 // Below the server lock the hierarchy continues through the
-// input-dispatch lock and the per-connection leaf locks: Server.mu >
-// inputMu > Conn.qMu/errMu. Fields named inputMu, qMu and errMu of
-// type sync.Mutex/RWMutex form three more classes; acquiring up the
-// chain while holding a lower lock (or a leaf while holding its peer
-// leaf — the two are unordered) is lockorder.order, and re-acquiring
-// any of them while held is lockorder.reentrant.
+// input-dispatch lock to the leaf locks: Server.mu > inputMu >
+// Conn.qMu/errMu, with the property cell's propMu a leaf that is never
+// held across another acquire. Fields named inputMu, qMu, errMu and
+// propMu of type sync.Mutex/RWMutex form four more classes; acquiring
+// a lock while holding one of the same or a lower rank (a leaf while
+// holding another leaf: leaves are unordered peers) is lockorder.order,
+// and re-acquiring any of them while held is lockorder.reentrant.
 //
 // The region tracking is linear in source order, which is exact for
 // the straight-line lock-defer-unlock shape the package uses and a
@@ -60,9 +61,9 @@ const (
 )
 
 // lockClass distinguishes the modeled lock classes, in hierarchy order:
-// Server.mu > inputMu > Conn.qMu/errMu (DESIGN.md §12). The
-// two connection leaf locks share a rank and are unordered peers —
-// holding both is itself a violation.
+// Server.mu > inputMu > Conn.qMu/errMu and propMu (DESIGN.md §12). The
+// leaf locks share a rank and are unordered peers — holding two is
+// itself a violation.
 type lockClass int
 
 const (
@@ -70,8 +71,12 @@ const (
 	classInput             // a field named inputMu (the input-dispatch lock)
 	classConnQ             // a field named qMu (per-connection event queue leaf)
 	classConnErr           // a field named errMu (per-connection error queue leaf)
+	classProp              // a field named propMu (per-property value leaf)
 	numLockClasses
 )
+
+// lockHierarchy is the order findings quote.
+const lockHierarchy = "Server.mu > inputMu > qMu/errMu, propMu a leaf"
 
 // lockClassName renders a class for findings.
 func lockClassName(c lockClass) string {
@@ -84,16 +89,26 @@ func lockClassName(c lockClass) string {
 		return "qMu"
 	case classConnErr:
 		return "errMu"
+	case classProp:
+		return "propMu"
 	}
 	return "?"
 }
 
-// leafPeer returns the other connection leaf class.
-func leafPeer(c lockClass) lockClass {
-	if c == classConnQ {
-		return classConnErr
+// lockRank places a class in the hierarchy; every leaf ranks 2.
+func lockRank(c lockClass) int {
+	if c > classInput {
+		return 2
 	}
-	return classConnQ
+	return int(c)
+}
+
+// orderWhy explains why acquiring c while holding h is misordered.
+func orderWhy(c, h lockClass) string {
+	if (c == classConnQ || c == classConnErr) && (h == classConnQ || h == classConnErr) {
+		return "; the connection leaf locks are unordered peers — never hold both"
+	}
+	return " (hierarchy is " + lockHierarchy + ")"
 }
 
 type lockEvent struct {
@@ -178,10 +193,12 @@ func runLockOrder(p *Pass) {
 		heldByName := strings.HasSuffix(fn.Name(), "Locked")
 		held := heldByName
 		var heldC [numLockClasses]bool // classInput and below
-		heldBelow := func() (lockClass, bool) {
-			for _, c := range []lockClass{classInput, classConnQ, classConnErr} {
-				if heldC[c] {
-					return c, true
+		// misordered returns a held lock below the server lock, other
+		// than c itself, that c may not be acquired under.
+		misordered := func(c lockClass) (lockClass, bool) {
+			for h := classInput; h < numLockClasses; h++ {
+				if heldC[h] && h != c && lockRank(h) >= lockRank(c) {
+					return h, true
 				}
 			}
 			return 0, false
@@ -192,35 +209,24 @@ func runLockOrder(p *Pass) {
 				if heldByName {
 					p.Reportf(ev.pos, "held",
 						"%s follows the *Locked convention (lock already held) but acquires the lock itself", fn.Name())
-				} else if below, ok := heldBelow(); ok {
-					p.Reportf(ev.pos, "order",
-						"%s acquires the server lock while holding %s (hierarchy is Server.mu > inputMu > qMu/errMu)",
-						fn.Name(), lockClassName(below))
+				} else if h, ok := misordered(classServer); ok {
+					p.Reportf(ev.pos, "order", "%s acquires the server lock while holding %s%s",
+						fn.Name(), lockClassName(h), orderWhy(classServer, h))
 				}
 				held = true
-			case ev.kind == evAcquire && ev.class >= classInput:
+			case ev.kind == evAcquire:
 				label := lockClassName(ev.class)
-				switch {
-				case heldC[ev.class]:
+				if heldC[ev.class] {
 					p.Reportf(ev.pos, "reentrant",
 						"%s re-acquires %s while holding it (sync.Mutex is not re-entrant)", fn.Name(), label)
-				case ev.class == classInput && (heldC[classConnQ] || heldC[classConnErr]):
-					below := classConnQ
-					if !heldC[classConnQ] {
-						below = classConnErr
-					}
-					p.Reportf(ev.pos, "order",
-						"%s acquires inputMu while holding %s (hierarchy is Server.mu > inputMu > qMu/errMu)",
-						fn.Name(), lockClassName(below))
-				case ev.class != classInput && heldC[leafPeer(ev.class)]:
-					p.Reportf(ev.pos, "order",
-						"%s acquires %s while holding %s; the connection leaf locks are unordered peers — never hold both",
-						fn.Name(), label, lockClassName(leafPeer(ev.class)))
+				} else if h, ok := misordered(ev.class); ok {
+					p.Reportf(ev.pos, "order", "%s acquires %s while holding %s%s",
+						fn.Name(), label, lockClassName(h), orderWhy(ev.class, h))
 				}
 				heldC[ev.class] = true
 			case ev.kind == evRelease && ev.class == classServer:
 				held = false
-			case ev.kind == evRelease && ev.class >= classInput:
+			case ev.kind == evRelease:
 				heldC[ev.class] = false
 			case ev.kind == evCall:
 				if acquiresServer(ev.callee) {
@@ -232,31 +238,23 @@ func runLockOrder(p *Pass) {
 						p.Reportf(ev.pos, "reentrant",
 							"%s calls %s while holding the lock; %s re-acquires it (sync.RWMutex is not re-entrant)",
 							fn.Name(), ev.callee.Name(), ev.callee.Name())
-					} else if below, ok := heldBelow(); ok {
-						p.Reportf(ev.pos, "order",
-							"%s calls %s, which acquires the server lock, while holding %s (hierarchy is Server.mu > inputMu > qMu/errMu)",
-							fn.Name(), ev.callee.Name(), lockClassName(below))
+					} else if h, ok := misordered(classServer); ok {
+						p.Reportf(ev.pos, "order", "%s calls %s, which acquires the server lock, while holding %s%s",
+							fn.Name(), ev.callee.Name(), lockClassName(h), orderWhy(classServer, h))
 					}
 				}
-				for _, c := range []lockClass{classInput, classConnQ, classConnErr} {
+				for c := classInput; c < numLockClasses; c++ {
 					if !acquiresClass[c](ev.callee) {
 						continue
 					}
 					label := lockClassName(c)
-					switch {
-					case heldC[c]:
+					if heldC[c] {
 						p.Reportf(ev.pos, "reentrant",
 							"%s calls %s while holding %s; %s re-acquires it (sync.Mutex is not re-entrant)",
 							fn.Name(), ev.callee.Name(), label, ev.callee.Name())
-					case c == classInput && (heldC[classConnQ] || heldC[classConnErr]):
-						below, _ := heldBelow()
-						p.Reportf(ev.pos, "order",
-							"%s calls %s, which acquires inputMu, while holding %s (hierarchy is Server.mu > inputMu > qMu/errMu)",
-							fn.Name(), ev.callee.Name(), lockClassName(below))
-					case c != classInput && heldC[leafPeer(c)]:
-						p.Reportf(ev.pos, "order",
-							"%s calls %s, which acquires %s, while holding %s; the connection leaf locks are unordered peers — never hold both",
-							fn.Name(), ev.callee.Name(), label, lockClassName(leafPeer(c)))
+					} else if h, ok := misordered(c); ok {
+						p.Reportf(ev.pos, "order", "%s calls %s, which acquires %s, while holding %s%s",
+							fn.Name(), ev.callee.Name(), label, lockClassName(h), orderWhy(c, h))
 					}
 				}
 			}
@@ -373,8 +371,8 @@ func collectLockEvents(p *Pass, fd *ast.FuncDecl) *funcLockInfo {
 
 // muOp recognizes <expr>.<field>.Lock() / RLock() / Unlock() /
 // RUnlock() where the field is a sync.Mutex or sync.RWMutex named for
-// one of the modeled classes: `mu` (server), `inputMu`, `qMu`, or
-// `errMu`.
+// one of the modeled classes: `mu` (server), `inputMu`, `qMu`, `errMu`
+// or `propMu`.
 func muOp(info *types.Info, call *ast.CallExpr) (lockEventKind, lockClass, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -403,6 +401,8 @@ func muOp(info *types.Info, call *ast.CallExpr) (lockEventKind, lockClass, bool)
 		class = classConnQ
 	case "errMu":
 		class = classConnErr
+	case "propMu":
+		class = classProp
 	default:
 		return 0, 0, false
 	}

@@ -1,7 +1,7 @@
 // input.go pins the lower half of the lock hierarchy end to end:
-// Server.mu > inputMu > Conn.qMu/errMu. Descending the chain is clean;
-// acquiring upward from a leaf, holding both unordered leaf locks, or
-// re-entering a leaf through a call are findings.
+// Server.mu > inputMu > Conn.qMu/errMu, with propMu a leaf. Descending
+// the chain is clean; acquiring upward from a leaf, holding two leaf
+// locks, or re-entering a leaf through a call are findings.
 
 package lockorder
 
@@ -85,4 +85,29 @@ func (c *FixConn) PumpInput(s *InputServer) {
 	s.mu.Lock() // want `acquires the server lock while holding qMu`
 	s.mu.Unlock()
 	c.qMu.Unlock()
+}
+
+// PropCell models the per-property value leaf: propMu guards the value
+// and is never held across another acquire.
+type PropCell struct {
+	propMu sync.Mutex
+	data   []byte
+}
+
+// SetThenNotify is the sanctioned shape: write the value under propMu,
+// release, then deliver the notify through the connection leaf.
+func (p *PropCell) SetThenNotify(c *FixConn, v byte) {
+	p.propMu.Lock()
+	p.data = append(p.data[:0], v)
+	p.propMu.Unlock()
+	c.enqueue(int(v))
+}
+
+// SetNotifyHeld delivers with propMu still held: the queue leaf is
+// acquired under the property leaf.
+func (p *PropCell) SetNotifyHeld(c *FixConn, v byte) {
+	p.propMu.Lock()
+	defer p.propMu.Unlock()
+	p.data = append(p.data[:0], v)
+	c.enqueue(int(v)) // want `calls enqueue, which acquires qMu, while holding propMu`
 }

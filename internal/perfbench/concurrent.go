@@ -30,8 +30,9 @@ import (
 // query — property churn, move-storm and query traffic in the
 // interaction-density shape of the drag literature.
 //
-// Every request in the mix is lock-free — moves, property writes and
-// all the reads — so the connections never touch Server.mu; the child
+// No request in the mix takes Server.mu — moves and the reads are
+// lock-free, and a property request takes only its property's leaf
+// lock — so the connections never serialize on the server; the child
 // scan costs one packed-geometry load per rejected sibling instead of
 // an ancestor walk under the big lock.
 //

@@ -51,8 +51,8 @@ type Baseline struct {
 // workload on both trees interleaved A/B on one host, so machine drift
 // hits both sides; the recorded number is the mean of five interleaved
 // seed runs. The acceptance bar was ≥3x this number. The gain came from
-// the lock-free reads and the lock-free property and geometry writes:
-// the workload's whole mix runs without Server.mu.
+// the lock-free reads and geometry writes and the per-property lock on
+// property writes: the workload's whole mix runs without Server.mu.
 var PreChange = map[string]Baseline{
 	"manage-100-clients":    {NsPerOp: 9204796, AllocsPerOp: 59683},
 	"move-storm":            {NsPerOp: 6386, AllocsPerOp: 6},
@@ -71,9 +71,10 @@ var PreChange = map[string]Baseline{
 // job while a return to per-client trie recompiles or prototype-cache
 // misses (tens of thousands of allocs) still fails loudly.
 // concurrent-clients-64's ceiling carries ~25% headroom over its
-// post-striping measurement (4,802 allocs/op — seqlock in-place
-// property rewrites allocate nothing); a return to allocate-per-write
-// property entries (9,410 allocs/op on the pre-change tree) fails.
+// post-striping measurement (4,802 allocs/op, 4,801 today: a property
+// rewrite copies into its cell's existing buffer under the cell's lock
+// and allocates nothing); a return to allocate-per-write property
+// entries (9,410 allocs/op on the pre-change tree) fails.
 // swmload-fleet-http's ceiling was 4.5M allocs/op when the serving
 // path rendered and marshalled every response (~170 allocs per HTTP
 // round-trip, client and server combined, the BENCH_9 number); the
@@ -114,11 +115,11 @@ var AllocBudgets = map[string]int64{
 // return to per-session prototype builds or trie recompiles — tens of
 // millions of allocs at this scale — fails immediately.
 // concurrent-clients-64 likewise pins the 64-connection storm to an
-// order of magnitude: measured ~2-4.3ms/op with lock-free reads and
-// property/geometry writes against ~10-16ms/op for the identical
-// workload when every request took the global lock, so a ceiling of
-// 9ms/op absorbs host noise while a return to globally serialized
-// request handling still fails.
+// order of magnitude: measured ~2-4.3ms/op with reads, property and
+// geometry writes off the server lock against ~10-16ms/op for the
+// identical workload when every request took the global lock, so a
+// ceiling of 9ms/op absorbs host noise while a return to globally
+// serialized request handling still fails.
 // swmload-fleet-http pins the whole network service path — 1,000
 // concurrent HTTP clients against a 64-session fleet, 20,000 requests
 // per op — to an order of magnitude: measured ~2.8s/op, so a 40s

@@ -3,7 +3,6 @@ package xserver
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -727,8 +726,8 @@ func (c *Conn) AtomName(a xproto.Atom) string {
 }
 
 // ChangeProperty replaces, prepends or appends data to a window property
-// and notifies PropertyChangeMask selectors. Lock-free: replacement is
-// an atomic publish of an immutable entry, append/prepend a CAS loop.
+// and notifies PropertyChangeMask selectors. The change is one critical
+// section on the property's leaf lock.
 func (c *Conn) ChangeProperty(id xproto.XID, prop, typ xproto.Atom, format int, mode xproto.PropMode, data []byte) error {
 	if err := c.gate("ChangeProperty", id); err != nil {
 		return err
@@ -749,71 +748,11 @@ func (c *Conn) changeProp(w *window, prop, typ xproto.Atom, format int, mode xpr
 			Detail: fmt.Sprintf("property format %d", format),
 		})
 	}
-	ref := w.propRefCreate(prop)
-	switch mode {
-	case xproto.PropModeReplace:
-		// The hot path: an existing inline entry is rewritten in place
-		// under its seqlock, costing zero allocations. A fresh entry is
-		// published only for the first write, spilled values, or when
-		// the in-place attempt loses a race — and then by CAS, so a
-		// racing writer's published value is never silently clobbered.
-		for {
-			old := ref.Load()
-			if old != nil && replaceInPlace(ref, old, typ, format, data) {
-				break
-			}
-			if ref.CompareAndSwap(old, newPropEntry(typ, format, data)) {
-				break
-			}
-			runtime.Gosched()
-		}
-	default:
-		// Append/Prepend: combine with the current value. The old
-		// entry's seqlock is held across the read-combine-publish so an
-		// in-place replacer cannot rewrite it mid-combine, the ref
-		// re-check under the latch keeps a superseded entry from being
-		// combined with, and the CAS publish keeps racing writers
-		// linearizable (the loser retries against the winner's entry).
-		for {
-			old := ref.Load()
-			if old == nil {
-				// First write: publish directly, then fall through to
-				// the PropertyNotify delivery below like every other
-				// successful mode.
-				if ref.CompareAndSwap(nil, newPropEntry(typ, format, data)) {
-					break
-				}
-				continue
-			}
-			s, ok := old.latch()
-			if !ok {
-				runtime.Gosched()
-				continue
-			}
-			if ref.Load() != old {
-				old.seq.Store(s)
-				continue
-			}
-			otyp, oformat, prev := old.valueLatched()
-			if otyp != typ || oformat != format {
-				old.seq.Store(s)
-				return c.note(&xproto.XError{
-					Code: xproto.BadMatch, Major: "ChangeProperty", Resource: w.id,
-					Detail: modeDetail(mode),
-				})
-			}
-			combined := make([]byte, 0, len(prev)+len(data))
-			if mode == xproto.PropModeAppend {
-				combined = append(append(combined, prev...), data...)
-			} else {
-				combined = append(append(combined, data...), prev...)
-			}
-			done := ref.CompareAndSwap(old, newPropEntry(typ, format, combined))
-			old.seq.Store(s)
-			if done {
-				break
-			}
-		}
+	if !w.propCellCreate(prop).change(typ, format, mode, data) {
+		return c.note(&xproto.XError{
+			Code: xproto.BadMatch, Major: "ChangeProperty", Resource: w.id,
+			Detail: modeDetail(mode),
+		})
 	}
 	if anySelects(w.masks.Load(), xproto.PropertyChangeMask) {
 		s.deliver(w, xproto.PropertyChangeMask, xproto.Event{
@@ -832,8 +771,8 @@ func modeDetail(mode xproto.PropMode) string {
 }
 
 // GetProperty returns a property's value. ok is false if the property is
-// not set. Lock-free; Property.Data is the caller's own copy, taken
-// under the entry's seqlock.
+// not set. Property.Data is the caller's own copy, taken under the
+// property's leaf lock.
 func (c *Conn) GetProperty(id xproto.XID, prop xproto.Atom) (Property, bool, error) {
 	if err := c.gate("GetProperty", id); err != nil {
 		return Property{}, false, err
@@ -842,10 +781,18 @@ func (c *Conn) GetProperty(id xproto.XID, prop xproto.Atom) (Property, bool, err
 	if err != nil {
 		return Property{}, false, err
 	}
-	if e := w.getProp(prop); e != nil {
-		return e.property(), true, nil
+	cell := w.propCell(prop)
+	if cell == nil {
+		return Property{}, false, nil
 	}
-	return Property{}, false, nil
+	cell.propMu.Lock()
+	defer cell.propMu.Unlock()
+	if !cell.set {
+		return Property{}, false, nil
+	}
+	p := Property{Type: cell.typ, Format: cell.format, Data: make([]byte, len(cell.data))}
+	copy(p.Data, cell.data)
+	return p, true, nil
 }
 
 // InternAtoms interns len(names) atoms, filling out (whose length must
@@ -877,8 +824,8 @@ func (c *Conn) InternAtoms(names []string, out []xproto.Atom) {
 }
 
 // DeleteProperty removes a property, notifying PropertyChangeMask
-// selectors with state PropertyDeleted. Lock-free: the CAS ensures
-// exactly one of two racing deletes emits the notify.
+// selectors with state PropertyDeleted. Of two racing deletes, exactly
+// one finds the property set and emits the notify.
 func (c *Conn) DeleteProperty(id xproto.XID, prop xproto.Atom) error {
 	if err := c.gate("DeleteProperty", id); err != nil {
 		return err
@@ -887,21 +834,16 @@ func (c *Conn) DeleteProperty(id xproto.XID, prop xproto.Atom) error {
 	if err != nil {
 		return err
 	}
-	ref := w.propRef(prop)
-	if ref == nil {
+	cell := w.propCell(prop)
+	if cell == nil {
 		return nil
 	}
-	for {
-		old := ref.Load()
-		if old == nil {
-			return nil
-		}
-		if ref.CompareAndSwap(old, nil) {
-			break
-		}
-	}
+	cell.propMu.Lock()
+	wasSet := cell.set
+	cell.set = false
+	cell.propMu.Unlock()
 	s := c.server
-	if anySelects(w.masks.Load(), xproto.PropertyChangeMask) {
+	if wasSet && anySelects(w.masks.Load(), xproto.PropertyChangeMask) {
 		s.deliver(w, xproto.PropertyChangeMask, xproto.Event{
 			Type: xproto.PropertyNotify, Window: w.id, Atom: prop,
 			PropertyState: xproto.PropertyDeleted, Time: s.tick(),
@@ -911,7 +853,6 @@ func (c *Conn) DeleteProperty(id xproto.XID, prop xproto.Atom) error {
 }
 
 // ListProperties returns the atoms of all properties set on the window.
-// Lock-free.
 func (c *Conn) ListProperties(id xproto.XID) ([]xproto.Atom, error) {
 	if err := c.gate("ListProperties", id); err != nil {
 		return nil, err
@@ -925,9 +866,12 @@ func (c *Conn) ListProperties(id xproto.XID) ([]xproto.Atom, error) {
 		return nil, nil
 	}
 	out := make([]xproto.Atom, 0, len(tp.sel))
-	for i := range tp.sel {
-		if tp.sel[i].ref.Load() != nil {
-			out = append(out, tp.sel[i].atom)
+	for _, sl := range tp.sel {
+		sl.cell.propMu.Lock()
+		set := sl.cell.set
+		sl.cell.propMu.Unlock()
+		if set {
+			out = append(out, sl.atom)
 		}
 	}
 	return out, nil

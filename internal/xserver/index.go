@@ -16,8 +16,9 @@ import (
 // window creation, map/unmap, restack, event-mask changes, destroy,
 // reparent, connection lifecycle, grabs and focus — the way a real X
 // server's single dispatch loop does. Readers never take it: all
-// reachable per-window state is atomic or copy-on-write, so reads and
-// property/geometry writes stay lock-free while a writer holds it.
+// reachable per-window state is atomic or copy-on-write, or (property
+// values) behind a per-property leaf lock, so reads and property and
+// geometry writes proceed while a writer holds it.
 // Writers take it through writeLock, which reports contention to the
 // LockObserver; the lockorder analyzer treats a writeLock call as a
 // server-lock acquire.
@@ -25,6 +26,9 @@ import (
 // Lock hierarchy (outermost first):
 //
 //	Server.mu  >  Server.inputMu  >  Conn.qMu / Conn.errMu
+//
+// with propCell.propMu a leaf that is never held across another
+// acquire.
 
 // baseXID is the first XID allocID hands out. IDs below it (None,
 // PointerRoot) are never windows.

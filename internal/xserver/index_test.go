@@ -241,8 +241,8 @@ func isBadWindow(err error) bool {
 
 // TestConcurrentPropertyChurn hammers one window with 64 goroutines of
 // interleaved ChangeProperty/GetProperty. Run under -race this checks
-// the copy-on-write property table: readers must never observe a torn
-// entry, and every read must see a value some writer actually stored.
+// the per-property cell lock: readers must never observe a torn value,
+// and every read must see a value some writer actually stored.
 func TestConcurrentPropertyChurn(t *testing.T) {
 	s, c := newTestServer(t)
 	w := mustCreate(t, c, s.Screens()[0].Root, xproto.Rect{X: 0, Y: 0, Width: 10, Height: 10})
@@ -284,6 +284,125 @@ func TestConcurrentPropertyChurn(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestConcurrentPropertyAppendDelete races the combine paths, which
+// read the old value and write the new one in one critical section.
+// Part 1: 8 writers each append 64 bytes of their own, one per request,
+// while readers poll. Writer g's k-th byte is g<<5 | k%32, so the bytes
+// of one writer, in order, spell out its sequence. Every read must show
+// each writer's sequence up to some point, with no length falling below
+// an earlier read's; the final value holds all 512 bytes. Part 2: two
+// goroutines delete the same set property at once, and exactly one
+// PropertyNotify(Deleted) is queued.
+func TestConcurrentPropertyAppendDelete(t *testing.T) {
+	s, c := newTestServer(t)
+	w := mustCreate(t, c, s.Screens()[0].Root, xproto.Rect{X: 0, Y: 0, Width: 10, Height: 10})
+	prop := c.InternAtom("APPENDED")
+	typ := c.InternAtom("STRING")
+
+	const writers, perWriter = 8, 64
+	seq := func(g, k int) byte { return byte(g<<5 | k%32) }
+	// check verifies that data holds, per writer, a prefix of its
+	// sequence in order.
+	check := func(data []byte) error {
+		var next [writers]int
+		for _, b := range data {
+			g := int(b >> 5)
+			if next[g] >= perWriter || b != seq(g, next[g]) {
+				return fmt.Errorf("writer %d byte %d out of order in %v", g, next[g], data)
+			}
+			next[g]++
+		}
+		return nil
+	}
+
+	var writersWG, readersWG sync.WaitGroup
+	var done atomic.Bool
+	errs := make(chan error, writers+2)
+	for g := 0; g < writers; g++ {
+		writersWG.Add(1)
+		go func(g int) {
+			defer writersWG.Done()
+			for k := 0; k < perWriter; k++ {
+				if err := c.ChangeProperty(w, prop, typ, 8, xproto.PropModeAppend, []byte{seq(g, k)}); err != nil {
+					errs <- fmt.Errorf("ChangeProperty: %w", err)
+					return
+				}
+			}
+		}(g)
+	}
+	for r := 0; r < 2; r++ {
+		readersWG.Add(1)
+		go func() {
+			defer readersWG.Done()
+			last := 0
+			for !done.Load() {
+				p, _, err := c.GetProperty(w, prop)
+				if err != nil {
+					errs <- fmt.Errorf("GetProperty: %w", err)
+					return
+				}
+				if len(p.Data) < last {
+					errs <- fmt.Errorf("property length fell from %d to %d", last, len(p.Data))
+					return
+				}
+				last = len(p.Data)
+				if err := check(p.Data); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	writersWG.Wait()
+	done.Store(true)
+	readersWG.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	p, ok, err := c.GetProperty(w, prop)
+	if err != nil || !ok || len(p.Data) != writers*perWriter {
+		t.Fatalf("final property: ok=%v err=%v len=%d, want %d bytes", ok, err, len(p.Data), writers*perWriter)
+	}
+	if err := check(p.Data); err != nil {
+		t.Error(err)
+	}
+
+	watcher := s.Connect("watcher")
+	if err := watcher.SelectInput(w, xproto.PropertyChangeMask); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 50; round++ {
+		if err := c.ChangeProperty(w, prop, typ, 8, xproto.PropModeReplace, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		drain(watcher)
+		var start, deleters sync.WaitGroup
+		start.Add(1)
+		for d := 0; d < 2; d++ {
+			deleters.Add(1)
+			go func() {
+				defer deleters.Done()
+				start.Wait()
+				if err := c.DeleteProperty(w, prop); err != nil {
+					t.Errorf("DeleteProperty: %v", err)
+				}
+			}()
+		}
+		start.Done()
+		deleters.Wait()
+		deleted := 0
+		for _, ev := range drain(watcher) {
+			if ev.Type == xproto.PropertyNotify && ev.PropertyState == xproto.PropertyDeleted {
+				deleted++
+			}
+		}
+		if deleted != 1 {
+			t.Fatalf("round %d: %d PropertyNotify(Deleted) events, want exactly 1", round, deleted)
+		}
 	}
 }
 

@@ -1,9 +1,7 @@
 package xserver
 
 import (
-	"bytes"
-	"encoding/binary"
-	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/xproto"
@@ -18,218 +16,91 @@ type Property struct {
 	Data   []byte
 }
 
-// propEntry is one property value slot. Values that fit the inline
-// buffer (the common case: WM_STATE, atoms, short strings) are updated
-// in place under a per-entry seqlock — even sequence means stable, odd
-// means a writer is mid-update — with the payload held in atomic words
-// so lock-free readers can snapshot it without a data race and validate
-// the snapshot against the sequence. A PropModeReplace of a fitting
-// value therefore allocates nothing. Values too large for the buffer
-// spill to ext, which is set at construction and never reassigned; any
-// update that cannot take the in-place path publishes a fresh entry
-// through the slot's shared ref instead.
-type propEntry struct {
-	seq    atomic.Uint32
-	meta   atomic.Uint64 // typ<<16 | format<<8 | inline length
-	ext    []byte        // construction-immutable spill for large values
-	inline [inlineWords]atomic.Uint64
+// propCell is one property slot of a window: the value of one atom,
+// guarded by its own leaf lock. Every property request is one short
+// critical section on the cell, and nothing else is acquired while
+// propMu is held (PropertyNotify delivery runs after the unlock). A
+// rewrite copies into the existing backing array, so a value no longer
+// than the cell's largest so far allocates nothing.
+type propCell struct {
+	propMu sync.Mutex
+	set    bool // false until the first write and after a delete
+	typ    xproto.Atom
+	format int
+	data   []byte
 }
 
-const (
-	inlineWords = 5
-	inlineCap   = inlineWords * 8
-)
-
-func packMeta(typ xproto.Atom, format, n int) uint64 {
-	return uint64(typ)<<16 | uint64(format)<<8 | uint64(n)
-}
-
-func newPropEntry(typ xproto.Atom, format int, data []byte) *propEntry {
-	e := &propEntry{}
-	if len(data) <= inlineCap {
-		e.storeInline(typ, format, data)
-	} else {
-		e.ext = append([]byte(nil), data...)
-		e.meta.Store(packMeta(typ, format, 0))
-	}
-	return e
-}
-
-func (e *propEntry) storeInline(typ xproto.Atom, format int, data []byte) {
-	var buf [inlineCap]byte
-	copy(buf[:], data)
-	// A fresh entry's unwritten words are already zero; only the words
-	// the value covers need stores.
-	for i := 0; i < (len(data)+7)/8; i++ {
-		e.inline[i].Store(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	e.meta.Store(packMeta(typ, format, len(data)))
-}
-
-// latch takes the entry's seqlock, returning the pre-latch sequence
-// and false when another writer already holds it.
-func (e *propEntry) latch() (uint32, bool) {
-	s := e.seq.Load()
-	if s&1 != 0 || !e.seq.CompareAndSwap(s, s+1) {
-		return 0, false
-	}
-	return s, true
-}
-
-// replaceInPlace rewrites ref's current entry old in place when the new
-// value fits the inline buffer. It returns false — changing nothing —
-// when old spilled to ext, the value doesn't fit, another writer holds
-// the seqlock, or old was superseded in the ref; the caller then
-// retries against the ref. The seqlock doubles as the writer latch:
-// holding it excludes both other in-place writers and the append path,
-// and the ref re-check under the latch ensures a superseded entry is
-// never resurrected by a late write.
-func replaceInPlace(ref *propRef, old *propEntry, typ xproto.Atom, format int, data []byte) bool {
-	if old.ext != nil || len(data) > inlineCap {
+// change applies a ChangeProperty to the cell. It returns false,
+// changing nothing, when an Append or Prepend names a type or format
+// other than the value's.
+func (p *propCell) change(typ xproto.Atom, format int, mode xproto.PropMode, data []byte) bool {
+	p.propMu.Lock()
+	defer p.propMu.Unlock()
+	switch {
+	case mode == xproto.PropModeReplace || !p.set:
+		p.data = append(p.data[:0], data...)
+	case p.typ != typ || p.format != format:
 		return false
+	case mode == xproto.PropModeAppend:
+		p.data = append(p.data, data...)
+	default: // Prepend: grow, shift the old value up, copy data in front.
+		n := len(p.data)
+		p.data = append(p.data, data...)
+		copy(p.data[len(data):], p.data[:n])
+		copy(p.data, data)
 	}
-	// Identical-value rewrite — the common shape of WM property churn
-	// (the same state rewritten every round). Verified under a stable
-	// sequence the store can be skipped outright: the rewrite
-	// linearizes just before any concurrent writer, and PropertyNotify
-	// delivery happens in the caller either way.
-	if s := old.seq.Load(); s&1 == 0 && old.meta.Load() == packMeta(typ, format, len(data)) {
-		var buf [inlineCap]byte
-		for i := 0; i < (len(data)+7)/8; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], old.inline[i].Load())
-		}
-		if bytes.Equal(buf[:len(data)], data) && old.seq.Load() == s {
-			return true
-		}
-	}
-	s, ok := old.latch()
-	if !ok {
-		return false
-	}
-	if ref.Load() != old {
-		old.seq.Store(s) // nothing changed; restore the even sequence
-		return false
-	}
-	var buf [inlineCap]byte
-	copy(buf[:], data)
-	// Only the words the new length covers need rewriting: readers
-	// slice the inline buffer to meta's length, so stale bytes past it
-	// are never observed.
-	for i := 0; i < (len(data)+7)/8; i++ {
-		old.inline[i].Store(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	if m := packMeta(typ, format, len(data)); old.meta.Load() != m {
-		old.meta.Store(m)
-	}
-	old.seq.Store(s + 2)
+	p.set, p.typ, p.format = true, typ, format
 	return true
 }
 
-// valueLatched returns the entry's fields. Caller must hold the
-// entry's seqlock (property() would spin on it).
-func (e *propEntry) valueLatched() (typ xproto.Atom, format int, data []byte) {
-	m := e.meta.Load()
-	typ, format = xproto.Atom(m>>16), int(m>>8&0xff)
-	if e.ext != nil {
-		return typ, format, e.ext
-	}
-	var buf [inlineCap]byte
-	for i := range e.inline {
-		binary.LittleEndian.PutUint64(buf[i*8:], e.inline[i].Load())
-	}
-	return typ, format, append([]byte(nil), buf[:int(m&0xff)]...)
-}
-
-// property materializes the entry as a caller-owned Property; the data
-// is copied so callers may scribble on it. For inline entries the copy
-// is taken under the seqlock protocol, retrying while a writer is
-// mid-update.
-func (e *propEntry) property() Property {
-	if e.ext != nil {
-		m := e.meta.Load()
-		return Property{
-			Type: xproto.Atom(m >> 16), Format: int(m >> 8 & 0xff),
-			Data: append([]byte(nil), e.ext...),
-		}
-	}
-	var buf [inlineCap]byte
-	for {
-		s := e.seq.Load()
-		if s&1 != 0 {
-			runtime.Gosched()
-			continue
-		}
-		m := e.meta.Load()
-		n := int(m & 0xff)
-		for i := 0; i < (n+7)/8; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], e.inline[i].Load())
-		}
-		if e.seq.Load() == s {
-			out := make([]byte, n)
-			copy(out, buf[:n])
-			return Property{
-				Type: xproto.Atom(m >> 16), Format: int(m >> 8 & 0xff),
-				Data: out,
-			}
-		}
-	}
-}
-
-// propRef is the per-atom slot a window's property value lives behind.
-// The ref itself is allocated once when the atom first appears on the
-// window and is *shared across every published propTab version* — a
-// writer that raced a table clone still stores through the same ref the
-// new table carries, so no update can be lost to a stale table. A nil
-// entry means "deleted".
-type propRef = atomic.Pointer[propEntry]
-
 type propSlot struct {
 	atom xproto.Atom
-	ref  *propRef
+	cell *propCell
 }
 
-// propTab is a window's atom → value index: a small immutable table,
+// propTab is a window's atom → cell index: a small immutable table,
 // cloned only when a *new* atom is added (CAS on the table pointer).
-// Value replacement and deletion go through the shared refs and never
+// Value changes and deletion go through the shared cells and never
 // touch the table. Tables up to the usual WM property count live in
 // the inline buffer, so a clone is a single allocation.
 type propTab struct {
 	sel []propSlot
 	buf [4]propSlot
-	// ref is the inline home of the one ref this table version minted
-	// (each clone adds exactly one atom). Later versions carry the
-	// pointer onward, which keeps the minting version reachable — a
-	// few dozen bytes per atom ever set, in exchange for a clone being
-	// a single allocation.
-	ref propRef
+	// cell is the inline home of the one cell this table version minted
+	// (each clone adds exactly one atom). Later versions share the
+	// pointer, so a writer that raced a clone still writes the cell the
+	// new table carries, and no update is lost to a stale table. That
+	// keeps the minting version reachable — a few dozen bytes per atom
+	// ever set, in exchange for a clone being a single allocation.
+	cell propCell
 }
 
-// propRef returns the ref for atom, or nil if the window has never had
-// that property. Lock-free.
-func (w *window) propRef(atom xproto.Atom) *propRef {
+// propCell returns the cell for atom, or nil if the window has never
+// had that property. Lock-free.
+func (w *window) propCell(atom xproto.Atom) *propCell {
 	tp := w.props.Load()
 	if tp == nil {
 		return nil
 	}
 	for i := range tp.sel {
 		if tp.sel[i].atom == atom {
-			return tp.sel[i].ref
+			return tp.sel[i].cell
 		}
 	}
 	return nil
 }
 
-// propRefCreate returns the ref for atom, inserting a slot if needed.
+// propCellCreate returns the cell for atom, inserting a slot if needed.
 // Lock-free: concurrent inserts race on a table CAS, and the loser
 // retries against the winner's table.
-func (w *window) propRefCreate(atom xproto.Atom) *propRef {
+func (w *window) propCellCreate(atom xproto.Atom) *propCell {
 	for {
 		old := w.props.Load()
 		var cur []propSlot
 		if old != nil {
 			for i := range old.sel {
 				if old.sel[i].atom == atom {
-					return old.sel[i].ref
+					return old.sel[i].cell
 				}
 			}
 			cur = old.sel
@@ -241,20 +112,11 @@ func (w *window) propRefCreate(atom xproto.Atom) *propRef {
 			nt.sel = make([]propSlot, 0, len(cur)+1)
 		}
 		nt.sel = append(nt.sel, cur...)
-		ref := &nt.ref
-		nt.sel = append(nt.sel, propSlot{atom: atom, ref: ref})
+		nt.sel = append(nt.sel, propSlot{atom: atom, cell: &nt.cell})
 		if w.props.CompareAndSwap(old, nt) {
-			return ref
+			return &nt.cell
 		}
 	}
-}
-
-// getProp returns the live entry for atom, or nil. Lock-free.
-func (w *window) getProp(atom xproto.Atom) *propEntry {
-	if ref := w.propRef(atom); ref != nil {
-		return ref.Load()
-	}
-	return nil
 }
 
 // maskSel is one connection's event-mask selection on a window.
@@ -342,13 +204,14 @@ func anySelects(tp *maskTab, mask xproto.EventMask) bool {
 // only by XID.
 //
 // Concurrency: identity fields (id, owner, class, override, isRoot) are
-// immutable after creation. Everything else is atomic or copy-on-write,
-// so *reads never lock* — any walker (geometry, tree, hit-testing,
-// delivery) may run against concurrent mutation and sees a weakly
-// consistent but tear-free view. Writers are serialized per the scheme
-// in index.go: geometry and properties are last-writer-wins atomics
-// (no lock at all); tree links (parent/children), masks and map state
-// are written under Server.mu exclusive.
+// immutable after creation. Everything else except property values is
+// atomic or copy-on-write, so *walks never lock* — any walker
+// (geometry, tree, hit-testing, delivery) may run against concurrent
+// mutation and sees a weakly consistent but tear-free view. Writers
+// are serialized per the scheme in index.go: geometry is
+// last-writer-wins atomics (no lock at all); each property is guarded
+// by its cell's leaf lock (propCell); tree links (parent/children),
+// masks and map state are written under Server.mu exclusive.
 type window struct {
 	id       xproto.XID
 	owner    *Conn // creating connection; nil for roots

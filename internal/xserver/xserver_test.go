@@ -434,6 +434,50 @@ func TestDeleteAbsentPropertyNoNotify(t *testing.T) {
 	}
 }
 
+// TestPropertyRewriteAllocs pins the in-place rewrite: once a property
+// has a value, a Replace that fits its backing array — the same length,
+// a shorter value, a different value of the same length — and a Delete
+// followed by a re-set allocate nothing. GetProperty allocates exactly
+// the caller's copy.
+func TestPropertyRewriteAllocs(t *testing.T) {
+	s, c := newTestServer(t)
+	w := mustCreate(t, c, s.Screens()[0].Root, xproto.Rect{Width: 10, Height: 10})
+	prop := c.InternAtom("WM_NAME")
+	str := c.InternAtom("STRING")
+	val, other, short := []byte("some property value"), []byte("another value, same"), []byte("short")
+	set := func(data []byte) {
+		if err := c.ChangeProperty(w, prop, str, 8, xproto.PropModeReplace, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set(val)
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"replace same value", func() { set(val) }},
+		{"replace shorter", func() { set(short) }},
+		{"replace different value, same length", func() { set(other) }},
+		{"delete then re-set", func() {
+			if err := c.DeleteProperty(w, prop); err != nil {
+				t.Fatal(err)
+			}
+			set(val)
+		}},
+	} {
+		if n := testing.AllocsPerRun(100, tc.run); n != 0 {
+			t.Errorf("%s: %v allocs per run, want 0", tc.name, n)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok, err := c.GetProperty(w, prop); err != nil || !ok {
+			t.Fatalf("GetProperty: ok=%v err=%v", ok, err)
+		}
+	}); n != 1 {
+		t.Errorf("GetProperty: %v allocs per run, want 1 (the copy)", n)
+	}
+}
+
 func TestInternAtomStable(t *testing.T) {
 	s, c := newTestServer(t)
 	c2 := s.Connect("other")
