@@ -3,19 +3,19 @@
 // that no error from an xserver.Conn request or an icccm helper is
 // silently swallowed (every one is routed through a check helper or
 // explicitly waived), the rule that the server lock is never
-// re-entered, the rule that CreateWindow and the XID allocators cannot
-// leak their window, the rule that every
-// `f.*` function name and binding modifier written in a policy string
-// actually exists, and the paper's 32767x32767 desktop coordinate
-// limit.
+// re-entered, and the rule that every `f.*` function name and binding
+// modifier written in a policy string actually exists.
 //
-// The concurrency suite machine-checks the lock-free xserver scheme
-// (DESIGN.md §12–13): lockorder models the full hierarchy
+// The concurrency checks pin the lock-free xserver scheme (DESIGN.md
+// §12–13): lockorder models the full hierarchy
 // Server.mu > inputMu > Conn.qMu/errMu, with the property cell's
-// propMu a leaf never held across another acquire, atomicfield forbids
-// mixed atomic/plain access to a field, snapshotimmut freezes values
+// propMu a leaf never held across another acquire, atomicfield flags
+// == and != between sync/atomic values (the one plain use of an atomic
+// that compiles and passes go vet), snapshotimmut freezes values
 // published through atomic.Pointer Stores, and waiveraudit keeps the
-// //swm:ok ledger from accreting dead entries.
+// //swm:ok ledger from accreting dead entries. Each analyzer catches a
+// bug that the compiler, go vet and the tests miss; DESIGN.md §8
+// records the mutation that shows it.
 //
 // The suite is built only on the standard library (go/parser, go/ast,
 // go/types); there is deliberately no golang.org/x/tools dependency so
@@ -58,9 +58,7 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		ConnCheck,
 		LockOrder,
-		XIDLife,
 		FuncRef,
-		CoordGuard,
 		AtomicField,
 		SnapshotImmut,
 		WaiverAudit,

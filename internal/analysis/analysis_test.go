@@ -57,13 +57,6 @@ func TestLockOrderGolden(t *testing.T) {
 	}
 }
 
-func TestXIDLifeGolden(t *testing.T) {
-	fs := analysis.RunGolden(t, sharedLoader(t), analysis.XIDLife, "testdata/xidlife")
-	if got := waivedReasons(t, fs); len(got) != 1 {
-		t.Errorf("waived findings = %d, want 1 (%q)", len(got), got)
-	}
-}
-
 func TestFuncRefGolden(t *testing.T) {
 	// The deliberately broken policy fixture: one unknown function, one
 	// unknown modifier, one unknown event (see the // want comments),
@@ -71,13 +64,6 @@ func TestFuncRefGolden(t *testing.T) {
 	fs := analysis.RunGolden(t, sharedLoader(t), analysis.FuncRef, "testdata/funcref")
 	if got := waivedReasons(t, fs); len(got) != 2 {
 		t.Errorf("waived findings = %d, want 2 (%q)", len(got), got)
-	}
-}
-
-func TestCoordGuardGolden(t *testing.T) {
-	fs := analysis.RunGolden(t, sharedLoader(t), analysis.CoordGuard, "testdata/coordguard")
-	if got := waivedReasons(t, fs); len(got) != 1 {
-		t.Errorf("waived findings = %d, want 1 (%q)", len(got), got)
 	}
 }
 
@@ -96,8 +82,9 @@ func TestSnapshotImmutGolden(t *testing.T) {
 }
 
 func TestWaiverAuditGolden(t *testing.T) {
-	// Three dead waivers (one plain, two stacked), none waivable; the
-	// live waiver in the fixture must stay unreported.
+	// Four dead waivers (one left behind by a reworded usage line, one
+	// plain, two stacked), none waivable; the live waiver in the
+	// fixture must stay unreported.
 	fs := analysis.RunGolden(t, sharedLoader(t), analysis.WaiverAudit, "testdata/waiveraudit")
 	if got := waivedReasons(t, fs); len(got) != 0 {
 		t.Errorf("waived findings = %d, want 0 (%q)", len(got), got)
@@ -108,8 +95,8 @@ func TestWaiverAuditGolden(t *testing.T) {
 			dead++
 		}
 	}
-	if dead != 3 {
-		t.Errorf("dead waivers = %d, want 3", dead)
+	if dead != 4 {
+		t.Errorf("dead waivers = %d, want 4", dead)
 	}
 }
 
@@ -144,7 +131,7 @@ func TestByName(t *testing.T) {
 	if err != nil || len(all) != len(analysis.All()) {
 		t.Fatalf("ByName(\"\") = %d analyzers, err %v", len(all), err)
 	}
-	two, err := analysis.ByName("conncheck, coordguard")
+	two, err := analysis.ByName("conncheck, funcref")
 	if err != nil || len(two) != 2 {
 		t.Fatalf("ByName subset = %v, err %v", two, err)
 	}

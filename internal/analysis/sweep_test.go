@@ -9,9 +9,9 @@ import (
 
 // sweepWallBudget bounds a full-repo sweep: one shared `go list`
 // invocation, type-checking every module package against export data,
-// and all eight analyzers. The budget is deliberately loose — it exists
+// and all six analyzers. The budget is deliberately loose — it exists
 // to catch an accidental return to per-analyzer `go list` round-trips
-// (a ~8x regression), not to benchmark the analyzers.
+// (a ~6x regression), not to benchmark the analyzers.
 const sweepWallBudget = 120 * time.Second
 
 func TestSweepWallBudget(t *testing.T) {

@@ -1,60 +1,41 @@
 // Package atomicfield is the golden fixture for the atomicfield
-// analyzer: a field is either atomic or plain, never both. Mixed
-// sync/atomic + plain access and atomic-typed fields copied as values
-// are findings; method access, address-taking for the atomic functions
-// themselves, and constructor initialization are clean.
+// analyzer: == and != between sync/atomic values are findings, since
+// they compile and go vet does not report them; comparing Load results
+// is clean.
 package atomicfield
 
 import "sync/atomic"
 
-// counter mixes sync/atomic package functions with plain access.
-type counter struct {
-	hits int64
-	cold int64
+// window mirrors the xserver window's atomic fields.
+type window struct {
+	screenIdx atomic.Int32
+	parent    atomic.Pointer[window]
+	cells     [2]atomic.Uint32
 }
 
-func newCounter(seed int64) *counter {
-	c := &counter{}
-	c.hits = seed // constructor: nothing shared yet, clean
-	return c
+// reparentScreen mirrors ReparentWindow's cross-screen test with the
+// Loads dropped: it compiles and vets clean.
+func reparentScreen(w, np *window) bool {
+	return np.screenIdx != w.screenIdx // want `compares sync/atomic values plainly`
 }
 
-func (c *counter) bump() {
-	atomic.AddInt64(&c.hits, 1)
+// reparentScreenOK is the live shape: compare the loaded values.
+func reparentScreenOK(w, np *window) bool {
+	return np.screenIdx.Load() != w.screenIdx.Load()
 }
 
-func (c *counter) loadOK() int64 {
-	return atomic.LoadInt64(&c.hits)
+// sameParent compares two atomic pointers and two atomic arrays.
+func sameParent(a, b *window) bool {
+	return a.parent == b.parent || // want `compares sync/atomic values plainly`
+		a.cells == b.cells // want `compares sync/atomic values plainly`
 }
 
-func (c *counter) read() int64 {
-	return c.hits // want `accessed atomically .* but read or written plainly`
+// sameParentOK compares what the pointers hold.
+func sameParentOK(a, b *window) bool {
+	return a.parent.Load() == b.parent.Load()
 }
 
-func (c *counter) coldPath() int64 {
-	return c.cold // plain-only field: clean
-}
-
-// gauge holds a sync/atomic value type; methods are the only legal use.
-type gauge struct {
-	n     atomic.Uint64
-	cells [3]atomic.Uint32
-}
-
-func (g *gauge) snapshotOK() uint64 {
-	return g.n.Load()
-}
-
-func (g *gauge) cellOK(i int) uint32 {
-	return g.cells[i].Load()
-}
-
-func (g *gauge) copyBad() atomic.Uint64 {
-	return g.n // want `used as a plain value`
-}
-
-func (g *gauge) waivedCopy() uint64 {
-	//swm:ok fixture: frozen value copied for a single-threaded report
-	v := g.n
-	return v.Load()
+// waived keeps one comparison under an explicit reason.
+func waived(a, b *window) bool {
+	return a.screenIdx == b.screenIdx //swm:ok fixture: both windows are private to this goroutine
 }

@@ -87,3 +87,10 @@ func typedGetter(c *xserver.Conn, win xproto.XID) string {
 	}
 	return name
 }
+
+// sessionResize mirrors Manage's session-hint resize with its check
+// dropped: the blank discard builds, vets and passes every test, and
+// loses the death-race handling and degrade count that check provides.
+func sessionResize(c *xserver.Conn, win xproto.XID, w, h int) {
+	_ = c.ResizeWindow(win, w, h) // want "discarded error from .*ResizeWindow"
+}

@@ -12,6 +12,10 @@ var broken = []string{
 	`swm.bindings: meta <Btn9Down> root : f.lower`,             // want "unknown binding event type"
 }
 
+// nailButton mirrors the templates' nail button binding with f.stick
+// misspelled: the policy string compiles, and no test presses the nail.
+var nailButton = `swm*button.nail.bindings: <Btn1> : f.stik` // want "unknown window manager function"
+
 // clean bindings and prose pass: registered functions, registered
 // modifiers, events the bindings parser accepts, and "f." used as a
 // plain prefix in prose.

@@ -103,11 +103,13 @@ func (p *PropCell) SetThenNotify(c *FixConn, v byte) {
 	c.enqueue(int(v))
 }
 
-// SetNotifyHeld delivers with propMu still held: the queue leaf is
-// acquired under the property leaf.
-func (p *PropCell) SetNotifyHeld(c *FixConn, v byte) {
+// DeleteProperty mirrors xserver's DeleteProperty with its unlock
+// deferred: the notify is then delivered with propMu still held, so the
+// queue leaf is acquired under the property leaf. It builds, vets and
+// passes every test, because nothing yet takes propMu under qMu.
+func (p *PropCell) DeleteProperty(c *FixConn) {
 	p.propMu.Lock()
 	defer p.propMu.Unlock()
-	p.data = append(p.data[:0], v)
-	c.enqueue(int(v)) // want `calls enqueue, which acquires qMu, while holding propMu`
+	p.data = nil
+	c.enqueue(0) // want `calls enqueue, which acquires qMu, while holding propMu`
 }

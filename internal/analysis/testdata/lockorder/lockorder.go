@@ -230,3 +230,30 @@ func (s *Server) resetLocked() {
 	s.items = nil
 	s.mu.Unlock()
 }
+
+// intern mirrors xserver's internAtom: a lock-free hit, the doorway on
+// a miss.
+func (s *Server) intern(k int) int {
+	if v, ok := s.items[k]; ok {
+		return v
+	}
+	s.writeLock()
+	defer s.mu.Unlock()
+	return s.internLocked(k)
+}
+
+func (s *Server) internLocked(k int) int {
+	s.items[k] = k
+	return k
+}
+
+// InternAtoms mirrors xserver's bulk intern with its miss path calling
+// intern instead of internLocked: the first unknown name self-deadlocks,
+// and no test interns an unknown name in bulk.
+func (s *Server) InternAtoms(ks []int) {
+	s.writeLock()
+	defer s.mu.Unlock()
+	for _, k := range ks {
+		s.items[k] = s.intern(k) // want "InternAtoms calls intern while holding the lock"
+	}
+}

@@ -119,3 +119,32 @@ func (c *cacheSlot) scribbleCached() {
 	p.body[0] = '!' // want `published memory is frozen`
 	p.gen++         // want `published memory is frozen`
 }
+
+// maskSel/maskTab/window mirror xserver's published event-mask table.
+type maskSel struct {
+	conn int
+	mask uint32
+}
+
+type maskTab struct {
+	sel []maskSel
+}
+
+type window struct {
+	masks atomic.Pointer[maskTab]
+}
+
+// setMask mirrors xserver's setMask rewriting the caller's entry of the
+// published table in place instead of publishing a new table: it
+// builds, vets, and passes every test and race run.
+func (w *window) setMask(c int, mask uint32) {
+	if tp := w.masks.Load(); tp != nil {
+		for i := range tp.sel {
+			if tp.sel[i].conn == c {
+				tp.sel[i].mask = mask // want `published memory is frozen`
+				return
+			}
+		}
+	}
+	w.masks.Store(&maskTab{sel: []maskSel{{conn: c, mask: mask}}})
+}

@@ -6,33 +6,35 @@
 // two dead waivers.
 package waiveraudit
 
-import "sync/atomic"
+import (
+	"repro/internal/xproto"
+	"repro/internal/xserver"
+)
 
-type counter struct {
-	hits int64
-}
-
-func (c *counter) bump() {
-	atomic.AddInt64(&c.hits, 1)
-}
-
-// read carries a live waiver: the plain read below is a real
-// atomicfield.mixed finding, so the waiver pays its way and the audit
+// unmapDying carries a live waiver: the bare request below is a real
+// conncheck.discard finding, so the waiver pays its way and the audit
 // stays silent about it.
-func (c *counter) read() int64 {
-	//swm:ok fixture: torn read acceptable in this one-shot report
-	return c.hits
+func unmapDying(conn *xserver.Conn, win xproto.XID) {
+	//swm:ok fixture: unmapping a dying window is best-effort
+	conn.UnmapWindow(win)
+}
+
+// usage mirrors swmcmd's usage line with its f.function placeholder
+// reworded: the funcref finding the waiver covered is gone, and the
+// waiver stayed behind.
+func usage() string {
+	return "usage: swmcmd '<function ...>'" //swm:ok f.function is a usage placeholder, not a registered function // want `suppresses no finding`
 }
 
 // idle carries a dead waiver: nothing it covers produces a finding.
-func (c *counter) idle() int64 {
+func idle() int64 {
 	//swm:ok fixture: stale explanation for code long since fixed // want `suppresses no finding`
 	return 42
 }
 
 // stacked proves unwaivability: the second waiver tries to cover the
 // first one's dead-waiver finding, and both report dead.
-func (c *counter) stacked() int64 {
+func stacked() int64 {
 	//swm:ok fixture: attempt to waive the audit finding below // want `suppresses no finding`
 	//swm:ok fixture: this waiver is itself dead // want `suppresses no finding`
 	return 7

@@ -1,130 +1,29 @@
 package core
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
+import "repro/internal/xproto"
 
-	"repro/internal/icccm"
-	"repro/internal/xproto"
-	"repro/internal/xserver"
-)
-
-// The parallel restart sweep. Adopting the windows left over from a
-// previous WM (f.restart, or a crashed predecessor's save-set) used to
-// serialize every per-window request on the event-loop goroutine: with
-// 200 clients that is 200 × (attributes + eight properties + shape +
-// geometry) round-trips before the desktop is usable. All of those
-// requests are reads, so they fan out over a bounded worker pool here;
-// everything that mutates — Manage itself, session hint matching
-// (Table.Match consumes entries), the client maps — stays on the
-// calling goroutine, in QueryTree order, so adoption remains
-// deterministic and no WM state needs locking.
-
-// adoptPrefetch is the read-only per-window state Manage needs, either
-// gathered inline (the MapRequest path) or by an adoption worker.
-type adoptPrefetch struct {
-	props    icccm.ManageProps
-	shaped   bool
-	shapeErr error
-	geom     xserver.Geometry
-	geomErr  error
-}
-
-// prefetchClient issues every read Manage needs for one window. Safe
-// from adoption workers: only read requests, no WM state.
-func (wm *WM) prefetchClient(win xproto.XID) adoptPrefetch {
-	var pf adoptPrefetch
-	pf.props = icccm.GetManageProps(wm.conn, win)
-	pf.shaped, _, pf.shapeErr = wm.conn.ShapeQuery(win)
-	pf.geom, pf.geomErr = wm.conn.GetGeometry(win)
-	return pf
-}
-
-// adoptCandidate is one QueryTree child after the worker pass: either
-// skipped (attributes unreadable, override-redirect, or unmapped —
-// exactly the windows the serial sweep ignored) or carrying the full
-// prefetch for the serial manage phase.
-type adoptCandidate struct {
-	win  xproto.XID
-	skip bool
-	pre  adoptPrefetch
-}
-
-// adoptWorkersMax bounds the worker pool; the pool is also never wider
-// than the number of candidate windows.
-const adoptWorkersMax = 8
-
-// adoptExisting manages mapped top-level windows that predate the WM.
+// adoptExisting manages the mapped top-level windows that predate the
+// WM (f.restart, or a crashed predecessor's save-set). It walks the
+// root's children in QueryTree order on the calling goroutine: session
+// hint matching consumes entries, so that order decides which window
+// gets which hint. WM furniture, windows whose attributes cannot be
+// read, override-redirect windows and unmapped ones are skipped.
 func (wm *WM) adoptExisting(scr *Screen) {
 	_, _, children, err := wm.conn.QueryTree(scr.Root)
 	if err != nil {
+		wm.check(nil, "adopt query tree", err)
 		return
 	}
-	// Filter WM furniture first: ownsWindow reads the client maps, so it
-	// must run before any worker is spawned.
-	cands := make([]adoptCandidate, 0, len(children))
 	for _, ch := range children {
-		if !wm.ownsWindow(ch) {
-			cands = append(cands, adoptCandidate{win: ch})
-		}
-	}
-	wm.prefetchCandidates(cands)
-	for i := range cands {
-		cand := &cands[i]
-		if cand.skip {
+		if wm.ownsWindow(ch) {
 			continue
 		}
-		if _, err := wm.manage(cand.win, &cand.pre); err != nil {
-			wm.logf("adopt 0x%x: %v", uint32(cand.win), err)
+		attrs, err := wm.conn.GetWindowAttributes(ch)
+		if err != nil || attrs.OverrideRedirect || attrs.MapState == xproto.IsUnmapped {
+			continue
+		}
+		if _, err := wm.Manage(ch); err != nil {
+			wm.logf("adopt 0x%x: %v", uint32(ch), err)
 		}
 	}
-}
-
-// prefetchCandidates runs the read-only half of adoption for every
-// candidate, fanning out over a bounded worker pool when there is
-// enough work to pay for it. Each worker owns disjoint slice elements,
-// so the only shared state is the job index and the queue-depth gauge,
-// both atomic.
-func (wm *WM) prefetchCandidates(cands []adoptCandidate) {
-	workers := min(adoptWorkersMax, runtime.GOMAXPROCS(0), len(cands))
-	if workers <= 1 {
-		for i := range cands {
-			wm.prefetchCandidate(&cands[i])
-		}
-		return
-	}
-	wm.metrics.adoptQueue.Set(int64(len(cands)))
-	var next atomic.Int64
-	var left atomic.Int64
-	left.Store(int64(len(cands)))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cands) {
-					return
-				}
-				wm.prefetchCandidate(&cands[i])
-				wm.metrics.adoptQueue.Set(left.Add(-1))
-			}
-		}()
-	}
-	wg.Wait()
-	wm.metrics.adoptQueue.Set(0)
-}
-
-// prefetchCandidate fills in one candidate: the attribute probe first
-// (mirroring the old serial sweep, which skipped a window before
-// reading anything else), then the full manage prefetch.
-func (wm *WM) prefetchCandidate(cand *adoptCandidate) {
-	attrs, err := wm.conn.GetWindowAttributes(cand.win)
-	if err != nil || attrs.OverrideRedirect || attrs.MapState == xproto.IsUnmapped {
-		cand.skip = true
-		return
-	}
-	cand.pre = wm.prefetchClient(cand.win)
 }

@@ -844,6 +844,30 @@ func TestDesktopSizeClampedTo32767(t *testing.T) {
 	_ = s
 }
 
+// TestResizeDesktopClampedTo32767 holds the paper's 32767x32767 limit
+// on a run-time resize (the panner drag path), on both the WM's fields
+// and the server's desktop window, and the pan inside the new bounds.
+func TestResizeDesktopClampedTo32767(t *testing.T) {
+	_, wm := newWM(t, Options{VirtualDesktop: true})
+	scr := wm.screens[0]
+	wm.ResizeDesktop(scr, 100000, 50000)
+	if scr.DesktopW != MaxDesktopSize || scr.DesktopH != MaxDesktopSize {
+		t.Errorf("desktop = %dx%d, want clamped to %d", scr.DesktopW, scr.DesktopH, MaxDesktopSize)
+	}
+	g, err := wm.Conn().GetGeometry(scr.Desktop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Rect.Width != MaxDesktopSize || g.Rect.Height != MaxDesktopSize {
+		t.Errorf("desktop window = %dx%d, want %d", g.Rect.Width, g.Rect.Height, MaxDesktopSize)
+	}
+	wm.PanTo(scr, 100000, 100000)
+	if scr.PanX != MaxDesktopSize-scr.Width || scr.PanY != MaxDesktopSize-scr.Height {
+		t.Errorf("pan = (%d,%d), want (%d,%d)", scr.PanX, scr.PanY,
+			MaxDesktopSize-scr.Width, MaxDesktopSize-scr.Height)
+	}
+}
+
 // --- pan functions and scrollbars ---
 
 func TestPanFunctions(t *testing.T) {
@@ -855,6 +879,12 @@ func TestPanFunctions(t *testing.T) {
 	}
 	if scr.PanX != 100 || scr.PanY != 50 {
 		t.Errorf("pan = (%d,%d), want (100,50)", scr.PanX, scr.PanY)
+	}
+	// The desktop window moved with the pan, not just the fields.
+	if g, err := wm.Conn().GetGeometry(scr.Desktop); err != nil {
+		t.Fatal(err)
+	} else if g.Rect.X != -100 || g.Rect.Y != -50 {
+		t.Errorf("desktop window at (%d,%d), want (-100,-50)", g.Rect.X, g.Rect.Y)
 	}
 	if err := wm.ExecuteString(ctx, "f.pangoto(0,0)"); err != nil {
 		t.Fatal(err)

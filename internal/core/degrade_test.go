@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/clients"
@@ -284,5 +285,46 @@ func TestResizeDesktopShrinkReclampsPanAndScrollbars(t *testing.T) {
 	}
 	if want := fmt.Sprintf("v:%d/%d", 100, newH); snap.Label != want {
 		t.Errorf("vscroll label = %q, want %q", snap.Label, want)
+	}
+}
+
+// Regression: a failed QueryTree in the restart sweep used to return
+// silently, so nothing on that screen was adopted and nothing was
+// logged or counted. The WM's connection is created inside New, so
+// the fault policy goes on wm.Conn() and the sweep New runs is run
+// again: once failing (reported through check), once clean.
+func TestAdoptQueryTreeFailureIsReported(t *testing.T) {
+	var log strings.Builder
+	s, wm := newWM(t, Options{Log: &log})
+	app, err := clients.Launch(s, clients.Config{Instance: "xterm", Class: "XTerm", Width: 200, Height: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The launch's MapRequest is redirected to the WM and not pumped;
+	// mapping the window from the WM's own connection leaves it a
+	// mapped, unmanaged top-level, as a predecessor WM would.
+	if err := wm.Conn().MapWindow(app.Win); err != nil {
+		t.Fatal(err)
+	}
+	scr := wm.Screens()[0]
+	wm.Conn().SetFaultPolicy(&xserver.FaultPolicy{Seed: 1, EveryN: 1, Times: 1, Ops: []string{"QueryTree"}})
+	degraded := wm.Degraded()
+	wm.adoptExisting(scr)
+	if got := wm.Conn().FaultCount(); got != 1 {
+		t.Fatalf("injected faults = %d, want 1", got)
+	}
+	if _, ok := wm.ClientOf(app.Win); ok {
+		t.Fatal("window adopted although QueryTree failed")
+	}
+	if wm.Degraded() != degraded+1 {
+		t.Errorf("Degraded() = %d, want %d: the failed QueryTree was not counted", wm.Degraded(), degraded+1)
+	}
+	if !strings.Contains(log.String(), "adopt query tree") {
+		t.Errorf("failed QueryTree not logged; log:\n%s", log.String())
+	}
+	// The policy is spent: the next sweep adopts the window.
+	wm.adoptExisting(scr)
+	if _, ok := wm.ClientOf(app.Win); !ok {
+		t.Error("window not adopted once QueryTree succeeds")
 	}
 }

@@ -19,15 +19,6 @@ import (
 // any session restart hint, and maps everything. It returns the managed
 // client.
 func (wm *WM) Manage(win xproto.XID) (*Client, error) {
-	return wm.manage(win, nil)
-}
-
-// manage is Manage with an optional prefetch: the parallel restart
-// sweep (adopt.go) gathers each window's read-only state on a worker
-// pool and hands it in here, so only the mutating half of adoption
-// runs serialized on the event-loop goroutine. With pre == nil the
-// reads happen inline (the MapRequest path).
-func (wm *WM) manage(win xproto.XID, pre *adoptPrefetch) (*Client, error) {
 	if c, ok := wm.clients[win]; ok {
 		return c, nil
 	}
@@ -41,11 +32,11 @@ func (wm *WM) manage(win xproto.XID, pre *adoptPrefetch) (*Client, error) {
 	// with a nil error is the common "property not set" case and falls
 	// back silently; a non-nil error is a failed request and goes through
 	// check like any other (the property is then treated as absent).
-	if pre == nil {
-		pf := wm.prefetchClient(win)
-		pre = &pf
-	}
-	p := pre.props
+	// The shape and geometry reads follow; all reads come before any
+	// mutation.
+	p := icccm.GetManageProps(wm.conn, win)
+	shaped, _, shapeErr := wm.conn.ShapeQuery(win)
+	g, err := wm.conn.GetGeometry(win)
 	c := &Client{wm: wm, scr: scr, Win: win, State: xproto.NormalState}
 	wm.check(nil, "read WM_CLASS", p.Class.Err)
 	if p.Class.OK {
@@ -69,8 +60,8 @@ func (wm *WM) manage(win xproto.XID, pre *adoptPrefetch) (*Client, error) {
 	if p.Machine.OK {
 		c.Machine = p.Machine.Value
 	}
-	if pre.shapeErr == nil {
-		c.Shaped = pre.shaped
+	if shapeErr == nil {
+		c.Shaped = shaped
 	}
 	wm.check(nil, "read WM_TRANSIENT_FOR", p.Transient.Err)
 	if p.Transient.OK {
@@ -85,8 +76,7 @@ func (wm *WM) manage(win xproto.XID, pre *adoptPrefetch) (*Client, error) {
 
 	// Client geometry as requested. Unless the window is confirmed
 	// gone, a failure is transient; retry once before giving up (the
-	// prefetched read counts as the first attempt).
-	g, err := pre.geom, pre.geomErr
+	// read above counts as the first attempt).
 	if err != nil && !wm.confirmDead(win, err) {
 		wm.logf("manage geometry 0x%x: %v (retrying)", uint32(win), err)
 		g, err = wm.conn.GetGeometry(win)

@@ -53,14 +53,10 @@ type wmMetrics struct {
 	deathRaces *obs.Counter
 	pans       *obs.Counter
 
-	// Adoption fast-path instruments: decoration prototype cache
-	// traffic (see proto.go) and the restart sweep's worker-pool
-	// backlog (see adopt.go). The gauge is written from pool workers,
-	// so it must stay a plain atomic like everything else here.
+	// Decoration prototype cache traffic (see proto.go).
 	protoHits      *obs.Counter
 	protoMisses    *obs.Counter
 	protoEvictions *obs.Counter
-	adoptQueue     *obs.Gauge
 
 	pumpCycles   *obs.Counter
 	pumpNs       *obs.Histogram
@@ -153,7 +149,6 @@ func newWMMetrics(reg *obs.Registry, trace *obs.Trace) *wmMetrics {
 		requestsByMajor: make([]*obs.Counter, n),
 		pumpNs:          reg.Histogram("pump.ns", obs.LatencyBounds),
 		pannerDamage:    reg.Histogram("panner.damage", obs.SizeBounds),
-		adoptQueue:      reg.Gauge("adopt.queue_depth"),
 	}
 	for i, c := range reg.Counters(wmCounters.names) {
 		*wmCounters.fields[i](m) = c

@@ -68,10 +68,10 @@ func TestQueryStats(t *testing.T) {
 	}
 }
 
-// TestQueryStatsAdoptionCounters checks the adoption fast path's
-// instruments all the way out the wire: prototype-cache hit/miss/
-// eviction counters and the adoption-pool queue-depth gauge must be
-// visible to `swmcmd -query stats`, not just to in-process readers.
+// TestQueryStatsAdoptionCounters checks the decoration prototype
+// cache's hit/miss/eviction counters all the way out the wire: they
+// must be visible to `swmcmd -query stats`, not just to in-process
+// readers.
 func TestQueryStatsAdoptionCounters(t *testing.T) {
 	s, wm := newWM(t, Options{VirtualDesktop: true})
 	// Two same-class clients: the first misses the prototype cache and
@@ -96,13 +96,6 @@ func TestQueryStatsAdoptionCounters(t *testing.T) {
 	}
 	if _, ok := stats.Metrics.Counters["deco.proto_evictions"]; !ok {
 		t.Error("deco.proto_evictions not registered in stats")
-	}
-	depth, ok := stats.Metrics.Gauges["adopt.queue_depth"]
-	if !ok {
-		t.Error("adopt.queue_depth not registered in stats")
-	}
-	if depth != 0 {
-		t.Errorf("adopt.queue_depth = %d at rest, want 0", depth)
 	}
 	// Sanity: the in-process Stats view agrees with the wire view.
 	st := wm.Stats()

@@ -12,13 +12,12 @@ import (
 	"strings"
 )
 
-// Clamp bounds v to [lo, hi]. It is the blessed doorway for writes to
-// desktop coordinate fields: the Virtual Desktop may be as large as the
-// usable area of an X window, 32767x32767 pixels (paper §6), so every
-// pan offset and desktop dimension must pass through a clamp before it
-// rides the wire as int16. The coordguard analyzer (cmd/swmvet)
-// enforces this. When hi < lo the lower bound wins, matching how a
-// desktop smaller than the screen pins the pan to zero.
+// Clamp bounds v to [lo, hi]. Desktop coordinate writes go through it:
+// the Virtual Desktop may be as large as the usable area of an X
+// window, 32767x32767 pixels (paper §6), so every pan offset and
+// desktop dimension is clamped before it rides the wire as int16. When
+// hi < lo the lower bound wins, matching how a desktop smaller than the
+// screen pins the pan to zero.
 func Clamp(v, lo, hi int) int {
 	if hi < lo {
 		hi = lo

@@ -187,11 +187,13 @@ func (s *Server) destroyTreeLocked(w *window, detachSelf bool) {
 	if w.mapped.Load() {
 		s.unmapNow(w, false)
 	}
+	// Mark before detaching: a lock-free QueryTree that sees the nil
+	// parent then also sees the window destroyed, and reports BadWindow.
 	parent := w.parent.Load()
+	w.destroyed.Store(true)
 	if detachSelf {
 		w.detach()
 	}
-	w.destroyed.Store(true)
 	s.indexDel(w)
 	ev := xproto.Event{
 		Type: xproto.DestroyNotify, Window: w.id, Subwindow: w.id,
@@ -607,6 +609,9 @@ func (c *Conn) QueryTree(id xproto.XID) (root, parent xproto.XID, children []xpr
 	root = c.server.screens[w.screen()].Root
 	if p := w.parent.Load(); p != nil {
 		parent = p.id
+	} else if w.destroyed.Load() {
+		// A DestroyWindow detached w after the lookup above.
+		return 0, 0, nil, c.note(&xproto.XError{Code: xproto.BadWindow, Major: "QueryTree", Resource: id})
 	}
 	ks := w.kids()
 	children = make([]xproto.XID, len(ks))

@@ -3,6 +3,7 @@ package xserver
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -169,10 +170,10 @@ func TestConcurrentStructuralWriters(t *testing.T) {
 					}
 					seen[k] = true
 					// A child may be destroyed under the reader: BadWindow
-					// is the only acceptable error, and a window caught
-					// mid-destroy (detached, not yet marked destroyed)
-					// reports no parent.
-					if _, p, _, err := c.QueryTree(k); err == nil && p != parent && p != xproto.None {
+					// is the only acceptable error. Destroy marks a window
+					// before it detaches it, so a live answer always names
+					// the parent, never None.
+					if _, p, _, err := c.QueryTree(k); err == nil && p != parent {
 						errs <- fmt.Errorf("child 0x%x has parent 0x%x", uint32(k), uint32(p))
 						return
 					} else if !isBadWindow(err) {
@@ -229,6 +230,63 @@ func TestConcurrentStructuralWriters(t *testing.T) {
 	}
 	if got, want := s.NumWindows(), before+len(want); got != want {
 		t.Errorf("NumWindows = %d, want %d", got, want)
+	}
+}
+
+// TestConcurrentQueryTreeDestroy races lock-free QueryTree readers
+// against DestroyWindow on one window at a time. A reader must see the
+// window under its parent or get BadWindow: destroy marks a window
+// before it detaches it, so a live answer with parent None (a reader
+// between the two stores) is never possible.
+func TestConcurrentQueryTreeDestroy(t *testing.T) {
+	s, c := newTestServer(t)
+	root := s.Screens()[0].Root
+	parent := mustCreate(t, c, root, xproto.Rect{Width: 200, Height: 200})
+	r := xproto.Rect{Width: 10, Height: 10}
+	var target atomic.Uint32
+	var stop atomic.Bool
+	var orphans atomic.Int64
+	readers := max(1, runtime.GOMAXPROCS(0)-1)
+	errs := make(chan error, readers) // each reader sends at most once
+	var rg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for !stop.Load() {
+				id := xproto.XID(target.Load())
+				if id == xproto.None {
+					continue
+				}
+				_, p, _, err := c.QueryTree(id)
+				switch {
+				case err == nil && p == xproto.None:
+					orphans.Add(1)
+				case err == nil && p != parent:
+					errs <- fmt.Errorf("window 0x%x has parent 0x%x", uint32(id), uint32(p))
+					return
+				case !isBadWindow(err):
+					errs <- fmt.Errorf("QueryTree: %w", err)
+					return
+				}
+			}
+		}()
+	}
+	for round := 0; round < 20000; round++ {
+		id := mustCreate(t, c, parent, r)
+		target.Store(uint32(id))
+		if err := c.DestroyWindow(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	rg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := orphans.Load(); n > 0 {
+		t.Errorf("QueryTree returned a live window with parent None %d times", n)
 	}
 }
 
