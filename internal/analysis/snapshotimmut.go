@@ -12,7 +12,7 @@ import (
 // lock; the only legal update is clone-mutate-publish. The analyzer
 // flags plain writes (assignment, op-assign, ++/--) whose target chain
 // passes through a type that is published somewhere in the package —
-// kidGeoSnap, propTab, maskTab, the compiled xrdb trie — unless the
+// kidSnap, propTab, maskTab, the compiled xrdb trie — unless the
 // chain is rooted in memory the function itself allocated and has not
 // yet published.
 //

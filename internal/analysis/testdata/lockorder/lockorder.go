@@ -232,7 +232,8 @@ func (s *Server) resetLocked() {
 }
 
 // intern mirrors xserver's internAtom: a lock-free hit, the doorway on
-// a miss.
+// a miss. (xserver's miss path is inline in internAtom; internLocked
+// stays here as the helper the InternAtoms shape below should call.)
 func (s *Server) intern(k int) int {
 	if v, ok := s.items[k]; ok {
 		return v
@@ -247,9 +248,10 @@ func (s *Server) internLocked(k int) int {
 	return k
 }
 
-// InternAtoms mirrors xserver's bulk intern with its miss path calling
-// intern instead of internLocked: the first unknown name self-deadlocks,
-// and no test interns an unknown name in bulk.
+// InternAtoms mirrors the bulk intern xserver used to have (deleted
+// with the one caller that fetched manage properties in bulk), with its
+// miss path calling intern instead of internLocked: the first unknown
+// name self-deadlocks. It stays as the lockorder.reentrant shape.
 func (s *Server) InternAtoms(ks []int) {
 	s.writeLock()
 	defer s.mu.Unlock()

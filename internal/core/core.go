@@ -238,11 +238,10 @@ type objRef struct {
 }
 
 type moveState struct {
-	client         *Client
-	offsetX        int // pointer offset within frame at grab time
-	offsetY        int
-	viaPanner      bool
-	pannerMiniSize int
+	client    *Client
+	offsetX   int // pointer offset within frame at grab time
+	offsetY   int
+	viaPanner bool
 }
 
 type promptState struct {

@@ -27,46 +27,41 @@ func (wm *WM) Manage(win xproto.XID) (*Client, error) {
 		return nil, fmt.Errorf("core: window 0x%x has no screen", uint32(win))
 	}
 
-	// ICCCM properties, fetched in one flush (icccm.GetManageProps).
-	// Every slot carries the uniform (value, ok, error) triple: ok=false
-	// with a nil error is the common "property not set" case and falls
-	// back silently; a non-nil error is a failed request and goes through
-	// check like any other (the property is then treated as absent).
-	// The shape and geometry reads follow; all reads come before any
-	// mutation.
-	p := icccm.GetManageProps(wm.conn, win)
-	shaped, _, shapeErr := wm.conn.ShapeQuery(win)
-	g, err := wm.conn.GetGeometry(win)
+	// ICCCM properties, one GetProperty each, in a fixed order that
+	// seeded fault schedules count on. Every getter has the uniform
+	// (value, ok, error) contract and returns the zero value unless ok:
+	// ok=false with a nil error is the common "property not set" case
+	// and falls back silently; a non-nil error is a failed request or a
+	// malformed value and goes through check like any other (the
+	// property is then treated as absent). The shape and geometry reads
+	// follow; all reads come before any mutation.
 	c := &Client{wm: wm, scr: scr, Win: win, State: xproto.NormalState}
-	wm.check(nil, "read WM_CLASS", p.Class.Err)
-	if p.Class.OK {
-		c.Class = p.Class.Value
-	}
-	wm.check(nil, "read WM_NAME", p.Name.Err)
-	if p.Name.OK {
-		c.Name = p.Name.Value
-	}
-	wm.check(nil, "read WM_ICON_NAME", p.IconName.Err)
-	if p.IconName.OK {
-		c.IconName = p.IconName.Value
-	} else {
+	var ok bool
+	var err error
+	c.Name, _, err = icccm.GetName(wm.conn, win)
+	wm.check(nil, "read WM_NAME", err)
+	c.IconName, ok, err = icccm.GetIconName(wm.conn, win)
+	wm.check(nil, "read WM_ICON_NAME", err)
+	if !ok {
 		c.IconName = c.Name
 	}
-	wm.check(nil, "read WM_COMMAND", p.Command.Err)
-	if p.Command.OK {
-		c.Command = p.Command.Value
-	}
-	wm.check(nil, "read WM_CLIENT_MACHINE", p.Machine.Err)
-	if p.Machine.OK {
-		c.Machine = p.Machine.Value
-	}
+	c.Class, _, err = icccm.GetClass(wm.conn, win)
+	wm.check(nil, "read WM_CLASS", err)
+	c.Command, _, err = icccm.GetCommand(wm.conn, win)
+	wm.check(nil, "read WM_COMMAND", err)
+	c.Machine, _, err = icccm.GetClientMachine(wm.conn, win)
+	wm.check(nil, "read WM_CLIENT_MACHINE", err)
+	hints, hasHints, err := icccm.GetHints(wm.conn, win)
+	wm.check(nil, "read WM_HINTS", err)
+	normal, hasNormal, err := icccm.GetNormalHints(wm.conn, win)
+	wm.check(nil, "read WM_NORMAL_HINTS", err)
+	c.Transient, _, err = icccm.GetTransientFor(wm.conn, win)
+	wm.check(nil, "read WM_TRANSIENT_FOR", err)
+	shaped, _, shapeErr := wm.conn.ShapeQuery(win)
 	if shapeErr == nil {
 		c.Shaped = shaped
 	}
-	wm.check(nil, "read WM_TRANSIENT_FOR", p.Transient.Err)
-	if p.Transient.OK {
-		c.Transient = p.Transient.Value
-	}
+	g, err := wm.conn.GetGeometry(win)
 
 	// Sticky start-up (paper §6.2): swm*xclock*sticky: True.
 	lookupCtx := wm.ctx(scr)
@@ -85,11 +80,6 @@ func (wm *WM) Manage(win xproto.XID) (*Client, error) {
 		return nil, err
 	}
 	c.clientW, c.clientH = g.Rect.Width, g.Rect.Height
-
-	hints, hasHints := p.Hints.Value, p.Hints.OK
-	wm.check(nil, "read WM_HINTS", p.Hints.Err)
-	normal, hasNormal := p.Normal.Value, p.Normal.OK
-	wm.check(nil, "read WM_NORMAL_HINTS", p.Normal.Err)
 
 	// Session restart hint (paper §7): match WM_COMMAND (+ machine),
 	// restore size, location, icon location, sticky and state.

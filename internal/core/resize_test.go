@@ -6,6 +6,7 @@ import (
 	"repro/internal/clients"
 	"repro/internal/icccm"
 	"repro/internal/xproto"
+	"repro/internal/xserver"
 )
 
 // The OpenLook template sets Swm*panel.openLook.resizeCorners: True
@@ -110,4 +111,42 @@ func TestCornersFollowClientResize(t *testing.T) {
 		t.Errorf("SE corner at %v after resize to frame %v", g.Rect, c.FrameRect)
 	}
 	_ = s
+}
+
+// TestCornerSetupFailureLeaksNothing fails every corner handle's
+// SelectInput, and in a second case every handle's MapWindow. Each
+// half-built handle must be destroyed: the server's window count
+// returns to where it was before the handles were created, and no
+// corner is recorded on the client.
+func TestCornerSetupFailureLeaksNothing(t *testing.T) {
+	for _, op := range []string{"SelectInput", "MapWindow"} {
+		t.Run(op, func(t *testing.T) {
+			s, wm := newWM(t, Options{VirtualDesktop: true})
+			_, c := launch(t, s, wm, clients.Config{Instance: "xterm", Class: "XTerm", Width: 300, Height: 200})
+			// Take the handles Manage built down, so createResizeCorners
+			// starts again from none.
+			for _, win := range c.corners {
+				wm.destroyWindow(win)
+			}
+			wm.dropResizeCorners(c)
+			before := s.NumWindows()
+
+			wm.conn.SetFaultPolicy(&xserver.FaultPolicy{Seed: 23, Rate: 1, Ops: []string{op}})
+			wm.createResizeCorners(c)
+			fired := wm.conn.FaultCount()
+			wm.conn.SetFaultPolicy(nil)
+
+			if fired != 4 {
+				t.Fatalf("%d %s faults fired, want one per corner (4)", fired, op)
+			}
+			if n := s.NumWindows(); n != before {
+				t.Errorf("server window count %d -> %d: failed corner handles leaked", before, n)
+			}
+			for i, win := range c.corners {
+				if win != xproto.None {
+					t.Errorf("corner %d recorded as 0x%x after its %s failed", i, uint32(win), op)
+				}
+			}
+		})
+	}
 }

@@ -33,8 +33,8 @@ import (
 // No request in the mix takes Server.mu — moves and the reads are
 // lock-free, and a property request takes only its property's leaf
 // lock — so the connections never serialize on the server; the child
-// scan costs one packed-geometry load per rejected sibling instead of
-// an ancestor walk under the big lock.
+// scan costs one load of each rejected sibling's own packed position
+// instead of an ancestor walk under the big lock.
 //
 // One benchmark op = one round = n goroutines × reqsPerRound requests.
 func ConcurrentClients(n int) func(b *testing.B) {

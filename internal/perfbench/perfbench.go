@@ -66,10 +66,11 @@ var PreChange = map[string]Baseline{
 // pan-storm and xrdb-query are pinned at zero — the obs layer must
 // record metrics without allocating while tracing is disabled, and the
 // compiled resource trie must answer warm queries entirely from the
-// stack. manage-100-clients gets ~20% headroom over its post-change
+// stack. manage-100-clients got ~20% headroom over its post-change
 // measurement (7,371 allocs/op) so scheduler noise cannot flake the
 // job while a return to per-client trie recompiles or prototype-cache
-// misses (tens of thousands of allocs) still fails loudly.
+// misses (tens of thousands of allocs) still fails loudly; it measures
+// 7,965 today (go1.24), 11.5% under the ceiling.
 // concurrent-clients-64's ceiling carries ~25% headroom over its
 // post-striping measurement (4,802 allocs/op, 4,801 today: a property
 // rewrite copies into its cell's existing buffer under the cell's lock
@@ -103,17 +104,19 @@ var AllocBudgets = map[string]int64{
 // advisory — but fleet-1000-sessions exists precisely to pin the
 // thousand-session lifecycle to an order of magnitude, and a silent
 // slide from seconds to minutes (a scheduler livelock, an accidental
-// O(sessions²) sweep) must fail the bench job. The ceiling is ~15x the
-// measured wall time on the development machine so CI hardware and
-// scheduler noise cannot flake it while an asymptotic regression still
-// trips loudly. fleet-1000-sessions gets the same treatment on allocs:
+// O(sessions²) sweep) must fail the bench job. The ceiling was set at
+// ~15x the ~1.9s the workload took when it was introduced, so CI
+// hardware and scheduler noise cannot flake it while an asymptotic
+// regression still trips loudly; it measures ~0.28s today (2-vCPU
+// host, go1.24), ~100x under the ceiling. fleet-1000-sessions gets the same treatment on allocs:
 // measured 801,890 allocs/op (median of five runs on a 2-vCPU host,
 // go1.24; 10,000 managed clients plus 250 restart-adopts) once each
 // session's constant tables were built once per process (1,068,142
-// before), 16.5% under the 960k ceiling. Rebuilding those tables per
-// session (~216 allocs each, ~270k at this scale) fails it, and a
-// return to per-session prototype builds or trie recompiles — tens of
-// millions of allocs at this scale — fails immediately.
+// before), and ~770,900 once the children snapshots stopped carrying
+// a position mirror, 19.7% under the 960k ceiling. Rebuilding those
+// tables per session (~216 allocs each, ~270k at this scale) fails it,
+// and a return to per-session prototype builds or trie recompiles —
+// tens of millions of allocs at this scale — fails immediately.
 // concurrent-clients-64 pins the 64-connection storm to an order of
 // magnitude: measured ~2ms/op median (2-vCPU host, go1.24, -cpu 2)
 // with reads, property and geometry writes off the server lock, so the
@@ -125,15 +128,16 @@ var AllocBudgets = map[string]int64{
 // that prototype is open work; the value stays until then.
 // swmload-fleet-http pins the whole network service path — 1,000
 // concurrent HTTP clients against a 64-session fleet, 20,000 requests
-// per op — to an order of magnitude: measured ~2.8s/op, so a 40s
+// per op — to an order of magnitude: measured ~2.8s/op when the
+// ceiling was set and ~0.45s/op today (2-vCPU host, go1.24), so a 40s
 // ceiling absorbs CI hardware while a slide into lock-convoyed or
 // serialized request handling still fails. The workload additionally
 // hard-fails on any request error, so the percentile numbers it
 // records (Report.Load) always describe an error-free run.
 var WallBudgets = map[string]float64{
-	"fleet-1000-sessions":   30e9, // 30s; measured ~1.9s
+	"fleet-1000-sessions":   30e9, // 30s; measured ~0.28s
 	"concurrent-clients-64": 9e6,  // 9ms; measured ~2ms
-	"swmload-fleet-http":    40e9, // 40s; measured ~0.6s post-cache
+	"swmload-fleet-http":    40e9, // 40s; measured ~0.45s
 }
 
 // LoadBudget is a blocking bar on a load workload's recorded traffic

@@ -373,13 +373,11 @@ func (db *DB) QueryString(fullName, fullClass string) (string, bool) {
 // the currency of the brute-force reference (reference_test.go) that
 // cross-checks it.
 const (
-	scoreSkipped   = 0 // level consumed by a loose binding
-	scoreWildcard  = 1 // matched by "?"
-	scoreClass     = 2 // matched the class
-	scoreName      = 3 // matched the instance name
-	scoreTightBit  = 4 // added when the component's binding was Tight
-	scorePerLevel  = 8
-	scoreLevelMask = scorePerLevel - 1
+	scoreSkipped  = 0 // level consumed by a loose binding
+	scoreWildcard = 1 // matched by "?"
+	scoreClass    = 2 // matched the class
+	scoreName     = 3 // matched the instance name
+	scoreTightBit = 4 // added when the component's binding was Tight
 )
 
 func compareScores(a, b []int) int {

@@ -182,7 +182,7 @@ func (s *Server) destroyTreeLocked(w *window, detachSelf bool) {
 		s.destroyTreeLocked(ks[i], false)
 	}
 	if ks != nil {
-		w.kidGeo.Store(nil)
+		w.children.Store(nil)
 	}
 	if w.mapped.Load() {
 		s.unmapNow(w, false)
@@ -442,7 +442,6 @@ func (s *Server) configure(w *window, ch xproto.WindowChanges) error {
 		case xproto.CWY:
 			w.storeY(ch.Y)
 		}
-		w.syncGeoCell()
 	}
 	if ch.Mask&xproto.CWWidth != 0 && ch.Width <= 0 {
 		return &xproto.XError{
@@ -645,28 +644,21 @@ func translate(sw, dw *window, x, y int) (dx, dy int, child xproto.XID) {
 	dxr, dyr := dw.rootCoords()
 	rx, ry := sx+x, sy+y
 	dx, dy = rx-dxr, ry-dyr
-	// The child scan works in dst-relative coordinates against the
-	// parent's dense geometry snapshot: each reject is one sequential
-	// 8-byte load from the snapshot's position array — no pointer chase
-	// into the child, no rootCoords ancestor walk. When dst is a root
-	// or a virtual desktop the scan visits every sibling toplevel, so
-	// the per-child cost is the whole request's cost.
-	snap := dw.kidGeo.Load()
-	if snap == nil {
-		return dx, dy, child
-	}
-	for i := int(snap.n.Load()) - 1; i >= 0; i-- {
-		// Fast reject on the mirrored packed position alone: the border
-		// only grows the left/top inset, so dx < cx rules the child out
-		// before the window itself is ever touched.
-		cx, cy := unpackIntPair(snap.xy[i].Load())
+	// The child scan works in dst-relative coordinates over one
+	// membership snapshot of dst's children, top-down. Each child is
+	// rejected on its own packed position (one tear-free atomic load),
+	// with no rootCoords ancestor walk. When dst is a root or a virtual
+	// desktop the scan visits every sibling toplevel, so the per-child
+	// cost is the whole request's cost.
+	ks := dw.kids()
+	for i := len(ks) - 1; i >= 0; i-- {
+		ch := ks[i]
+		// The border only grows the left/top inset, so dx < cx rules
+		// the child out before anything else of it is read.
+		cx, cy := ch.pos()
 		if dx < cx || dy < cy {
 			continue
 		}
-		ch := snap.wins[i]
-		// Candidate: redo the test against the window's own geometry
-		// (the snapshot cell is the authority only for rejects).
-		cx, cy = ch.pos()
 		bw := int(ch.borderW.Load())
 		lx, ly := dx-cx-bw, dy-cy-bw
 		if lx < 0 || ly < 0 {
@@ -798,34 +790,6 @@ func (c *Conn) GetProperty(id xproto.XID, prop xproto.Atom) (Property, bool, err
 	p := Property{Type: cell.typ, Format: cell.format, Data: make([]byte, len(cell.data))}
 	copy(p.Data, cell.data)
 	return p, true, nil
-}
-
-// InternAtoms interns len(names) atoms, filling out (whose length must
-// equal len(names)). Hits are lock-free; misses intern in bulk under a
-// single exclusive acquisition.
-func (c *Conn) InternAtoms(names []string, out []xproto.Atom) {
-	if len(names) != len(out) {
-		panic("xserver: InternAtoms names/out length mismatch")
-	}
-	s := c.server
-	at := s.atoms.Load()
-	miss := false
-	for i, n := range names {
-		a, ok := at.byName[n]
-		if !ok {
-			miss = true
-			break
-		}
-		out[i] = a
-	}
-	if !miss {
-		return
-	}
-	s.writeLock()
-	defer s.mu.Unlock()
-	for i, n := range names {
-		out[i] = s.internAtomLocked(n)
-	}
 }
 
 // DeleteProperty removes a property, notifying PropertyChangeMask

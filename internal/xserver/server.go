@@ -232,18 +232,14 @@ func (s *Server) tick() xproto.Timestamp {
 }
 
 // internAtom interns name, lock-free on the hit path. A miss clones the
-// atom table under mu.
+// atom table under mu, re-checking first: a racing miss may have
+// interned the same name.
 func (s *Server) internAtom(name string) xproto.Atom {
 	if a, ok := s.atoms.Load().byName[name]; ok {
 		return a
 	}
 	s.writeLock()
 	defer s.mu.Unlock()
-	return s.internAtomLocked(name)
-}
-
-// internAtomLocked is the miss path; caller holds mu exclusively.
-func (s *Server) internAtomLocked(name string) xproto.Atom {
 	old := s.atoms.Load()
 	if a, ok := old.byName[name]; ok {
 		return a
@@ -275,11 +271,6 @@ func (s *Server) lookupErr(id xproto.XID) (*window, error) {
 		return nil, &xproto.XError{Code: xproto.BadWindow, Resource: id}
 	}
 	return w, nil
-}
-
-// screenOf returns the screen struct for a window.
-func (s *Server) screenOf(w *window) *Screen {
-	return s.screens[w.screen()]
 }
 
 // rootOf returns the root window of w's screen.

@@ -230,16 +230,11 @@ type window struct {
 	screenIdx atomic.Int32 // kept eager: reparent rewrites the subtree
 
 	parent atomic.Pointer[window]
-	// kidGeo is the children snapshot — bottom-to-top stacking order
-	// (last = highest), copy-on-write, nil when empty — paired with a
-	// dense array of packed child positions kept live by lock-free
-	// moves writing through geoSlot. Sibling scans
-	// (TranslateCoordinates) reject on one sequential 8-byte load per
-	// child instead of a pointer chase.
-	kidGeo atomic.Pointer[kidGeoSnap]
-	// geoSlot is this window's live position cell inside the parent's
-	// current kidGeo snapshot; nil for roots and detached windows.
-	geoSlot atomic.Pointer[atomic.Uint64]
+	// children is the children snapshot — bottom-to-top stacking order
+	// (last = highest), copy-on-write, nil when empty. It holds
+	// membership only: a sibling scan (TranslateCoordinates, hit
+	// testing) reads each child's position from the child's own geomXY.
+	children atomic.Pointer[kidSnap]
 
 	props atomic.Pointer[propTab]
 	masks atomic.Pointer[maskTab]
@@ -325,7 +320,7 @@ func (w *window) storeH(h int) {
 // kids returns the current children snapshot (bottom-to-top). The
 // returned prefix is immutable; lock-free.
 func (w *window) kids() []*window {
-	if snap := w.kidGeo.Load(); snap != nil {
+	if snap := w.children.Load(); snap != nil {
 		return snap.wins[:snap.n.Load()]
 	}
 	return nil
@@ -336,131 +331,66 @@ func (w *window) kids() []*window {
 // published count). Caller must hold Server.mu exclusively.
 func (w *window) setKids(ks []*window) {
 	if len(ks) == 0 {
-		w.kidGeo.Store(nil)
+		w.children.Store(nil)
 		return
 	}
-	n := len(ks)
-	snap := &kidGeoSnap{}
-	if cap(ks) <= len(snap.winsBuf) {
-		snap.wins = snap.winsBuf[:len(snap.winsBuf)]
+	snap := &kidSnap{}
+	if cap(ks) <= len(snap.buf) {
+		snap.wins = snap.buf[:]
 		copy(snap.wins, ks)
-		snap.xy = snap.xyBuf[:len(snap.xyBuf)]
 	} else {
 		snap.wins = ks[:cap(ks):cap(ks)]
-		snap.xy = make([]atomic.Uint64, cap(ks))
 	}
-	snap.n.Store(int32(n))
-	for i, c := range ks {
-		snap.xy[i].Store(c.geomXY.Load())
-	}
-	w.kidGeo.Store(snap)
-	// Re-point every child's live cell at the new snapshot, then
-	// re-sync from the truth: a lock-free move that raced the build
-	// wrote the superseded snapshot's cell, and the sync pass folds its
-	// position in.
-	for i, c := range ks {
-		c.geoSlot.Store(&snap.xy[i])
-	}
-	for _, c := range ks {
-		c.syncGeoCell()
-	}
+	snap.n.Store(int32(len(ks)))
+	w.children.Store(snap)
 }
 
 // appendKid stacks w on top of p's children. When the current
-// snapshot's backing arrays have spare capacity the new child is
-// written past the published count and then published with one atomic
-// count store — no allocation at all. Backing arrays are append-only
-// between full rebuilds (detach and restack always allocate anew), so
-// a concurrent reader's previously loaded count never covers the
+// snapshot's backing array has spare capacity the new child is written
+// past the published count and then published with one atomic count
+// store — no allocation at all. Backing arrays are append-only between
+// full rebuilds (detach and restack always allocate anew), so a
+// concurrent reader's previously loaded count never covers the
 // in-flight write. This keeps the attach-heavy manage path O(1)
-// amortized instead of rebuilding the sibling arrays per CreateWindow.
+// amortized instead of rebuilding the sibling array per CreateWindow.
 // Caller must hold Server.mu exclusively.
 func (p *window) appendKid(w *window) {
-	snap := p.kidGeo.Load()
-	if snap != nil {
-		if n := int(snap.n.Load()); n < len(snap.wins) {
-			//swm:ok append-only publish: the slot is past the published count n, invisible until the n.Store below; backing arrays never shrink between full rebuilds
-			snap.wins[n] = w
-			snap.xy[n].Store(w.geomXY.Load())
-			// Point the newcomer at its cell before publishing the
-			// count, so any reader that sees the child also sees a
-			// live mirror cell. Existing children keep their cells
-			// (same backing array) — no re-point, no sync sweep.
-			w.geoSlot.Store(&snap.xy[n])
-			snap.n.Store(int32(n + 1))
-			w.syncGeoCell()
-			return
-		}
-	}
-	// Grow with headroom, then publish and re-point like setKids.
+	snap := p.children.Load()
 	n := 0
 	if snap != nil {
 		n = int(snap.n.Load())
+		if n < len(snap.wins) {
+			//swm:ok append-only publish: the slot is past the published count n, invisible until the n.Store below; backing arrays never shrink between full rebuilds
+			snap.wins[n] = w
+			snap.n.Store(int32(n + 1))
+			return
+		}
 	}
-	c := 2 * (n + 1)
-	if c < 4 {
-		c = 4
-	}
-	ns := &kidGeoSnap{}
-	if c <= len(ns.winsBuf) {
-		ns.wins = ns.winsBuf[:c]
-		ns.xy = ns.xyBuf[:c]
+	// Grow with headroom.
+	ns := &kidSnap{}
+	if c := 2 * (n + 1); c <= len(ns.buf) {
+		ns.wins = ns.buf[:]
 	} else {
 		ns.wins = make([]*window, c)
-		ns.xy = make([]atomic.Uint64, c)
 	}
-	wins := ns.wins
 	if snap != nil {
-		copy(wins, snap.wins[:n])
+		copy(ns.wins, snap.wins[:n])
 	}
-	wins[n] = w
+	ns.wins[n] = w
 	ns.n.Store(int32(n + 1))
-	for i := 0; i <= n; i++ {
-		ns.xy[i].Store(wins[i].geomXY.Load())
-	}
-	p.kidGeo.Store(ns)
-	for i := 0; i <= n; i++ {
-		wins[i].geoSlot.Store(&ns.xy[i])
-	}
-	for i := 0; i <= n; i++ {
-		wins[i].syncGeoCell()
-	}
+	p.children.Store(ns)
 }
 
-// kidGeoSnap is a children snapshot paired with a dense array of the
-// children's packed positions. The xy cells are live — moves write
-// through geoSlot — so one snapshot stays current across any number of
-// geometry-only configures; appends extend the backing in place and
-// publish by bumping n, and only detach/restack rebuild. Readers load
-// n once and treat wins[:n]/xy[:n] as the immutable snapshot.
-type kidGeoSnap struct {
-	n    atomic.Int32 // published child count; wins/xy valid in [0, n)
+// kidSnap is a children snapshot. Appends extend the backing in place
+// and publish by bumping n; only detach and restack rebuild. Readers
+// load n once and treat wins[:n] as the immutable snapshot.
+type kidSnap struct {
+	n    atomic.Int32 // published child count; wins valid in [0, n)
 	wins []*window    // backing, len == cap, append-only past n
-	xy   []atomic.Uint64
-	// Inline backing for small families (the common case: a frame
-	// holds a client window and a handful of decorations), so building
-	// their snapshot is a single allocation.
-	winsBuf [4]*window
-	xyBuf   [4]atomic.Uint64
-}
-
-// syncGeoCell copies w's position into its live cell in the parent's
-// kidGeo snapshot. Called lock-free after every position store; the
-// re-validation loop makes concurrent movers and snapshot rebuilds
-// converge on the latest truth (a stale cell write is always observed
-// by the racing writer's re-check, which rewrites it).
-func (w *window) syncGeoCell() {
-	for {
-		cell := w.geoSlot.Load()
-		if cell == nil {
-			return
-		}
-		v := w.geomXY.Load()
-		cell.Store(v)
-		if w.geoSlot.Load() == cell && w.geomXY.Load() == v {
-			return
-		}
-	}
+	// buf is the inline backing for small families (the common case: a
+	// frame holds a client window and a handful of decorations), so
+	// building their snapshot is a single allocation.
+	buf [4]*window
 }
 
 func (w *window) labelStr() string {
@@ -503,21 +433,6 @@ func (w *window) isAncestorOf(o *window) bool {
 		}
 	}
 	return false
-}
-
-// stackIndex returns w's index in its parent's children snapshot, or -1
-// for roots and detached windows.
-func (w *window) stackIndex() int {
-	p := w.parent.Load()
-	if p == nil {
-		return -1
-	}
-	for i, c := range p.kids() {
-		if c == w {
-			return i
-		}
-	}
-	return -1
 }
 
 // detach removes w from its parent's children and clears its parent.
@@ -566,7 +481,6 @@ func (w *window) moveTo(np *window, x, y int) (old *window) {
 	old = w.parent.Load()
 	w.geomXY.Store(packIntPair(x, y))
 	if old == np {
-		w.syncGeoCell()
 		w.restack(xproto.Above, nil)
 		return old
 	}

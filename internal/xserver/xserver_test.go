@@ -626,6 +626,122 @@ func TestTranslateCoordinates(t *testing.T) {
 	}
 }
 
+// refChildAt is the brute-force reference for the child that
+// TranslateCoordinates reports: the topmost mapped child of dst whose
+// (possibly shaped) inside, border excluded, contains the dst-relative
+// point. It is built from the public read requests only.
+func refChildAt(t *testing.T, c *Conn, dst xproto.XID, x, y int) xproto.XID {
+	t.Helper()
+	_, _, kids, err := c.QueryTree(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(kids) - 1; i >= 0; i-- {
+		k := kids[i]
+		attrs, err := c.GetWindowAttributes(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if attrs.MapState == xproto.IsUnmapped {
+			continue
+		}
+		g, err := c.GetGeometry(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lx, ly := x-g.Rect.X-g.BorderWidth, y-g.Rect.Y-g.BorderWidth
+		if lx < 0 || ly < 0 || lx >= g.Rect.Width || ly >= g.Rect.Height {
+			continue
+		}
+		shaped, rects, err := c.ShapeQuery(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := !shaped
+		for _, r := range rects {
+			in = in || r.Contains(lx, ly)
+		}
+		if in {
+			return k
+		}
+	}
+	return xproto.None
+}
+
+// TestTranslateCoordinatesChild checks the child TranslateCoordinates
+// returns against refChildAt over a grid of points, after each kind of
+// change that moves a child's extent or its place in the stack.
+func TestTranslateCoordinatesChild(t *testing.T) {
+	cases := []struct {
+		name   string
+		change func(c *Conn, kids []xproto.XID) error
+	}{
+		{"unchanged", func(*Conn, []xproto.XID) error { return nil }},
+		// A geometry-only configure takes no lock. The move is up and
+		// left, where a scan that rejected on a stale position would
+		// skip the child.
+		{"move", func(c *Conn, kids []xproto.XID) error { return c.MoveWindow(kids[1], 5, 5) }},
+		{"raise", func(c *Conn, kids []xproto.XID) error { return c.RaiseWindow(kids[0]) }},
+		{"lower", func(c *Conn, kids []xproto.XID) error { return c.LowerWindow(kids[3]) }},
+		{"unmap", func(c *Conn, kids []xproto.XID) error { return c.UnmapWindow(kids[3]) }},
+		{"border", func(c *Conn, kids []xproto.XID) error {
+			return c.ConfigureWindow(kids[2], xproto.WindowChanges{Mask: xproto.CWBorderWidth, BorderWidth: 9})
+		}},
+		{"shape", func(c *Conn, kids []xproto.XID) error {
+			return c.ShapeCombineRectangles(kids[3], []xproto.Rect{{X: 0, Y: 0, Width: 20, Height: 90}})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, c := newTestServer(t)
+			root := s.Screens()[0].Root
+			dst := mustCreate(t, c, root, xproto.Rect{X: 30, Y: 40, Width: 240, Height: 200})
+			// Overlapping children, bottom to top, two with borders.
+			kids := []xproto.XID{
+				mustCreate(t, c, dst, xproto.Rect{X: 10, Y: 10, Width: 120, Height: 100}),
+				mustCreate(t, c, dst, xproto.Rect{X: 60, Y: 40, Width: 100, Height: 100}),
+				mustCreate(t, c, dst, xproto.Rect{X: 100, Y: 20, Width: 80, Height: 140}),
+				mustCreate(t, c, dst, xproto.Rect{X: 40, Y: 80, Width: 150, Height: 90}),
+			}
+			for _, id := range append([]xproto.XID{dst}, kids...) {
+				if err := c.MapWindow(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, bw := range []int{0, 3, 0, 5} {
+				if err := c.ConfigureWindow(kids[i], xproto.WindowChanges{Mask: xproto.CWBorderWidth, BorderWidth: bw}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tc.change(c, kids); err != nil {
+				t.Fatal(err)
+			}
+			hits := 0
+			for y := -4; y < 210; y += 3 {
+				for x := -4; x < 250; x += 3 {
+					// From the root, so the source offset is exercised too.
+					dx, dy, child, err := c.TranslateCoordinates(root, dst, 30+x, 40+y)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if dx != x || dy != y {
+						t.Fatalf("(%d,%d) translated to (%d,%d)", x, y, dx, dy)
+					}
+					if want := refChildAt(t, c, dst, x, y); child != want {
+						t.Fatalf("child at (%d,%d) = 0x%x, want 0x%x", x, y, uint32(child), uint32(want))
+					}
+					if child != xproto.None {
+						hits++
+					}
+				}
+			}
+			if hits == 0 {
+				t.Fatal("no point hit a child: the grid misses the layout")
+			}
+		})
+	}
+}
+
 func TestPointerMotionAndCrossing(t *testing.T) {
 	s, c := newTestServer(t)
 	root := s.Screens()[0].Root
@@ -1235,6 +1351,9 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateWindow: %v", err)
 	}
+	if err := c.MapWindow(win); err != nil {
+		t.Fatalf("MapWindow: %v", err)
+	}
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -1259,6 +1378,22 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 				}
 				if _, _, err := r.GetProperty(win, 1); err != nil {
 					t.Errorf("GetProperty: %v", err)
+					return
+				}
+				// Mover vs translate: win (60x60) sits at (i, i) for
+				// some i in [0, 500) and covers (100, 100) exactly when
+				// 41 <= i <= 100; the 10x10 windows at (0, 0) never do.
+				// So the child is win or None, never a stale answer.
+				if _, _, child, err := r.TranslateCoordinates(root, root, 100, 100); err != nil {
+					t.Errorf("TranslateCoordinates: %v", err)
+					return
+				} else if child != xproto.None && child != win {
+					t.Errorf("TranslateCoordinates child = 0x%x, want win 0x%x or None", uint32(child), uint32(win))
+					return
+				}
+				// No position of win covers (600, 600).
+				if _, _, child, err := r.TranslateCoordinates(root, root, 600, 600); err != nil || child != xproto.None {
+					t.Errorf("TranslateCoordinates(600, 600) = child 0x%x, err %v; want None", uint32(child), err)
 					return
 				}
 			}
