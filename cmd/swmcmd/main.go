@@ -21,10 +21,10 @@
 //	swmcmd -query desktop
 //	swmcmd -list
 //
-// With -http, swmcmd targets a running fleet service (swmhttpd or
-// swmfleet -listen) instead of the self-contained demo; -session picks
-// the fleet session. Query output is identical on both transports —
-// the indented JSON result from the one shared dispatch path.
+// With -http, swmcmd targets a running fleet service (swmhttpd)
+// instead of the self-contained demo; -session picks the fleet
+// session. Query output is identical on both transports — the
+// indented JSON result from the one shared dispatch path.
 //
 //	swmcmd -http http://127.0.0.1:7070 -session 3 -query clients
 //	swmcmd -http http://127.0.0.1:7070 -session 3 'f.iconify(XTerm)'

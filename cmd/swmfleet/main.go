@@ -1,34 +1,28 @@
 // Command swmfleet runs a fleet of independent swm sessions — display
 // server, connection, window manager — in one process, shares the
-// read-mostly expensive state (resource database, compiled query trie,
-// decoration prototype cache) across all of them, and reports the
-// fleet's health: the WM-as-a-service load story from the ROADMAP.
+// read-mostly expensive state (the resource database, with its compiled
+// query trie and decoration prototypes) across all of them, and reports
+// the fleet's health: the WM-as-a-service load story from the ROADMAP.
+// To serve a fleet over HTTP, run swmhttpd.
 //
 //	swmfleet                          # 64 sessions, 10 clients each
 //	swmfleet -sessions 1000           # the thousand-session configuration
 //	swmfleet -restart 0.25            # restart-adopt a quarter of the fleet
 //	swmfleet -crash 3                 # panic-crash session 3, show isolation
 //	swmfleet -query                   # swmcmd-style stats query via session 0
-//	swmfleet -listen :7070            # serve the fleet over HTTP until SIGINT
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/clients"
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/swmhttp"
 	"repro/internal/templates"
 )
 
@@ -42,7 +36,6 @@ func main() {
 	restart := flag.Float64("restart", 0.25, "fraction of the fleet to restart-adopt")
 	crash := flag.Int("crash", -1, "panic-crash this session to demonstrate isolation (-1 = none)")
 	query := flag.Bool("query", false, "print a swmcmd-style stats query against session 0")
-	listen := flag.String("listen", "", "serve the fleet over HTTP on this address until SIGINT")
 	verbose := flag.Bool("v", false, "log fleet diagnostics")
 	flag.Parse()
 
@@ -66,8 +59,8 @@ func main() {
 	}
 	m.StartAll()
 	m.Drain()
-	fmt.Printf("started %d sessions in %v (%d shared prototypes)\n",
-		m.Stats().Live, time.Since(start).Round(time.Millisecond), m.Protos().Len())
+	fmt.Printf("started %d sessions in %v\n",
+		m.Stats().Live, time.Since(start).Round(time.Millisecond))
 
 	launch := time.Now()
 	for i := 0; i < m.Sessions(); i++ {
@@ -119,19 +112,6 @@ func main() {
 	st := m.Stats()
 	fmt.Printf("fleet: sessions=%d live=%d failed=%d panics=%d restarts=%d queue=%d\n",
 		st.Sessions, st.Live, st.Failed, st.Panics, st.Restarts, st.QueueDepth)
-
-	if *listen != "" {
-		httpCfg := swmhttp.Config{}
-		if *verbose {
-			httpCfg.Log = os.Stderr
-		}
-		fmt.Printf("serving on %s (SIGINT to stop)\n", *listen)
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		if err := swmhttp.New(m, httpCfg).ListenAndServe(ctx, *listen); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
-		}
-	}
 
 	m.Close()
 	fmt.Println("fleet closed")

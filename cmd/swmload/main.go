@@ -1,7 +1,7 @@
 // Command swmload drives sustained query/exec traffic at a live swm
 // fleet over the HTTP transport and reports latency percentiles and
 // error rate. It is the measurement half of the network service layer:
-// swmhttpd (or swmfleet -listen) serves, swmload asks.
+// swmhttpd serves, swmload asks.
 //
 // Against an already-running service:
 //
@@ -58,7 +58,7 @@ func main() {
 		}
 		defer shutdown()
 	} else if base == "" {
-		log.Fatal("need -addr (a running swmhttpd / swmfleet -listen) or -selfhost N")
+		log.Fatal("need -addr (a running swmhttpd) or -selfhost N")
 	}
 
 	sum, err := swmload.Run(swmload.Config{

@@ -3,7 +3,6 @@
 //
 //	go run ./cmd/swmvet ./...
 //	go run ./cmd/swmvet -json ./internal/core
-//	go run ./cmd/swmvet -sarif ./... > swmvet.sarif
 //	go run ./cmd/swmvet -analyzers conncheck,lockorder ./internal/xserver
 //	go run ./cmd/swmvet -fixtures
 //
@@ -30,16 +29,11 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("swmvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit machine-readable findings (including waived ones)")
-	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
 	showWaived := fs.Bool("waived", false, "also list waived findings in text output")
 	names := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	list := fs.Bool("list", false, "list available analyzers and exit")
 	fixtures := fs.Bool("fixtures", false, "self-check: run every analyzer against its golden fixtures and exit")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "swmvet: -json and -sarif are mutually exclusive")
 		return 2
 	}
 
@@ -89,11 +83,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	switch {
 	case *jsonOut:
 		if err := analysis.WriteJSON(stdout, all); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	case *sarifOut:
-		if err := analysis.WriteSARIF(stdout, analyzers, all); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}

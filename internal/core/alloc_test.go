@@ -165,7 +165,7 @@ func BenchmarkStatsRender(b *testing.B) {
 var statsSink swmproto.Response
 
 // TestConstructionAllocBudget bounds one session bring-up: NewServer
-// plus New on a shared database and prototype cache, as a fleet starts
+// plus New on a shared database, as a fleet starts
 // each session. What every session has in common (the counter names,
 // the request-major index, the function table, the predefined atoms)
 // is built once per process, and the WM's counters are registered in
@@ -177,9 +177,8 @@ func TestConstructionAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := NewSharedProtoCache(db)
 	avg := testing.AllocsPerRun(20, func() {
-		wm, err := New(xserver.NewServer(), Options{SharedProtos: shared})
+		wm, err := New(xserver.NewServer(), Options{DB: db})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,13 +9,15 @@ import (
 	"repro/internal/clients"
 	"repro/internal/objects"
 	"repro/internal/templates"
+	"repro/internal/xrdb"
 	"repro/internal/xserver"
 )
 
 // The PR 6 lifecycle sweep: New finally has a symmetric Close. These
 // tests pin down the teardown contract fleet mode depends on — no
 // goroutines, no server-side windows, no retained heap state after a
-// session stops, and no state bleed through the shared prototype cache.
+// session stops, and no state bleed through the prototypes every WM on
+// one resource database shares.
 
 func TestCloseReleasesClientsAndServerState(t *testing.T) {
 	s := xserver.NewServer()
@@ -74,8 +76,8 @@ func TestCloseReleasesClientsAndServerState(t *testing.T) {
 		t.Errorf("maps not cleared: clients=%d byFrame=%d byObjWin=%d",
 			len(wm.clients), len(wm.byFrame), len(wm.byObjWin))
 	}
-	if wm.orphans != nil || wm.focus != nil || wm.protos.entries != nil {
-		t.Error("orphans/focus/proto cache retained after Close")
+	if wm.orphans != nil || wm.focus != nil {
+		t.Error("orphans/focus retained after Close")
 	}
 
 	for _, app := range apps {
@@ -144,19 +146,19 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestSharedProtoCacheHitsAcrossSessions proves the fleet-wide cache
-// works: the second session's identical decoration context is a hit,
-// not a rebuild.
-func TestSharedProtoCacheHitsAcrossSessions(t *testing.T) {
+// TestPrototypesSharedAcrossSessions proves that WMs on one database
+// share its prototypes: the second session's identical decoration
+// context is a hit, not a rebuild. A WM on a Clone of that database
+// shares none of them.
+func TestPrototypesSharedAcrossSessions(t *testing.T) {
 	db, err := templates.Load(templates.OpenLook)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := NewSharedProtoCache(db)
 
-	decorateOne := func() (*WM, *Client) {
+	decorateOne := func(db *xrdb.DB) (*WM, *Client) {
 		s := xserver.NewServer()
-		wm, err := New(s, Options{SharedProtos: shared})
+		wm, err := New(s, Options{DB: db})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,11 +176,11 @@ func TestSharedProtoCacheHitsAcrossSessions(t *testing.T) {
 		return wm, c
 	}
 
-	wm1, c1 := decorateOne()
+	wm1, c1 := decorateOne(db)
 	if wm1.Stats().ProtoMisses == 0 {
 		t.Fatal("first session should build the prototype")
 	}
-	wm2, c2 := decorateOne()
+	wm2, c2 := decorateOne(db)
 	if wm2.Stats().ProtoHits == 0 {
 		t.Fatalf("second session rebuilt a shared prototype: stats=%+v", wm2.Stats())
 	}
@@ -186,13 +188,27 @@ func TestSharedProtoCacheHitsAcrossSessions(t *testing.T) {
 		t.Fatalf("decorations diverged: %q vs %q", c1.Decoration(), c2.Decoration())
 	}
 
-	// Options.DB must match the cache's binding.
-	other, err := templates.Load(templates.OpenLook)
-	if err != nil {
-		t.Fatal(err)
+	// The clone is a different database: its WM builds its own
+	// prototypes, and a resource changed on the clone shows there only.
+	clone := db.Clone()
+	clone.MustPut("swm*background", "hotpink")
+	wm3, c3 := decorateOne(clone)
+	if st := wm3.Stats(); st.ProtoHits != 0 || st.ProtoMisses == 0 {
+		t.Fatalf("WM on a clone reused a prototype: hits=%d misses=%d", st.ProtoHits, st.ProtoMisses)
 	}
-	if _, err := New(xserver.NewServer(), Options{DB: other, SharedProtos: shared}); err == nil {
-		t.Fatal("New accepted a SharedProtos bound to a different database")
+	pink := func(c *Client) (n int) {
+		c.Frame().Walk(func(o *objects.Object) {
+			if o.Attrs.Background == "hotpink" {
+				n++
+			}
+		})
+		return n
+	}
+	if pink(c3) == 0 {
+		t.Fatal("clone's resource change did not reach its WM's decoration")
+	}
+	if _, c4 := decorateOne(db); pink(c4) != 0 {
+		t.Fatal("clone's resource change reached a WM on the parent database")
 	}
 }
 
@@ -205,10 +221,8 @@ func TestPrototypeSurvivesClientMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := NewSharedProtoCache(db)
-
 	s1 := xserver.NewServer()
-	wm1, err := New(s1, Options{SharedProtos: shared})
+	wm1, err := New(s1, Options{DB: db})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +248,7 @@ func TestPrototypeSurvivesClientMutation(t *testing.T) {
 	// A second session decorating the identical context must get the
 	// pristine tree.
 	s2 := xserver.NewServer()
-	wm2, err := New(s2, Options{SharedProtos: shared})
+	wm2, err := New(s2, Options{DB: db})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +264,7 @@ func TestPrototypeSurvivesClientMutation(t *testing.T) {
 		t.Fatal("client not managed")
 	}
 	if wm2.Stats().ProtoHits == 0 {
-		t.Fatal("expected a shared-cache hit")
+		t.Fatal("expected a shared-prototype hit")
 	}
 	c2.Frame().Walk(func(o *objects.Object) {
 		if o.Label() == "VANDALIZED" || o.Attrs.Background == "hotpink" {

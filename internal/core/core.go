@@ -54,11 +54,6 @@ type Options struct {
 	// using scrollbars, a two dimensional panner object, or window
 	// manager functions").
 	EnableScrollbars bool
-	// SharedProtos attaches the WM to a fleet-wide decoration prototype
-	// cache (see SharedProtoCache). The cache is bound to one resource
-	// database: DB must be nil (the WM then adopts the cache's database)
-	// or identical to SharedProtos.DB().
-	SharedProtos *SharedProtoCache
 	// Log receives diagnostics; nil discards them.
 	Log io.Writer
 }
@@ -112,16 +107,6 @@ type WM struct {
 	// those paths may block or issue X requests.
 	metrics *wmMetrics
 	deg     *degrade.Tracker
-	// sessionInst observes the session hint table (match hits/misses,
-	// malformed records) into the same registry.
-	sessionInst *obs.SessionInstrument
-
-	// protos caches resolved decoration trees by lookup context; see
-	// proto.go. Owned by the event-loop goroutine, like the client maps.
-	// When sharedProtos is set (fleet mode), it takes over and protos
-	// stays empty.
-	protos       protoCache
-	sharedProtos *SharedProtoCache
 
 	// closed makes Close idempotent.
 	closed bool
@@ -266,16 +251,6 @@ type funcImpl func(wm *WM, ctx *FuncContext, inv bindings.Invocation) error
 // panner, scrollbars, root panels, icon holders and root icons, reads
 // the session hint table, and adopts pre-existing client windows.
 func New(server *xserver.Server, opts Options) (*WM, error) {
-	if opts.SharedProtos != nil {
-		switch opts.DB {
-		case nil:
-			opts.DB = opts.SharedProtos.DB()
-		case opts.SharedProtos.DB():
-			// Already consistent.
-		default:
-			return nil, fmt.Errorf("core: SharedProtos is bound to a different resource database than Options.DB")
-		}
-	}
 	if opts.DB == nil {
 		db, err := templates.Load(templates.Default)
 		if err != nil {
@@ -287,14 +262,13 @@ func New(server *xserver.Server, opts Options) (*WM, error) {
 		opts.PannerScale = 32
 	}
 	wm := &WM{
-		server:       server,
-		conn:         server.Connect("swm"),
-		db:           opts.DB,
-		opts:         opts,
-		clients:      make(map[xproto.XID]*Client),
-		byFrame:      make(map[xproto.XID]*Client),
-		byObjWin:     make(map[xproto.XID]objRef),
-		sharedProtos: opts.SharedProtos,
+		server:   server,
+		conn:     server.Connect("swm"),
+		db:       opts.DB,
+		opts:     opts,
+		clients:  make(map[xproto.XID]*Client),
+		byFrame:  make(map[xproto.XID]*Client),
+		byObjWin: make(map[xproto.XID]objRef),
 	}
 	// Observability: one registry + trace per WM, instruments resolved
 	// once here and never looked up again (see metrics.go). The trace
@@ -307,7 +281,6 @@ func New(server *xserver.Server, opts Options) (*WM, error) {
 	wm.conn.SetInstrument(obs.NewConnInstrument(trace, requestMajor, m.requestsByMajor, m.requests, m.otherRequests))
 	wm.conn.SetErrorHandler(m.noteXError)
 	server.SetLockObserver(m.lockInst)
-	wm.sessionInst = obs.NewSessionInstrument(m.hintHits, m.hintMisses, m.badHints)
 
 	for _, srvScr := range server.Screens() {
 		scr := &Screen{
@@ -548,15 +521,13 @@ func (wm *WM) loadHintTable() {
 	prop, ok, err := wm.conn.GetProperty(root, wm.conn.InternAtom("SWM_HINTS"))
 	if err != nil || !ok {
 		wm.hintTable, _ = session.NewTable("")
-		wm.hintTable.SetInstrument(wm.sessionInst)
 		return
 	}
 	tbl, bad := session.NewTable(string(prop.Data))
 	if bad > 0 {
 		wm.logf("%d malformed swmhints records ignored", bad)
-		wm.sessionInst.BadRecords(bad)
+		wm.metrics.badHints.Add(int64(bad))
 	}
-	tbl.SetInstrument(wm.sessionInst)
 	wm.hintTable = tbl
 	// Consume the property so a later swm restart starts fresh.
 	wm.check(nil, "consume SWM_HINTS", wm.conn.DeleteProperty(root, wm.conn.InternAtom("SWM_HINTS")))
@@ -658,9 +629,11 @@ func (wm *WM) Shutdown() {
 // Close is the symmetric teardown for New: it releases clients the way
 // Shutdown does, closes the connection (destroying every WM-owned
 // server window via save-set semantics), and drops all retained state —
-// client maps, orphan list, focus, interaction state, the prototype
-// cache — so a stopped WM pins neither server resources nor heap. It is
-// idempotent.
+// client maps, orphan list, focus, interaction state — so a stopped WM
+// pins neither server resources nor heap. It is idempotent. The
+// decoration prototypes belong to the resource database, not the WM:
+// they outlive Close so a restart on the same database reuses them, and
+// go when the database changes or is dropped.
 //
 // Close must not run concurrently with Run or Pump: like every WM
 // method it belongs to the event-loop goroutine. To stop a Run blocked
@@ -692,7 +665,6 @@ func (wm *WM) Close() {
 	wm.moveState = nil
 	wm.resizing = nil
 	wm.prompt = nil
-	wm.protos = protoCache{}
 	for _, scr := range wm.screens {
 		scr.rootPanels = nil
 		scr.rootIcons = nil

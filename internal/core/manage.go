@@ -85,7 +85,11 @@ func (wm *WM) Manage(win xproto.XID) (*Client, error) {
 	// restore size, location, icon location, sticky and state.
 	var sessHint *sessionPlacement
 	if len(c.Command) > 0 && c.Transient == xproto.None {
-		if h, ok := wm.hintTable.Match(c.Command, c.Machine); ok {
+		h, ok := wm.hintTable.Match(c.Command, c.Machine)
+		if !ok {
+			wm.metrics.hintMisses.Inc()
+		} else {
+			wm.metrics.hintHits.Inc()
 			sp := sessionPlacement{hint: h}
 			if hg, err := h.ParseGeometry(); err == nil {
 				sp.geom = hg
@@ -316,7 +320,7 @@ func (wm *WM) placeClient(c *Client, sess *sessionPlacement, normal icccm.Normal
 }
 
 // decorate selects and builds the decoration object tree for a client.
-// The resolved tree comes from the prototype cache when an identical
+// The resolved tree comes from the database's memo when an identical
 // lookup context was built before; only the decoration-name query and
 // the deep clone run per client (see proto.go for the keying argument).
 func (wm *WM) decorate(c *Client) error {
@@ -328,34 +332,29 @@ func (wm *WM) decorate(c *Client) error {
 	if !ok {
 		name = "default"
 	}
-	gen := wm.db.Generation()
-	key := protoKey{
-		screen:     c.scr.Num,
-		monochrome: c.scr.Monochrome,
-		shaped:     c.Shaped,
-		sticky:     c.Sticky,
-		transient:  c.Transient != xproto.None,
-		panel:      name,
-	}
-	var tree *objects.Object
-	if proto, hit := wm.protoGet(gen, key); hit {
+	var buf [64]byte
+	proto, hit, evicted, err := wm.db.Memo(protoKey(buf[:0], c, name), func() (any, error) {
+		return objects.Build(ctx, name)
+	})
+	if hit {
 		wm.metrics.protoHits.Inc()
-		tree = proto.Clone()
 	} else {
 		wm.metrics.protoMisses.Inc()
-		built, err := objects.Build(ctx, name)
-		if err != nil {
-			// Fall back to a minimal frame: bare client slot panel. Build
-			// failures are not cached — a later resource fix (new
-			// generation) or transient cause should get a fresh attempt.
-			tree = &objects.Object{Kind: objects.KindPanel, Name: "swmFallback"}
-			slot := &objects.Object{Kind: objects.KindPanel, Name: "client", Parent: tree}
-			tree.Children = []*objects.Object{slot}
-			wm.logf("decoration %q: %v (using fallback)", name, err)
-		} else {
-			wm.metrics.protoEvictions.Add(int64(wm.protoPut(gen, key, built)))
-			tree = built.Clone()
-		}
+	}
+	if evicted {
+		wm.metrics.protoEvictions.Inc()
+	}
+	var tree *objects.Object
+	if err != nil {
+		// Fall back to a minimal frame: bare client slot panel. The memo
+		// keeps no failed build, so a later resource fix or a transient
+		// cause gets a fresh attempt.
+		tree = &objects.Object{Kind: objects.KindPanel, Name: "swmFallback"}
+		slot := &objects.Object{Kind: objects.KindPanel, Name: "client", Parent: tree}
+		tree.Children = []*objects.Object{slot}
+		wm.logf("decoration %q: %v (using fallback)", name, err)
+	} else {
+		tree = proto.(*objects.Object).Clone()
 	}
 	slot := tree.Find("client")
 	if slot == nil {

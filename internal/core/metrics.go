@@ -62,7 +62,8 @@ type wmMetrics struct {
 	pumpNs       *obs.Histogram
 	pannerDamage *obs.Histogram
 
-	// The session hint table's counters (see loadHintTable).
+	// The session hint table's counters: Manage counts Match hits and
+	// misses, loadHintTable the malformed records it drops.
 	hintHits, hintMisses, badHints *obs.Counter
 
 	// lockInst feeds xserver's writer-lock slow path (installed via

@@ -1,22 +1,21 @@
 package core
 
 import (
-	"sync"
+	"strconv"
 
-	"repro/internal/objects"
-	"repro/internal/xrdb"
+	"repro/internal/xproto"
 )
 
-// The decoration prototype cache. objects.Build resolves every panel,
-// button and text attribute through the resource database — dozens of
-// queries plus a bindings.Parse per object — yet the result depends
-// only on the lookup context, not on the individual client: the
-// database, the screen (number and monochrome), the dynamic resource
-// prefixes ("shaped", "sticky", "transient") and the resolved
-// decoration panel name. decorate therefore builds each distinct
-// context once, keeps the pristine tree here as a prototype, and hands
-// every subsequent client a deep Clone — per-client state (labels,
-// layout geometry, realized windows) only ever touches the clone.
+// Decoration prototypes. objects.Build resolves every panel, button and
+// text attribute through the resource database — dozens of queries plus
+// a bindings.Parse per object — yet the result depends only on the
+// lookup context, not on the individual client: the database, the
+// screen (number and monochrome), the dynamic resource prefixes
+// ("shaped", "sticky", "transient") and the resolved decoration panel
+// name. decorate therefore builds each distinct context once, keeps the
+// pristine tree in the database's memo (xrdb.DB.Memo), and hands every
+// client a deep Clone — per-client state (labels, layout geometry,
+// realized windows) only ever touches the clone.
 //
 // Correctness hinges on two points. First, the key must cover every
 // input Build reads: the prefixes are part of the key because the
@@ -24,148 +23,29 @@ import (
 // match (swm.color.screen0.shaped.button.background can differ from
 // the unshaped answer), and the panel name is part of the key because
 // two classes may resolve to different decorations under the same
-// prefixes. Second, the cache must not outlive the database contents
-// it was built from: entries record the xrdb generation and the whole
-// cache is dropped when the generation moves (f.defaults, swmcmd
-// resource edits), mirroring how the query trie itself recompiles.
-type protoKey struct {
-	screen     int
-	monochrome bool
-	shaped     bool
-	sticky     bool
-	transient  bool
-	panel      string
-}
+// prefixes. Second, a prototype must not outlive the database contents
+// it was built from: the memo is dropped by every real Put, Merge or
+// Load, exactly as the compiled query trie is, and a Clone starts
+// empty. Every WM on one database shares its prototypes, so a fleet
+// builds each context once for all its sessions.
 
-// protoCacheCap bounds the cache. Real sessions see a handful of
-// distinct decorations; the cap only matters for adversarial resource
-// files that name a new panel per client, and FIFO eviction keeps even
-// that case bounded without bookkeeping on the hit path.
-const protoCacheCap = 64
-
-type protoCache struct {
-	gen     uint64
-	entries map[protoKey]*objects.Object
-	order   []protoKey // insertion order, for FIFO eviction
-}
-
-// get returns the prototype for key if it was built against database
-// generation gen.
-func (pc *protoCache) get(gen uint64, key protoKey) (*objects.Object, bool) {
-	if pc.entries == nil || pc.gen != gen {
-		return nil, false
+// protoKey appends the memo key for c's decoration under panel to buf.
+func protoKey(buf []byte, c *Client, panel string) []byte {
+	var flags byte
+	if c.scr.Monochrome {
+		flags |= 1
 	}
-	t, ok := pc.entries[key]
-	return t, ok
-}
-
-// put stores a prototype built against generation gen and returns how
-// many entries were evicted to make room (0 or 1; the whole cache
-// flushing on a generation change is not an eviction).
-func (pc *protoCache) put(gen uint64, key protoKey, tree *objects.Object) int {
-	if pc.entries != nil && gen < pc.gen {
-		// A straggler built against an older database state must not
-		// flush entries keyed to the current one.
-		return 0
+	if c.Shaped {
+		flags |= 2
 	}
-	if pc.entries == nil || pc.gen != gen {
-		pc.entries = make(map[protoKey]*objects.Object)
-		pc.order = pc.order[:0]
-		pc.gen = gen
+	if c.Sticky {
+		flags |= 4
 	}
-	evicted := 0
-	if _, exists := pc.entries[key]; !exists && len(pc.entries) >= protoCacheCap {
-		oldest := pc.order[0]
-		pc.order = pc.order[1:]
-		delete(pc.entries, oldest)
-		evicted = 1
+	if c.Transient != xproto.None {
+		flags |= 8
 	}
-	if _, exists := pc.entries[key]; !exists {
-		pc.order = append(pc.order, key)
-	}
-	pc.entries[key] = tree
-	return evicted
-}
-
-// SharedProtoCache is a prototype cache shared by every WM in a fleet.
-// Session startup is dominated by objects.Build, and a thousand sessions
-// decorating the same client classes against the same template database
-// rebuild identical trees a thousand times; sharing the cache makes the
-// build once-per-context for the whole process.
-//
-// Ownership rules (the fleet's shared read-mostly state contract):
-//
-//   - The cache is bound to exactly one *xrdb.DB at construction. A WM
-//     may attach only if it uses the same database — a cache keyed by
-//     generation is meaningless across databases, and core.New enforces
-//     the binding.
-//   - Cached prototypes are immutable. Writers publish fully-built trees
-//     under the cache lock; readers receive the pristine pointer and
-//     deep-Clone it outside the lock (objects.Clone never mutates its
-//     receiver), so one session's per-client mutations can never reach a
-//     tree another session is cloning.
-//   - A Put on the shared database retires the cache wholesale via the
-//     generation key, exactly as it retires the compiled query trie: a
-//     prototype built against generation g is unreachable once the
-//     database reports g+1.
-type SharedProtoCache struct {
-	db *xrdb.DB
-
-	mu    sync.Mutex
-	cache protoCache
-}
-
-// NewSharedProtoCache creates a cache bound to db. Every WM attached via
-// Options.SharedProtos must use this database.
-func NewSharedProtoCache(db *xrdb.DB) *SharedProtoCache {
-	if db == nil {
-		panic("core: NewSharedProtoCache requires a database")
-	}
-	return &SharedProtoCache{db: db}
-}
-
-// DB returns the database the cache is bound to.
-func (sc *SharedProtoCache) DB() *xrdb.DB { return sc.db }
-
-// Len reports the number of cached prototypes (diagnostics and tests).
-func (sc *SharedProtoCache) Len() int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return len(sc.cache.entries)
-}
-
-func (sc *SharedProtoCache) get(gen uint64, key protoKey) (*objects.Object, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.cache.get(gen, key)
-}
-
-func (sc *SharedProtoCache) put(gen uint64, key protoKey, tree *objects.Object) int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.db.Generation() != gen {
-		// The database moved while this tree was being built; publishing
-		// it under the stale generation could flush fresher entries, and
-		// publishing under the new one would lie about its inputs.
-		return 0
-	}
-	return sc.cache.put(gen, key, tree)
-}
-
-// protoGet consults the shared cache when the WM is attached to one,
-// falling back to the per-WM cache otherwise.
-func (wm *WM) protoGet(gen uint64, key protoKey) (*objects.Object, bool) {
-	if wm.sharedProtos != nil {
-		return wm.sharedProtos.get(gen, key)
-	}
-	return wm.protos.get(gen, key)
-}
-
-// protoPut publishes a freshly built prototype into whichever cache the
-// WM uses and reports evictions (see protoCache.put).
-func (wm *WM) protoPut(gen uint64, key protoKey, tree *objects.Object) int {
-	if wm.sharedProtos != nil {
-		return wm.sharedProtos.put(gen, key, tree)
-	}
-	return wm.protos.put(gen, key, tree)
+	buf = append(buf, "core.deco "...)
+	buf = strconv.AppendInt(buf, int64(c.scr.Num), 10)
+	buf = append(buf, ' ', '0'+flags)
+	return append(buf, panel...)
 }

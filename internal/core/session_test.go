@@ -352,3 +352,45 @@ func TestSwmhintsWhileRunning(t *testing.T) {
 		t.Errorf("late hint ignored: client at (%d,%d)", x, y)
 	}
 }
+
+// TestHintCountersThroughMetrics restarts a WM over an SWM_HINTS table
+// holding one matching record and one malformed record, with one
+// adopted client that has no record, and reads the session counters
+// through Metrics().
+func TestHintCountersThroughMetrics(t *testing.T) {
+	s := xserver.NewServer()
+	for _, cfg := range []clients.Config{
+		{Instance: "oclock", Class: "Clock", Width: 100, Height: 100,
+			Command: []string{"oclock", "-geom", "100x100"}},
+		{Instance: "xedit", Class: "XEdit", Width: 300, Height: 300,
+			Command: []string{"xedit", "notes"}},
+	} {
+		if _, err := clients.Launch(s, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeHints(t, s, session.Hint{Geometry: "120x120+10+10", State: "NormalState", Cmd: "oclock -geom 100x100 "})
+	conn := s.Connect("swmhints")
+	err := conn.ChangeProperty(s.Screens()[0].Root, conn.InternAtom("SWM_HINTS"),
+		conn.InternAtom("STRING"), 8, xproto.PropModeAppend, []byte("-cmd unquoted\n"))
+	conn.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	db, _ := templates.Load(templates.OpenLook)
+	wm, err := New(s, Options{DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := wm.Metrics().Snapshot().Counters
+	for name, want := range map[string]int64{
+		"session.hint_hits":   1,
+		"session.hint_misses": 1,
+		"session.bad_records": 1,
+	} {
+		if got := counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}

@@ -3,16 +3,17 @@
 // as a shell around mechanism with all policy in the resource database;
 // nothing ties one process to one display, and the ROADMAP's
 // WM-as-a-service direction needs exactly this multiplication: a
-// thousand sessions sharing one address space, one template database,
-// and one decoration prototype cache.
+// thousand sessions sharing one address space and one template
+// database — and with it the compiled query trie and the decoration
+// prototypes the database memoizes.
 //
 // Architecture:
 //
 //   - Each Session owns its xserver.Server, its WM connection and its
 //     core.WM. Sessions never touch each other's state; the only shared
-//     structures are read-mostly and ownership-explicit (the xrdb
-//     database behind its atomic snapshot, the SharedProtoCache behind
-//     its lock — see those types for the contract).
+//     structure is the read-mostly xrdb database (queries walk its
+//     atomic snapshot, its memo sits behind its lock; see xrdb.DB for
+//     the contract).
 //   - All WM work runs as tasks on a session's scheduler lane, drained
 //     by a bounded worker pool, not a goroutine per session. A
 //     session's tasks are FIFO and never run concurrently with each
@@ -140,8 +141,8 @@ type Config struct {
 	// DB is the shared resource database; nil loads the built-in
 	// default template once for the whole fleet.
 	DB *xrdb.DB
-	// WM is the per-session option template. DB and SharedProtos are
-	// overridden by the fleet's shared state.
+	// WM is the per-session option template. Its DB is replaced by the
+	// fleet's shared database.
 	WM core.Options
 	// Log receives fleet diagnostics (panics, start failures); nil
 	// discards them.
@@ -156,9 +157,8 @@ type Config struct {
 
 // Manager owns a fleet of sessions and the scheduler that drives them.
 type Manager struct {
-	cfg    Config
-	db     *xrdb.DB
-	protos *core.SharedProtoCache
+	cfg Config
+	db  *xrdb.DB
 
 	reg             *obs.Registry
 	sessionsLive    *obs.Gauge
@@ -292,11 +292,10 @@ func New(cfg Config) (*Manager, error) {
 		}
 	}
 	m := &Manager{
-		cfg:    cfg,
-		db:     db,
-		protos: core.NewSharedProtoCache(db),
-		reg:    obs.NewRegistry(),
-		queue:  make(chan *Session, cfg.Sessions),
+		cfg:   cfg,
+		db:    db,
+		reg:   obs.NewRegistry(),
+		queue: make(chan *Session, cfg.Sessions),
 	}
 	m.sessionsLive = m.reg.Gauge("fleet.sessions_live")
 	m.queueDepth = m.reg.Gauge("fleet.queue_depth")
@@ -321,9 +320,6 @@ func New(cfg Config) (*Manager, error) {
 
 // DB returns the fleet's shared resource database.
 func (m *Manager) DB() *xrdb.DB { return m.db }
-
-// Protos returns the fleet-wide decoration prototype cache.
-func (m *Manager) Protos() *core.SharedProtoCache { return m.protos }
 
 // Metrics returns the fleet's instrument registry; Snapshot() it for a
 // point-in-time view.
@@ -526,11 +522,10 @@ func (m *Manager) liveCount() int64 {
 }
 
 // wmOptions builds the per-session core options: the caller's template
-// with the fleet's shared database and prototype cache substituted.
+// with the fleet's shared database substituted.
 func (m *Manager) wmOptions() core.Options {
 	opts := m.cfg.WM
-	opts.DB = nil
-	opts.SharedProtos = m.protos
+	opts.DB = m.db
 	return opts
 }
 

@@ -180,9 +180,9 @@ func TestFleetCloseLeaksNothing(t *testing.T) {
 	m.Close() // idempotent
 }
 
-// TestFleetSharesPrototypes proves the fleet-wide decoration cache: one
-// session pays the build, every other session decorating the identical
-// context hits.
+// TestFleetSharesPrototypes proves that sessions share the prototypes
+// their one database memoizes: one session pays the build, every other
+// session decorating the identical context hits.
 func TestFleetSharesPrototypes(t *testing.T) {
 	const sessions = 6
 	m, err := New(Config{Sessions: sessions, Workers: 2})
@@ -193,11 +193,11 @@ func TestFleetSharesPrototypes(t *testing.T) {
 	m.StartAll()
 	m.Drain()
 
-	// Warm the cache from session 0 alone.
+	// Build the prototype from session 0 alone.
 	launchClients(t, m, 0, 1)
 	m.Drain()
-	if m.Protos().Len() == 0 {
-		t.Fatal("shared cache empty after first decoration")
+	if st := m.Session(0).WM().Stats(); st.ProtoMisses == 0 {
+		t.Fatal("session 0 did not build the first prototype")
 	}
 
 	for i := 1; i < sessions; i++ {

@@ -69,32 +69,3 @@ func (in *LockInstrument) LockWait(ns int64) {
 
 // Contended returns the number of contended lock acquisitions so far.
 func (in *LockInstrument) Contended() int64 { return in.contended.Value() }
-
-// SessionInstrument observes session-manager activity. It structurally
-// satisfies session.Instrument.
-type SessionInstrument struct {
-	hits   *Counter
-	misses *Counter
-	bad    *Counter
-}
-
-// NewSessionInstrument builds the session instrument over counters the
-// caller has registered: hint-table hits and misses, and malformed
-// records dropped.
-func NewSessionInstrument(hits, misses, bad *Counter) *SessionInstrument {
-	return &SessionInstrument{hits: hits, misses: misses, bad: bad}
-}
-
-// HintMatch records one hint-table lookup.
-func (in *SessionInstrument) HintMatch(hit bool) {
-	if hit {
-		in.hits.Inc()
-	} else {
-		in.misses.Inc()
-	}
-}
-
-// BadRecords records n malformed hint records dropped while parsing.
-func (in *SessionInstrument) BadRecords(n int) {
-	in.bad.Add(int64(n))
-}

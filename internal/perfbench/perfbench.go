@@ -104,19 +104,18 @@ var AllocBudgets = map[string]int64{
 // advisory — but fleet-1000-sessions exists precisely to pin the
 // thousand-session lifecycle to an order of magnitude, and a silent
 // slide from seconds to minutes (a scheduler livelock, an accidental
-// O(sessions²) sweep) must fail the bench job. The ceiling was set at
-// ~15x the ~1.9s the workload took when it was introduced, so CI
-// hardware and scheduler noise cannot flake it while an asymptotic
-// regression still trips loudly; it measures ~0.28s today (2-vCPU
-// host, go1.24), ~100x under the ceiling. fleet-1000-sessions gets the same treatment on allocs:
-// measured 801,890 allocs/op (median of five runs on a 2-vCPU host,
-// go1.24; 10,000 managed clients plus 250 restart-adopts) once each
-// session's constant tables were built once per process (1,068,142
-// before), and ~770,900 once the children snapshots stopped carrying
-// a position mirror, 19.7% under the 960k ceiling. Rebuilding those
-// tables per session (~216 allocs each, ~270k at this scale) fails it,
-// and a return to per-session prototype builds or trie recompiles —
-// tens of millions of allocs at this scale — fails immediately.
+// O(sessions²) sweep) must fail the bench job. The 2.5s ceiling is
+// under 10x the median of seven swmbench -check runs, 256ms (IQR
+// 246-260ms) on a 2-CPU host at GOMAXPROCS 2, go1.24.
+// fleet-1000-sessions gets the same treatment on allocs: measured
+// 801,890 allocs/op (median of five runs on a 2-vCPU host, go1.24;
+// 10,000 managed clients plus 250 restart-adopts) once each session's
+// constant tables were built once per process (1,068,142 before), and
+// ~770,900 once the children snapshots stopped carrying a position
+// mirror, 19.7% under the 960k ceiling. Rebuilding those tables per
+// session (~216 allocs each, ~270k at this scale) fails it, and a
+// return to per-session prototype builds or trie recompiles — tens of
+// millions of allocs at this scale — fails immediately.
 // concurrent-clients-64 pins the 64-connection storm to an order of
 // magnitude: measured ~2ms/op median (2-vCPU host, go1.24, -cpu 2)
 // with reads, property and geometry writes off the server lock, so the
@@ -126,18 +125,19 @@ var AllocBudgets = map[string]int64{
 // server lock exclusively in every request measured 7.37ms median on
 // the same host and passes. A ceiling derived from medians that fails
 // that prototype is open work; the value stays until then.
-// swmload-fleet-http pins the whole network service path — 1,000
+// swmload-fleet-http pins the whole network service path — 128
 // concurrent HTTP clients against a 64-session fleet, 20,000 requests
-// per op — to an order of magnitude: measured ~2.8s/op when the
-// ceiling was set and ~0.45s/op today (2-vCPU host, go1.24), so a 40s
-// ceiling absorbs CI hardware while a slide into lock-convoyed or
-// serialized request handling still fails. The workload additionally
-// hard-fails on any request error, so the percentile numbers it
-// records (Report.Load) always describe an error-free run.
+// per op — to an order of magnitude: the 3.5s ceiling is under 10x
+// the median of the same seven runs, 380ms (IQR 378-415ms; 2-CPU host,
+// GOMAXPROCS 2, go1.24), so a slide into lock-convoyed or serialized
+// request handling fails. The
+// workload additionally hard-fails on any request error, so the
+// percentile numbers it records (Report.Load) always describe an
+// error-free run.
 var WallBudgets = map[string]float64{
-	"fleet-1000-sessions":   30e9, // 30s; measured ~0.28s
-	"concurrent-clients-64": 9e6,  // 9ms; measured ~2ms
-	"swmload-fleet-http":    40e9, // 40s; measured ~0.45s
+	"fleet-1000-sessions":   2.5e9, // 2.5s; median 256ms
+	"concurrent-clients-64": 9e6,   // 9ms; measured ~2ms
+	"swmload-fleet-http":    3.5e9, // 3.5s; median 380ms
 }
 
 // LoadBudget is a blocking bar on a load workload's recorded traffic

@@ -157,22 +157,7 @@ func nextToken(s string) (tok, rest string) {
 // matching entry.
 type Table struct {
 	hints []Hint
-	in    Instrument
 }
-
-// Instrument observes hint-table outcomes. Implementations must not
-// call back into the table. The obs package provides one backed by a
-// metrics registry; this package stays dependency-free by naming only
-// the interface.
-type Instrument interface {
-	// HintMatch reports one Match call; hit says whether an entry was
-	// found and consumed.
-	HintMatch(hit bool)
-}
-
-// SetInstrument attaches an observer for subsequent Match calls. A nil
-// instrument (the default) disables observation.
-func (t *Table) SetInstrument(in Instrument) { t.in = in }
 
 // NewTable builds a table from raw property data (newline-separated
 // records). Malformed records are skipped, matching swm's forgiving
@@ -215,13 +200,7 @@ func (t *Table) Match(argv []string, machine string) (Hint, bool) {
 			continue
 		}
 		t.hints = append(t.hints[:i], t.hints[i+1:]...)
-		if t.in != nil {
-			t.in.HintMatch(true)
-		}
 		return h, true
-	}
-	if t.in != nil {
-		t.in.HintMatch(false)
 	}
 	return Hint{}, false
 }

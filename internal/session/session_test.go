@@ -297,33 +297,3 @@ func geomString(w, h, x, y int) string {
 	}
 	return fmt.Sprintf("%dx%d%s%s", w, h, xs, ys)
 }
-
-type countingInstrument struct {
-	hits, misses int
-}
-
-func (c *countingInstrument) HintMatch(hit bool) {
-	if hit {
-		c.hits++
-	} else {
-		c.misses++
-	}
-}
-
-func TestTableInstrument(t *testing.T) {
-	tbl, bad := NewTable(`-geometry 100x100+10+10 -machine hosta -cmd "oclock -geom 100x100 "` + "\n")
-	if bad != 0 {
-		t.Fatalf("bad = %d", bad)
-	}
-	in := &countingInstrument{}
-	tbl.SetInstrument(in)
-	if _, ok := tbl.Match([]string{"xterm"}, "hosta"); ok {
-		t.Fatal("phantom match")
-	}
-	if _, ok := tbl.Match([]string{"oclock", "-geom", "100x100"}, "hosta"); !ok {
-		t.Fatal("no match for recorded hint")
-	}
-	if in.hits != 1 || in.misses != 1 {
-		t.Errorf("hits=%d misses=%d, want 1/1", in.hits, in.misses)
-	}
-}

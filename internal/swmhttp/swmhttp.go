@@ -156,8 +156,8 @@ func (s *Server) Handler() http.Handler { return s.handler }
 
 // ListenAndServe serves the transport on addr until ctx is done, then
 // shuts down gracefully (in-flight requests get up to five seconds to
-// drain). The daemons (swmhttpd, swmfleet -listen) share this exit
-// path so Ctrl-C never drops a half-written envelope.
+// drain). swmhttpd exits through this path so Ctrl-C never drops a
+// half-written envelope.
 func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	srv := &http.Server{Addr: addr, Handler: s.handler}
 	errc := make(chan error, 1)

@@ -82,3 +82,24 @@ func TestQueryZeroAllocAfterMutation(t *testing.T) {
 		t.Errorf("Query allocates %.1f/op after recompile; want 0", allocs)
 	}
 }
+
+// TestMemoHitZeroAlloc pins the memo's side of the same contract: core
+// asks it once per decoration with a key built on the stack, and a hit
+// must not touch the heap.
+func TestMemoHitZeroAlloc(t *testing.T) {
+	db := allocTestDB(t)
+	build := func() (any, error) { return db, nil }
+	var buf [32]byte
+	key := append(buf[:0], "core.deco 0 0openLook"...)
+	if _, _, _, err := db.Memo(key, build); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		if _, hit, _, _ := db.Memo(key, build); !hit {
+			t.Fatal("memo miss on a kept key")
+		}
+	})
+	if avg != 0 {
+		t.Errorf("Memo hit allocates %.1f times", avg)
+	}
+}

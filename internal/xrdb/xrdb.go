@@ -9,6 +9,11 @@
 // as a deliberate improvement over twm's private .twmrc file): panel
 // definitions, object attributes, bindings, per-screen and per-client
 // ("specific") resources.
+//
+// A DB also memoizes values derived from its contents (Memo): core
+// keeps its decoration prototypes there, so every window manager on
+// one database shares them, and the same mutation that retires the
+// compiled query trie drops them.
 package xrdb
 
 import (
@@ -55,7 +60,7 @@ type entry struct {
 // session is mid-walk through — the old snapshot stays intact until its
 // last reader drops it.
 type DB struct {
-	// mu guards entries and nextSeq, and serializes snapshot
+	// mu guards entries, nextSeq and memo, and serializes snapshot
 	// compilation. It is never held while walking the trie.
 	mu      sync.Mutex
 	entries []entry
@@ -66,23 +71,27 @@ type DB struct {
 	// change any answer, so writes simply retire the whole structure —
 	// and once published a snapshot is immutable.
 	snap atomic.Pointer[trieNode]
-	// gen counts mutations. Callers that cache values derived from
-	// queries (the decoration prototype cache in internal/core) compare
-	// generations instead of subscribing to invalidation. Clone
-	// preserves it so a cache keyed by (db, gen) can never confuse a
-	// clone lineage with its parent at the same numeric generation.
-	gen atomic.Uint64
+	// memo holds values callers derived from the current contents (see
+	// Memo). It is guarded by mu and retired together with snap, so it
+	// never outlives the entries it was derived from.
+	memo *memo
+}
+
+// memoCap bounds the memo. Real sessions derive a handful of values;
+// the cap only matters for adversarial resource files that name a new
+// panel per client, and FIFO eviction keeps even that case bounded
+// without bookkeeping on the hit path.
+const memoCap = 64
+
+type memo struct {
+	vals  map[string]any
+	order []string // insertion order, for FIFO eviction
 }
 
 // New returns an empty database.
 func New() *DB {
 	return &DB{}
 }
-
-// Generation returns a counter that changes whenever the database is
-// mutated. Two calls returning the same value bracket a span in which
-// every Query answer was stable.
-func (db *DB) Generation() uint64 { return db.gen.Load() }
 
 // Len reports the number of stored entries.
 func (db *DB) Len() int {
@@ -97,11 +106,11 @@ func (db *DB) Len() int {
 // overrides the earlier one.
 //
 // A Put that changes nothing — identical specifier, identical value —
-// is a no-op and does not advance the generation. Session startup
+// is a no-op and keeps the compiled trie and the memo. Session startup
 // re-asserts template resources (the panner writes its sticky resource
 // on every construction), and without this guard each such write would
-// flush every generation-keyed cache in the fleet for an answer that
-// could not have changed.
+// flush every session's decoration prototypes for an answer that could
+// not have changed.
 func (db *DB) Put(specifier, value string) error {
 	comps, err := parseSpecifier(specifier)
 	if err != nil {
@@ -128,13 +137,57 @@ func (db *DB) Put(specifier, value string) error {
 	return nil
 }
 
-// retireSnapshotLocked drops the compiled trie and advances the
-// generation after a mutation; any stored entry can change any query's
-// answer. Readers holding the old snapshot keep walking it safely — it
-// is immutable — they just describe the previous generation.
+// retireSnapshotLocked drops the compiled trie and the memo after a
+// mutation; any stored entry can change any query's answer. Readers
+// holding the old snapshot keep walking it safely — it is immutable —
+// they just describe the previous contents.
 func (db *DB) retireSnapshotLocked() {
 	db.snap.Store(nil)
-	db.gen.Add(1)
+	db.memo = nil
+}
+
+// Memo returns the value derived from the current contents under key,
+// calling build on a miss; hit says whether it came from the memo and
+// evicted whether keeping it pushed out the oldest value. Keys share
+// one namespace per database, so callers prefix them with what they
+// derive. A lookup does not allocate.
+//
+// build runs with no lock held, since it issues Queries that may
+// compile the trie under mu. Its result is kept only if no mutation
+// landed while it ran (it may describe either state) and it did not
+// fail; either way it is returned. Kept values are shared by every
+// caller on this database, so they must never be mutated.
+func (db *DB) Memo(key []byte, build func() (any, error)) (v any, hit, evicted bool, err error) {
+	db.mu.Lock()
+	if db.memo == nil {
+		db.memo = &memo{vals: make(map[string]any)}
+	}
+	m := db.memo
+	v, hit = m.vals[string(key)]
+	db.mu.Unlock()
+	if hit {
+		return v, true, false, nil
+	}
+	if v, err = build(); err != nil {
+		return nil, false, false, err
+	}
+	// m is the memo the lookup missed in. A mutation while build ran has
+	// retired it, so a result that straddled one lands where no later
+	// lookup looks.
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	k := string(key)
+	if _, dup := m.vals[k]; dup {
+		return v, false, false, nil // a concurrent build kept its own
+	}
+	if len(m.order) >= memoCap {
+		delete(m.vals, m.order[0])
+		m.order = m.order[1:]
+		evicted = true
+	}
+	m.vals[k] = v
+	m.order = append(m.order, k)
+	return v, false, evicted, nil
 }
 
 // MustPut is Put that panics on malformed specifiers; for use with
@@ -546,11 +599,8 @@ func (db *DB) Dump(w io.Writer) error {
 }
 
 // Clone returns a deep copy of the database, used when the WM overlays
-// user resources on top of a template. The clone starts at the parent's
-// generation, not zero: generations must be monotone across a lineage,
-// or a cache warmed against the parent could mistake a divergent clone
-// that counted back up to the same number for the state it was built
-// from.
+// user resources on top of a template. The clone starts with an empty
+// memo: it shares no derived value with its parent.
 func (db *DB) Clone() *DB {
 	entries := db.snapshotEntries()
 	out := New()
@@ -559,7 +609,6 @@ func (db *DB) Clone() *DB {
 		out.entries = append(out.entries, entry{components: comps, value: e.value, seq: out.nextSeq})
 		out.nextSeq++
 	}
-	out.gen.Store(db.gen.Load())
 	return out
 }
 
