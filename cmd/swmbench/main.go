@@ -1,7 +1,9 @@
 // Command swmbench runs the repository's tracked performance workloads
-// (internal/perfbench) and writes a BENCH_<n>.json report: ns/op,
-// allocs/op and B/op for the manage, move-storm and pan-storm shapes,
-// the twm/swm/gwm comparison, and the HTTP serving-path workloads.
+// (internal/perfbench) and prints ns/op, allocs/op and B/op for the
+// manage, move-storm and pan-storm shapes, the twm/swm/gwm comparison,
+// and the HTTP serving-path workloads. With -o it also writes the full
+// BENCH_<n>.json report; without -o it writes no file, so a local
+// -check leaves the committed reports alone.
 //
 //	swmbench -o BENCH_10.json -check -delta BENCH_9.json -delta-out delta.md
 //
@@ -33,7 +35,7 @@ import (
 )
 
 func main() {
-	out := flag.String("o", "BENCH_10.json", "report output path (\"-\" for stdout)")
+	out := flag.String("o", "", "write the JSON report here (\"-\" for stdout; empty writes none)")
 	check := flag.Bool("check", false, "fail when a blocking allocation, wall-clock, or load budget is exceeded")
 	deltaIn := flag.String("delta", "", "previous BENCH_<n>.json to diff against (missing file is skipped)")
 	deltaOut := flag.String("delta-out", "", "write the markdown delta table here instead of stdout")
@@ -114,12 +116,15 @@ func main() {
 		os.Exit(1)
 	}
 	data = append(data, '\n')
-	if *out == "-" {
+	switch *out {
+	case "":
+	case "-":
 		os.Stdout.Write(data)
-	} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "swmbench: %v\n", err)
-		os.Exit(1)
-	} else {
+	default:
+		if err := os.WriteFile(*out, data, 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "swmbench: %v\n", err)
+			os.Exit(1)
+		}
 		fmt.Printf("\nreport written to %s\n", *out)
 	}
 

@@ -65,7 +65,7 @@ func main() {
 	// by the time the WM honors it, the window is gone.
 	victim := apps[3]
 	wm.Conn().SetFaultPolicy(&xserver.FaultPolicy{
-		Ops: []string{"ConfigureWindow"}, EveryN: 1, Times: 1,
+		Ops: []xproto.Major{xproto.MajorConfigureWindow}, EveryN: 1, Times: 1,
 		Code: xproto.BadWindow, KillTarget: true,
 	})
 	_ = victim.Resize(300, 200)

@@ -46,7 +46,7 @@ func waived(c *xserver.Conn, win xproto.XID) {
 // instrument mirrors an obs recording hook: no error return, nothing
 // to discard.
 type instrument interface {
-	Request(major string)
+	Request(major xproto.Major)
 }
 
 // instrumented mirrors the observability instrument points: recording
@@ -54,7 +54,7 @@ type instrument interface {
 // them must add no findings.
 func instrumented(c *xserver.Conn, win xproto.XID, in instrument) error {
 	if in != nil {
-		in.Request("MapWindow")
+		in.Request(xproto.MajorMapWindow)
 	}
 	err := c.MapWindow(win)
 	check("map", err)

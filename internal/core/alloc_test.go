@@ -167,11 +167,11 @@ var statsSink swmproto.Response
 // TestConstructionAllocBudget bounds one session bring-up: NewServer
 // plus New on a shared database, as a fleet starts
 // each session. What every session has in common (the counter names,
-// the request-major index, the function table, the predefined atoms)
-// is built once per process, and the WM's counters are registered in
-// one batch. Built per session, the same bring-up cost 275 allocs; it
-// measures 59 now (66 under the race detector). Rebuilding any one of
-// those tables per session adds at least 7 and fails here.
+// the function table, the predefined atoms) is built once per process,
+// and the WM's counters are registered in one batch. Built per session,
+// the same bring-up cost 275 allocs; it measures 54 now (60 under the
+// race detector). Rebuilding any one of those tables per session adds
+// at least 7 and fails here.
 func TestConstructionAllocBudget(t *testing.T) {
 	db, err := templates.Load(templates.Default)
 	if err != nil {
@@ -184,9 +184,9 @@ func TestConstructionAllocBudget(t *testing.T) {
 		}
 		wm.Conn().Close()
 	})
-	budget := 64.0 // measured 59; with per-session tables: 275
+	budget := 64.0 // measured 54; with per-session tables: 275
 	if raceEnabled {
-		budget = 72 // measured 66
+		budget = 72 // measured 60
 	}
 	if avg > budget {
 		t.Errorf("session bring-up = %.0f allocs, budget %.0f — is a per-process table being rebuilt per session?", avg, budget)

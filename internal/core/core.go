@@ -278,7 +278,7 @@ func New(server *xserver.Server, opts Options) (*WM, error) {
 	m := newWMMetrics(reg, trace)
 	wm.metrics = m
 	wm.deg = degrade.New("swm").Observe(reg, trace)
-	wm.conn.SetInstrument(obs.NewConnInstrument(trace, requestMajor, m.requestsByMajor, m.requests, m.otherRequests))
+	wm.conn.SetInstrument(obs.NewConnInstrument(trace, &m.requestsByMajor, m.requests, m.otherRequests))
 	wm.conn.SetErrorHandler(m.noteXError)
 	server.SetLockObserver(m.lockInst)
 

@@ -55,26 +55,26 @@ func TestDestroyNotifySubwindowDoesNotUnmanageWrongClient(t *testing.T) {
 
 // requestLog is an xserver.Instrument that records every request.
 type requestLog struct {
-	majors  []string
+	majors  []xproto.Major
 	targets []xproto.XID
 }
 
-func (l *requestLog) Request(major string, target xproto.XID) {
+func (l *requestLog) Request(major xproto.Major, target xproto.XID) {
 	l.majors = append(l.majors, major)
 	l.targets = append(l.targets, target)
 }
 
 // faultAfter is an xserver.Instrument that installs policy on conn
-// once conn has issued skip requests named major, so the next such
+// once conn has issued skip requests of major, so the next such
 // request is the first the policy can fail.
 type faultAfter struct {
 	conn   *xserver.Conn
-	major  string
+	major  xproto.Major
 	skip   int
 	policy xserver.FaultPolicy
 }
 
-func (f *faultAfter) Request(major string, _ xproto.XID) {
+func (f *faultAfter) Request(major xproto.Major, _ xproto.XID) {
 	if major != f.major || f.skip == 0 {
 		return
 	}
@@ -93,18 +93,18 @@ func (f *faultAfter) Request(major string, _ xproto.XID) {
 func TestMapRequestRetriesTransientManageFailure(t *testing.T) {
 	cfg := clients.Config{Instance: "xterm", Class: "XTerm", Width: 300, Height: 200}
 	cases := []struct {
-		major string
+		major xproto.Major
 		// target picks the failing request's window from a managed
 		// client.
 		target func(c *Client) xproto.XID
 	}{
-		{"GetGeometry", func(c *Client) xproto.XID { return c.Win }},
-		{"ChangeSaveSet", func(c *Client) xproto.XID { return c.Win }},
+		{xproto.MajorGetGeometry, func(c *Client) xproto.XID { return c.Win }},
+		{xproto.MajorChangeSaveSet, func(c *Client) xproto.XID { return c.Win }},
 		// The border strip: Launch gives every client a 1px border.
-		{"ConfigureWindow", func(c *Client) xproto.XID { return c.Win }},
-		{"ReparentWindow", func(c *Client) xproto.XID { return c.Win }},
-		{"SelectInput", func(c *Client) xproto.XID { return c.clientSlot.Window }},
-		{"MapWindow", func(c *Client) xproto.XID { return c.Win }},
+		{xproto.MajorConfigureWindow, func(c *Client) xproto.XID { return c.Win }},
+		{xproto.MajorReparentWindow, func(c *Client) xproto.XID { return c.Win }},
+		{xproto.MajorSelectInput, func(c *Client) xproto.XID { return c.clientSlot.Window }},
+		{xproto.MajorMapWindow, func(c *Client) xproto.XID { return c.Win }},
 	}
 	// setup starts a WM and a client whose MapRequest is queued but not
 	// yet handled.
@@ -117,8 +117,8 @@ func TestMapRequestRetriesTransientManageFailure(t *testing.T) {
 		return s, wm, app
 	}
 	// skipFor runs manage on a fault-free server and counts the
-	// requests named major the WM issues before the one to fail.
-	skipFor := func(t *testing.T, major string, target func(*Client) xproto.XID, manage func(*WM, xproto.XID)) int {
+	// requests of major the WM makes before the one to fail.
+	skipFor := func(t *testing.T, major xproto.Major, target func(*Client) xproto.XID, manage func(*WM, xproto.XID)) int {
 		_, wm, app := setup(t)
 		log := &requestLog{}
 		wm.Conn().SetInstrument(log)
@@ -140,8 +140,8 @@ func TestMapRequestRetriesTransientManageFailure(t *testing.T) {
 		t.Fatalf("manage issued no %s on 0x%x", major, uint32(target(c)))
 		return 0
 	}
-	arm := func(wm *WM, major string, skip, times int) {
-		policy := xserver.FaultPolicy{Ops: []string{major}, EveryN: 1, Times: times, Code: xproto.BadMatch}
+	arm := func(wm *WM, major xproto.Major, skip, times int) {
+		policy := xserver.FaultPolicy{Ops: []xproto.Major{major}, EveryN: 1, Times: times, Code: xproto.BadMatch}
 		if skip == 0 {
 			wm.Conn().SetFaultPolicy(&policy)
 			return
@@ -150,7 +150,7 @@ func TestMapRequestRetriesTransientManageFailure(t *testing.T) {
 	}
 
 	for _, tc := range cases {
-		t.Run(tc.major+"/Times1", func(t *testing.T) {
+		t.Run(tc.major.String()+"/Times1", func(t *testing.T) {
 			pump := func(wm *WM, _ xproto.XID) { wm.Pump() }
 			skip := skipFor(t, tc.major, tc.target, pump)
 			s, wm, app := setup(t)
@@ -190,7 +190,7 @@ func TestMapRequestRetriesTransientManageFailure(t *testing.T) {
 				t.Errorf("NumWindows = %d after close, want baseline %d", got, base)
 			}
 		})
-		t.Run(tc.major+"/Times2", func(t *testing.T) {
+		t.Run(tc.major.String()+"/Times2", func(t *testing.T) {
 			manage := func(wm *WM, win xproto.XID) {
 				if _, err := wm.Manage(win); err != nil {
 					t.Fatalf("Manage: %v", err)
@@ -307,7 +307,7 @@ func TestAdoptQueryTreeFailureIsReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	scr := wm.Screens()[0]
-	wm.Conn().SetFaultPolicy(&xserver.FaultPolicy{Seed: 1, EveryN: 1, Times: 1, Ops: []string{"QueryTree"}})
+	wm.Conn().SetFaultPolicy(&xserver.FaultPolicy{Seed: 1, EveryN: 1, Times: 1, Ops: []xproto.Major{xproto.MajorQueryTree}})
 	degraded := wm.Degraded()
 	wm.adoptExisting(scr)
 	if got := wm.Conn().FaultCount(); got != 1 {

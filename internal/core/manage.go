@@ -245,8 +245,9 @@ func (wm *WM) Manage(win xproto.XID) (*Client, error) {
 	wm.markPannerDirty(scr)
 	if _, still := wm.clients[win]; !still {
 		// A post-registration request hit the death race and the client
-		// was already unmanaged; it no longer exists for the caller.
-		return nil, &xproto.XError{Code: xproto.BadWindow, Major: "Manage", Resource: win}
+		// was already unmanaged; it no longer exists for the caller. The
+		// error names no request (MajorNone).
+		return nil, &xproto.XError{Code: xproto.BadWindow, Resource: win}
 	}
 	return c, nil
 }

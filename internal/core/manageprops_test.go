@@ -32,7 +32,7 @@ func TestManagePropReadFailureIsConfined(t *testing.T) {
 	// The MapRequest is queued; the first GetProperty requests of the
 	// pump are Manage's, so EveryN=3 with Times=1 fails exactly the
 	// third one, WM_CLASS, and nothing else.
-	wm.Conn().SetFaultPolicy(&xserver.FaultPolicy{Seed: 23, Ops: []string{"GetProperty"}, EveryN: 3, Times: 1})
+	wm.Conn().SetFaultPolicy(&xserver.FaultPolicy{Seed: 23, Ops: []xproto.Major{xproto.MajorGetProperty}, EveryN: 3, Times: 1})
 	degraded := wm.Degraded()
 	wm.Pump()
 	fired := wm.Conn().FaultCount()

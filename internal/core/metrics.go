@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/xproto"
-	"repro/internal/xserver"
 )
 
 // traceCap is the WM event-trace ring size: big enough to hold a few
@@ -39,14 +38,15 @@ type wmMetrics struct {
 	errsByCode [numErrorSlots]*obs.Counter
 	otherErrs  *obs.Counter
 	// errsByOp counts X errors per failing request major ("per-op
-	// X error counts"), indexed by requestMajor.
-	errsByOp    []*obs.Counter
+	// X error counts"), indexed by xproto.Major; nil at MajorNone.
+	// otherOpErrs catches errors that name no request.
+	errsByOp    [xproto.NumMajors]*obs.Counter
 	otherOpErrs *obs.Counter
 
 	// The connection instrument's counters: every request, requests
-	// by major (indexed by requestMajor), and majors outside the table.
+	// by major (indexed like errsByOp), and majors with no counter.
 	requests, otherRequests *obs.Counter
-	requestsByMajor         []*obs.Counter
+	requestsByMajor         [xproto.NumMajors]*obs.Counter
 
 	managed    *obs.Counter
 	unmanaged  *obs.Counter
@@ -72,18 +72,6 @@ type wmMetrics struct {
 	lockContention *obs.Counter
 	lockInst       *obs.LockInstrument
 }
-
-// requestMajor maps each request major in xserver.RequestMajors to its
-// index there. One map serves every WM in the process: the connection
-// instrument and noteXError both index per-major counter slices with
-// it. Read-only after package initialization.
-var requestMajor = func() map[string]int {
-	m := make(map[string]int, len(xserver.RequestMajors))
-	for i, major := range xserver.RequestMajors {
-		m[major] = i
-	}
-	return m
-}()
 
 // counterField picks the wmMetrics field one registered counter lands
 // in.
@@ -128,10 +116,10 @@ var wmCounters = func() (t struct {
 	} {
 		es = append(es, entry{"xerr.code." + code.String(), func(m *wmMetrics) **obs.Counter { return &m.errsByCode[code] }})
 	}
-	for i, major := range xserver.RequestMajors {
+	for major := xproto.MajorNone + 1; major < xproto.NumMajors; major++ {
 		es = append(es,
-			entry{"xreq." + major, func(m *wmMetrics) **obs.Counter { return &m.requestsByMajor[i] }},
-			entry{"xerr.op." + major, func(m *wmMetrics) **obs.Counter { return &m.errsByOp[i] }})
+			entry{"xreq." + major.String(), func(m *wmMetrics) **obs.Counter { return &m.requestsByMajor[major] }},
+			entry{"xerr.op." + major.String(), func(m *wmMetrics) **obs.Counter { return &m.errsByOp[major] }})
 	}
 	slices.SortFunc(es, func(a, b entry) int { return strings.Compare(a.name, b.name) })
 	for _, e := range es {
@@ -142,14 +130,11 @@ var wmCounters = func() (t struct {
 }()
 
 func newWMMetrics(reg *obs.Registry, trace *obs.Trace) *wmMetrics {
-	n := len(xserver.RequestMajors)
 	m := &wmMetrics{
-		registry:        reg,
-		trace:           trace,
-		errsByOp:        make([]*obs.Counter, n),
-		requestsByMajor: make([]*obs.Counter, n),
-		pumpNs:          reg.Histogram("pump.ns", obs.LatencyBounds),
-		pannerDamage:    reg.Histogram("panner.damage", obs.SizeBounds),
+		registry:     reg,
+		trace:        trace,
+		pumpNs:       reg.Histogram("pump.ns", obs.LatencyBounds),
+		pannerDamage: reg.Histogram("panner.damage", obs.SizeBounds),
 	}
 	for i, c := range reg.Counters(wmCounters.names) {
 		*wmCounters.fields[i](m) = c
@@ -159,16 +144,15 @@ func newWMMetrics(reg *obs.Registry, trace *obs.Trace) *wmMetrics {
 }
 
 // noteXError is the connection error handler: it runs with the server
-// lock held, so it is restricted to atomic adds and reads of maps that
-// are never written after construction.
+// lock held, so it is restricted to atomic adds on prebuilt counters.
 func (m *wmMetrics) noteXError(xe *xproto.XError) {
 	if int(xe.Code) < numErrorSlots && m.errsByCode[xe.Code] != nil {
 		m.errsByCode[xe.Code].Inc()
 	} else {
 		m.otherErrs.Inc()
 	}
-	if i, ok := requestMajor[xe.Major]; ok {
-		m.errsByOp[i].Inc()
+	if xe.Major < xproto.NumMajors && m.errsByOp[xe.Major] != nil {
+		m.errsByOp[xe.Major].Inc()
 	} else {
 		m.otherOpErrs.Inc()
 	}

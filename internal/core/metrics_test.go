@@ -2,12 +2,16 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"testing"
 
+	"repro/internal/clients"
 	"repro/internal/obs"
 	"repro/internal/swmproto"
+	"repro/internal/xproto"
 	"repro/internal/xserver"
 )
 
@@ -82,9 +86,9 @@ func TestWMCountersTable(t *testing.T) {
 		}
 	}
 	m := newWMMetrics(obs.NewRegistry(), nil)
-	for major, i := range requestMajor {
-		if m.requestsByMajor[i] == nil || m.errsByOp[i] == nil {
-			t.Errorf("major %s (index %d) has no counter", major, i)
+	for major := xproto.MajorNone + 1; major < xproto.NumMajors; major++ {
+		if m.requestsByMajor[major] == nil || m.errsByOp[major] == nil {
+			t.Errorf("major %s has no counter", major)
 		}
 	}
 	seen := make(map[*obs.Counter]string)
@@ -96,5 +100,100 @@ func TestWMCountersTable(t *testing.T) {
 			t.Errorf("%s and %s share a counter", prev, names[i])
 		}
 		seen[c] = names[i]
+	}
+}
+
+// counterDeltas runs f and returns every WM counter that moved across
+// it, by how much.
+func counterDeltas(wm *WM, f func()) map[string]int64 {
+	before := make([]int64, len(wmCounters.names))
+	for i, name := range wmCounters.names {
+		before[i] = wm.Metrics().Counter(name).Value()
+	}
+	f()
+	moved := make(map[string]int64)
+	for i, name := range wmCounters.names {
+		if d := wm.Metrics().Counter(name).Value() - before[i]; d != 0 {
+			moved[name] = d
+		}
+	}
+	return moved
+}
+
+// TestFaultedRequestCountsUnderItsMajor checks per-major accounting on
+// both sides of the gate: a request failed by a FaultPolicy is one
+// request of its major (the instrument fires before the schedule) and
+// one X error of its major and code, and no other counter moves.
+func TestFaultedRequestCountsUnderItsMajor(t *testing.T) {
+	wm := freshWM(t)
+	conn := wm.Conn()
+	root := wm.Screens()[0].Root
+	win, err := conn.CreateWindow(root, xproto.Rect{Width: 10, Height: 10}, 0, xserver.WindowAttributes{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		major xproto.Major
+		send  func() error
+	}{
+		{xproto.MajorMapWindow, func() error { return conn.MapWindow(win) }},
+		{xproto.MajorGetGeometry, func() error { _, err := conn.GetGeometry(root); return err }},
+	} {
+		conn.SetFaultPolicy(&xserver.FaultPolicy{Ops: []xproto.Major{tc.major}, EveryN: 1, Times: 1, Code: xproto.BadMatch})
+		moved := counterDeltas(wm, func() {
+			if err := tc.send(); !errors.Is(err, xproto.ErrBadMatch) {
+				t.Errorf("%s: err = %v, want the injected BadMatch", tc.major, err)
+			}
+		})
+		conn.SetFaultPolicy(nil)
+		want := map[string]int64{
+			"xreq.total":                   1,
+			"xreq." + tc.major.String():    1,
+			"xerr.op." + tc.major.String(): 1,
+			"xerr.code.BadMatch":           1,
+		}
+		if !maps.Equal(moved, want) {
+			t.Errorf("%s: counters moved %v, want %v", tc.major, moved, want)
+		}
+	}
+}
+
+// TestManageDeathRaceErrorCountsAsOther checks the error Manage returns
+// when a client dies after registration. It names no request, so the
+// X error handler counts it under xerr.op.other. Manage returns it to
+// the caller rather than reporting it through the connection, so the
+// test hands it to the handler itself; the request that actually hit
+// the race is counted under its own major during Manage.
+func TestManageDeathRaceErrorCountsAsOther(t *testing.T) {
+	s, wm := newWM(t, Options{})
+	app, err := clients.Launch(s, clients.Config{Instance: "doomed", Class: "XTerm", Width: 100, Height: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The synthetic ConfigureNotify is Manage's first request on the
+	// client window after registration.
+	wm.Conn().SetFaultPolicy(&xserver.FaultPolicy{
+		Ops: []xproto.Major{xproto.MajorSendEvent}, EveryN: 1, Times: 1,
+		Code: xproto.BadWindow, KillTarget: true,
+	})
+	var manageErr error
+	moved := counterDeltas(wm, func() {
+		var c *Client
+		c, manageErr = wm.Manage(app.Win)
+		if c != nil {
+			t.Error("Manage returned a client that died during setup")
+		}
+	})
+	wm.Conn().SetFaultPolicy(nil)
+	if moved["wm.death_races"] != 1 || moved["xerr.op.SendEvent"] != 1 {
+		t.Errorf("Manage moved %v, want one death race and one SendEvent error", moved)
+	}
+	var xe *xproto.XError
+	if !errors.As(manageErr, &xe) || xe.Code != xproto.BadWindow || xe.Resource != app.Win {
+		t.Fatalf("Manage err = %v, want BadWindow on 0x%x", manageErr, uint32(app.Win))
+	}
+	moved = counterDeltas(wm, func() { wm.metrics.noteXError(xe) })
+	if want := map[string]int64{"xerr.code.BadWindow": 1, "xerr.op.other": 1}; !maps.Equal(moved, want) {
+		t.Errorf("handler moved %v, want %v", moved, want)
 	}
 }

@@ -119,8 +119,8 @@ func TestCornersFollowClientResize(t *testing.T) {
 // returns to where it was before the handles were created, and no
 // corner is recorded on the client.
 func TestCornerSetupFailureLeaksNothing(t *testing.T) {
-	for _, op := range []string{"SelectInput", "MapWindow"} {
-		t.Run(op, func(t *testing.T) {
+	for _, op := range []xproto.Major{xproto.MajorSelectInput, xproto.MajorMapWindow} {
+		t.Run(op.String(), func(t *testing.T) {
 			s, wm := newWM(t, Options{VirtualDesktop: true})
 			_, c := launch(t, s, wm, clients.Config{Instance: "xterm", Class: "XTerm", Width: 300, Height: 200})
 			// Take the handles Manage built down, so createResizeCorners
@@ -131,7 +131,7 @@ func TestCornerSetupFailureLeaksNothing(t *testing.T) {
 			wm.dropResizeCorners(c)
 			before := s.NumWindows()
 
-			wm.conn.SetFaultPolicy(&xserver.FaultPolicy{Seed: 23, Rate: 1, Ops: []string{op}})
+			wm.conn.SetFaultPolicy(&xserver.FaultPolicy{Seed: 23, Rate: 1, Ops: []xproto.Major{op}})
 			wm.createResizeCorners(c)
 			fired := wm.conn.FaultCount()
 			wm.conn.SetFaultPolicy(nil)

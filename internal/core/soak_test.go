@@ -192,7 +192,7 @@ func TestDeathRaceUnmanagesCleanly(t *testing.T) {
 	// Note: the resize shorthand is encoded as a ConfigureWindow on the
 	// wire, so that is the major the Ops filter must name.
 	wm.Conn().SetFaultPolicy(&xserver.FaultPolicy{
-		Ops: []string{"ConfigureWindow"}, EveryN: 1, Times: 1,
+		Ops: []xproto.Major{xproto.MajorConfigureWindow}, EveryN: 1, Times: 1,
 		Code: xproto.BadWindow, KillTarget: true,
 	})
 	wm.resizeClient(c, 300, 200)

@@ -10,36 +10,34 @@ import (
 //
 // Request fires inside the server's request gate — possibly under the
 // server's read lock, possibly concurrently from several connections —
-// so it is restricted to atomic adds, reads of a map that is never
-// written after construction, and the trace's leaf mutex.
+// so it is restricted to atomic adds, reads of a counter array that is
+// never written after construction, and the trace's leaf mutex.
 type ConnInstrument struct {
 	requests *Counter
-	majors   map[string]int // major → index into byMajor; shared, read-only
-	byMajor  []*Counter
+	byMajor  *[xproto.NumMajors]*Counter // shared with the caller, read-only
 	other    *Counter
 	trace    *Trace // may be nil
 }
 
 // NewConnInstrument builds the connection instrument over counters the
-// caller has registered: total counts every request, byMajor[majors[m]]
-// counts request major m, and other counts majors that majors does not
-// list. majors must not be written after this call, so one map can
-// serve every instrument in the process. trace may be nil to skip trace
+// caller has registered: total counts every request, byMajor[m] counts
+// request major m, and other counts majors whose slot is nil. byMajor
+// must not be written after this call. trace may be nil to skip trace
 // records.
-func NewConnInstrument(trace *Trace, majors map[string]int, byMajor []*Counter, total, other *Counter) *ConnInstrument {
-	return &ConnInstrument{requests: total, majors: majors, byMajor: byMajor, other: other, trace: trace}
+func NewConnInstrument(trace *Trace, byMajor *[xproto.NumMajors]*Counter, total, other *Counter) *ConnInstrument {
+	return &ConnInstrument{requests: total, byMajor: byMajor, other: other, trace: trace}
 }
 
-// Request records one X request. major must be a static string.
-func (in *ConnInstrument) Request(major string, target xproto.XID) {
+// Request records one X request.
+func (in *ConnInstrument) Request(major xproto.Major, target xproto.XID) {
 	in.requests.Inc()
-	if i, ok := in.majors[major]; ok {
-		in.byMajor[i].Inc()
+	if major < xproto.NumMajors && in.byMajor[major] != nil {
+		in.byMajor[major].Inc()
 	} else {
 		in.other.Inc()
 	}
 	if in.trace != nil {
-		in.trace.Record(KindRequest, major, uint32(target), 0, 0)
+		in.trace.Record(KindRequest, major.String(), uint32(target), 0, 0)
 	}
 }
 

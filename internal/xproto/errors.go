@@ -49,12 +49,12 @@ func ParseErrorCode(name string) (ErrorCode, bool) {
 }
 
 // XError is a typed X protocol error. Code is always set; Major names
-// the failing request ("ConfigureWindow"), Resource the offending
+// the failing request (MajorConfigureWindow), Resource the offending
 // resource, and Detail carries human-readable context — each only when
 // known.
 type XError struct {
 	Code     ErrorCode
-	Major    string
+	Major    Major
 	Resource XID
 	Detail   string
 }
@@ -89,7 +89,7 @@ func (e *XError) Is(target error) bool {
 	if t.Code != 0 && t.Code != e.Code {
 		return false
 	}
-	if t.Major != "" && t.Major != e.Major {
+	if t.Major != MajorNone && t.Major != e.Major {
 		return false
 	}
 	if t.Resource != None && t.Resource != e.Resource {

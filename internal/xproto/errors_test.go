@@ -86,7 +86,7 @@ func TestXErrorMessageFormats(t *testing.T) {
 }
 
 func TestXErrorIs(t *testing.T) {
-	err := &XError{Code: BadWindow, Major: "MapWindow", Resource: 0x200005}
+	err := &XError{Code: BadWindow, Major: MajorMapWindow, Resource: 0x200005}
 	cases := []struct {
 		name   string
 		target error
@@ -94,10 +94,10 @@ func TestXErrorIs(t *testing.T) {
 	}{
 		{"code sentinel", ErrBadWindow, true},
 		{"wrong code sentinel", ErrBadMatch, false},
-		{"full match", &XError{Code: BadWindow, Major: "MapWindow", Resource: 0x200005}, true},
-		{"wrong major", &XError{Code: BadWindow, Major: "DestroyWindow"}, false},
+		{"full match", &XError{Code: BadWindow, Major: MajorMapWindow, Resource: 0x200005}, true},
+		{"wrong major", &XError{Code: BadWindow, Major: MajorDestroyWindow}, false},
 		{"wrong resource", &XError{Code: BadWindow, Resource: 0x200009}, false},
-		{"resource wildcard", &XError{Code: BadWindow, Major: "MapWindow"}, true},
+		{"resource wildcard", &XError{Code: BadWindow, Major: MajorMapWindow}, true},
 		{"non-xerror target", errors.New("xserver: BadWindow 0x200005"), false},
 	}
 	for _, tc := range cases {
@@ -110,7 +110,7 @@ func TestXErrorIs(t *testing.T) {
 }
 
 func TestXErrorThroughWrapping(t *testing.T) {
-	inner := &XError{Code: BadDrawable, Major: "GetGeometry", Resource: 0x300000}
+	inner := &XError{Code: BadDrawable, Major: MajorGetGeometry, Resource: 0x300000}
 	wrapped := fmt.Errorf("manage 0x300000: %w", inner)
 
 	if !errors.Is(wrapped, ErrBadDrawable) {
@@ -120,7 +120,7 @@ func TestXErrorThroughWrapping(t *testing.T) {
 	if !errors.As(wrapped, &xe) {
 		t.Fatal("errors.As failed through fmt.Errorf wrapping")
 	}
-	if xe.Major != "GetGeometry" || xe.Resource != 0x300000 {
+	if xe.Major != MajorGetGeometry || xe.Resource != 0x300000 {
 		t.Errorf("errors.As recovered %+v", xe)
 	}
 	code, ok := CodeOf(wrapped)

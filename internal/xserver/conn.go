@@ -61,10 +61,10 @@ type connGates struct {
 	faults *faultState
 }
 
-// lookupWin resolves a window id for the request named major, routing a
+// lookupWin resolves a window id for a request of major, routing a
 // typed BadWindow through the connection's error handler on failure.
 // Lock-free (slot-table index); callable from any context.
-func (c *Conn) lookupWin(id xproto.XID, major string) (*window, error) {
+func (c *Conn) lookupWin(id xproto.XID, major xproto.Major) (*window, error) {
 	w, err := c.server.lookupErr(id)
 	if err != nil {
 		var xe *xproto.XError
@@ -98,19 +98,19 @@ type WindowAttributes struct {
 // CreateWindow creates a child of parent at the given parent-relative
 // geometry and returns its XID. The window starts unmapped.
 func (c *Conn) CreateWindow(parent xproto.XID, r xproto.Rect, borderWidth int, attrs WindowAttributes) (xproto.XID, error) {
-	if err := c.gate("CreateWindow", parent); err != nil {
+	if err := c.gate(xproto.MajorCreateWindow, parent); err != nil {
 		return xproto.None, err
 	}
 	s := c.server
 	s.writeLock()
 	defer s.mu.Unlock()
-	p, err := c.lookupWin(parent, "CreateWindow")
+	p, err := c.lookupWin(parent, xproto.MajorCreateWindow)
 	if err != nil {
 		return xproto.None, err
 	}
 	if r.Width <= 0 || r.Height <= 0 {
 		return xproto.None, c.note(&xproto.XError{
-			Code: xproto.BadValue, Major: "CreateWindow",
+			Code: xproto.BadValue, Major: xproto.MajorCreateWindow,
 			Detail: fmt.Sprintf("zero-sized window %v", r),
 		})
 	}
@@ -148,13 +148,13 @@ func (c *Conn) CreateWindow(parent xproto.XID, r xproto.Rect, borderWidth int, a
 
 // DestroyWindow destroys the window and all its descendants.
 func (c *Conn) DestroyWindow(id xproto.XID) error {
-	if err := c.gate("DestroyWindow", id); err != nil {
+	if err := c.gate(xproto.MajorDestroyWindow, id); err != nil {
 		return err
 	}
 	s := c.server
 	s.writeLock()
 	defer s.mu.Unlock()
-	w, err := c.lookupWin(id, "DestroyWindow")
+	w, err := c.lookupWin(id, xproto.MajorDestroyWindow)
 	if err != nil {
 		return err
 	}
@@ -217,13 +217,13 @@ func (s *Server) destroyTreeLocked(w *window, detachSelf bool) {
 // SubstructureRedirect on the parent and the window is not
 // override-redirect, a MapRequest is sent to that client instead.
 func (c *Conn) MapWindow(id xproto.XID) error {
-	if err := c.gate("MapWindow", id); err != nil {
+	if err := c.gate(xproto.MajorMapWindow, id); err != nil {
 		return err
 	}
 	s := c.server
 	s.writeLock()
 	defer s.mu.Unlock()
-	w, err := c.lookupWin(id, "MapWindow")
+	w, err := c.lookupWin(id, xproto.MajorMapWindow)
 	if err != nil {
 		return err
 	}
@@ -275,13 +275,13 @@ func (s *Server) mapNow(w *window) {
 
 // UnmapWindow unmaps the window.
 func (c *Conn) UnmapWindow(id xproto.XID) error {
-	if err := c.gate("UnmapWindow", id); err != nil {
+	if err := c.gate(xproto.MajorUnmapWindow, id); err != nil {
 		return err
 	}
 	s := c.server
 	s.writeLock()
 	defer s.mu.Unlock()
-	w, err := c.lookupWin(id, "UnmapWindow")
+	w, err := c.lookupWin(id, xproto.MajorUnmapWindow)
 	if err != nil {
 		return err
 	}
@@ -317,23 +317,23 @@ func (s *Server) unmapNow(w *window, fromConfigure bool) {
 // Reparenting always holds the server lock exclusively: the cycle check
 // and the subtree screen rewrite need a stable tree.
 func (c *Conn) ReparentWindow(id, newParent xproto.XID, x, y int) error {
-	if err := c.gate("ReparentWindow", id); err != nil {
+	if err := c.gate(xproto.MajorReparentWindow, id); err != nil {
 		return err
 	}
 	s := c.server
 	s.writeLock()
 	defer s.mu.Unlock()
-	w, err := c.lookupWin(id, "ReparentWindow")
+	w, err := c.lookupWin(id, xproto.MajorReparentWindow)
 	if err != nil {
 		return err
 	}
-	np, err := c.lookupWin(newParent, "ReparentWindow")
+	np, err := c.lookupWin(newParent, xproto.MajorReparentWindow)
 	if err != nil {
 		return err
 	}
 	if w == np || w.isAncestorOf(np) {
 		return c.note(&xproto.XError{
-			Code: xproto.BadMatch, Major: "ReparentWindow", Resource: id,
+			Code: xproto.BadMatch, Major: xproto.MajorReparentWindow, Resource: id,
 			Detail: "reparent would create a cycle",
 		})
 	}
@@ -383,7 +383,7 @@ func setScreenIdx(w *window, sc int32) {
 // Geometry-only configures are lock-free (atomic field stores);
 // restacks hold the server lock exclusively.
 func (c *Conn) ConfigureWindow(id xproto.XID, ch xproto.WindowChanges) error {
-	if err := c.gate("ConfigureWindow", id); err != nil {
+	if err := c.gate(xproto.MajorConfigureWindow, id); err != nil {
 		return err
 	}
 	s := c.server
@@ -391,7 +391,7 @@ func (c *Conn) ConfigureWindow(id xproto.XID, ch xproto.WindowChanges) error {
 		s.writeLock()
 		defer s.mu.Unlock()
 	}
-	w, err := c.lookupWin(id, "ConfigureWindow")
+	w, err := c.lookupWin(id, xproto.MajorConfigureWindow)
 	if err != nil {
 		return err
 	}
@@ -445,7 +445,7 @@ func (s *Server) configure(w *window, ch xproto.WindowChanges) error {
 	}
 	if ch.Mask&xproto.CWWidth != 0 && ch.Width <= 0 {
 		return &xproto.XError{
-			Code: xproto.BadValue, Major: "ConfigureWindow", Resource: w.id,
+			Code: xproto.BadValue, Major: xproto.MajorConfigureWindow, Resource: w.id,
 			Detail: fmt.Sprintf("width %d", ch.Width),
 		}
 	}
@@ -454,7 +454,7 @@ func (s *Server) configure(w *window, ch xproto.WindowChanges) error {
 			w.storeW(ch.Width)
 		}
 		return &xproto.XError{
-			Code: xproto.BadValue, Major: "ConfigureWindow", Resource: w.id,
+			Code: xproto.BadValue, Major: xproto.MajorConfigureWindow, Resource: w.id,
 			Detail: fmt.Sprintf("height %d", ch.Height),
 		}
 	}
@@ -539,10 +539,10 @@ type Geometry struct {
 
 // GetGeometry returns the window's parent-relative geometry. Lock-free.
 func (c *Conn) GetGeometry(id xproto.XID) (Geometry, error) {
-	if err := c.gate("GetGeometry", id); err != nil {
+	if err := c.gate(xproto.MajorGetGeometry, id); err != nil {
 		return Geometry{}, err
 	}
-	w, err := c.lookupWin(id, "GetGeometry")
+	w, err := c.lookupWin(id, xproto.MajorGetGeometry)
 	if err != nil {
 		return Geometry{}, err
 	}
@@ -564,10 +564,10 @@ type Attributes struct {
 
 // GetWindowAttributes returns the window's attributes. Lock-free.
 func (c *Conn) GetWindowAttributes(id xproto.XID) (Attributes, error) {
-	if err := c.gate("GetWindowAttributes", id); err != nil {
+	if err := c.gate(xproto.MajorGetWindowAttributes, id); err != nil {
 		return Attributes{}, err
 	}
-	w, err := c.lookupWin(id, "GetWindowAttributes")
+	w, err := c.lookupWin(id, xproto.MajorGetWindowAttributes)
 	if err != nil {
 		return Attributes{}, err
 	}
@@ -598,10 +598,10 @@ func (c *Conn) GetWindowAttributes(id xproto.XID) (Attributes, error) {
 // window. Lock-free: the children snapshot is the momentary stacking
 // order.
 func (c *Conn) QueryTree(id xproto.XID) (root, parent xproto.XID, children []xproto.XID, err error) {
-	if err := c.gate("QueryTree", id); err != nil {
+	if err := c.gate(xproto.MajorQueryTree, id); err != nil {
 		return 0, 0, nil, err
 	}
-	w, err := c.lookupWin(id, "QueryTree")
+	w, err := c.lookupWin(id, xproto.MajorQueryTree)
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -610,7 +610,7 @@ func (c *Conn) QueryTree(id xproto.XID) (root, parent xproto.XID, children []xpr
 		parent = p.id
 	} else if w.destroyed.Load() {
 		// A DestroyWindow detached w after the lookup above.
-		return 0, 0, nil, c.note(&xproto.XError{Code: xproto.BadWindow, Major: "QueryTree", Resource: id})
+		return 0, 0, nil, c.note(&xproto.XError{Code: xproto.BadWindow, Major: xproto.MajorQueryTree, Resource: id})
 	}
 	ks := w.kids()
 	children = make([]xproto.XID, len(ks))
@@ -624,14 +624,14 @@ func (c *Conn) QueryTree(id xproto.XID) (root, parent xproto.XID, children []xpr
 // dst's, returning also the child of dst containing the point (or None).
 // Lock-free.
 func (c *Conn) TranslateCoordinates(src, dst xproto.XID, x, y int) (dx, dy int, child xproto.XID, err error) {
-	if err := c.gate("TranslateCoordinates", src); err != nil {
+	if err := c.gate(xproto.MajorTranslateCoordinates, src); err != nil {
 		return 0, 0, 0, err
 	}
-	sw, err := c.lookupWin(src, "TranslateCoordinates")
+	sw, err := c.lookupWin(src, xproto.MajorTranslateCoordinates)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	dw, err := c.lookupWin(dst, "TranslateCoordinates")
+	dw, err := c.lookupWin(dst, xproto.MajorTranslateCoordinates)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -682,13 +682,13 @@ func translate(sw, dw *window, x, y int) (dx, dy int, child xproto.XID) {
 // SelectInput sets this connection's event mask on the window. Only one
 // client at a time may select SubstructureRedirect on a given window.
 func (c *Conn) SelectInput(id xproto.XID, mask xproto.EventMask) error {
-	if err := c.gate("SelectInput", id); err != nil {
+	if err := c.gate(xproto.MajorSelectInput, id); err != nil {
 		return err
 	}
 	s := c.server
 	s.writeLock()
 	defer s.mu.Unlock()
-	w, err := c.lookupWin(id, "SelectInput")
+	w, err := c.lookupWin(id, xproto.MajorSelectInput)
 	if err != nil {
 		return err
 	}
@@ -698,7 +698,7 @@ func (c *Conn) SelectInput(id xproto.XID, mask xproto.EventMask) error {
 			for _, ms := range mt.sel {
 				if ms.conn != c && ms.mask&xproto.SubstructureRedirectMask != 0 {
 					return c.note(&xproto.XError{
-						Code: xproto.BadAccess, Major: "SelectInput", Resource: w.id,
+						Code: xproto.BadAccess, Major: xproto.MajorSelectInput, Resource: w.id,
 						Detail: fmt.Sprintf("SubstructureRedirect already selected on 0x%x", uint32(w.id)),
 					})
 				}
@@ -726,10 +726,10 @@ func (c *Conn) AtomName(a xproto.Atom) string {
 // and notifies PropertyChangeMask selectors. The change is one critical
 // section on the property's leaf lock.
 func (c *Conn) ChangeProperty(id xproto.XID, prop, typ xproto.Atom, format int, mode xproto.PropMode, data []byte) error {
-	if err := c.gate("ChangeProperty", id); err != nil {
+	if err := c.gate(xproto.MajorChangeProperty, id); err != nil {
 		return err
 	}
-	w, err := c.lookupWin(id, "ChangeProperty")
+	w, err := c.lookupWin(id, xproto.MajorChangeProperty)
 	if err != nil {
 		return err
 	}
@@ -741,13 +741,13 @@ func (c *Conn) changeProp(w *window, prop, typ xproto.Atom, format int, mode xpr
 	s := c.server
 	if format != 8 && format != 16 && format != 32 {
 		return c.note(&xproto.XError{
-			Code: xproto.BadValue, Major: "ChangeProperty", Resource: w.id,
+			Code: xproto.BadValue, Major: xproto.MajorChangeProperty, Resource: w.id,
 			Detail: fmt.Sprintf("property format %d", format),
 		})
 	}
 	if !w.propCellCreate(prop).change(typ, format, mode, data) {
 		return c.note(&xproto.XError{
-			Code: xproto.BadMatch, Major: "ChangeProperty", Resource: w.id,
+			Code: xproto.BadMatch, Major: xproto.MajorChangeProperty, Resource: w.id,
 			Detail: modeDetail(mode),
 		})
 	}
@@ -771,10 +771,10 @@ func modeDetail(mode xproto.PropMode) string {
 // not set. Property.Data is the caller's own copy, taken under the
 // property's leaf lock.
 func (c *Conn) GetProperty(id xproto.XID, prop xproto.Atom) (Property, bool, error) {
-	if err := c.gate("GetProperty", id); err != nil {
+	if err := c.gate(xproto.MajorGetProperty, id); err != nil {
 		return Property{}, false, err
 	}
-	w, err := c.lookupWin(id, "GetProperty")
+	w, err := c.lookupWin(id, xproto.MajorGetProperty)
 	if err != nil {
 		return Property{}, false, err
 	}
@@ -796,10 +796,10 @@ func (c *Conn) GetProperty(id xproto.XID, prop xproto.Atom) (Property, bool, err
 // selectors with state PropertyDeleted. Of two racing deletes, exactly
 // one finds the property set and emits the notify.
 func (c *Conn) DeleteProperty(id xproto.XID, prop xproto.Atom) error {
-	if err := c.gate("DeleteProperty", id); err != nil {
+	if err := c.gate(xproto.MajorDeleteProperty, id); err != nil {
 		return err
 	}
-	w, err := c.lookupWin(id, "DeleteProperty")
+	w, err := c.lookupWin(id, xproto.MajorDeleteProperty)
 	if err != nil {
 		return err
 	}
@@ -823,10 +823,10 @@ func (c *Conn) DeleteProperty(id xproto.XID, prop xproto.Atom) error {
 
 // ListProperties returns the atoms of all properties set on the window.
 func (c *Conn) ListProperties(id xproto.XID) ([]xproto.Atom, error) {
-	if err := c.gate("ListProperties", id); err != nil {
+	if err := c.gate(xproto.MajorListProperties, id); err != nil {
 		return nil, err
 	}
-	w, err := c.lookupWin(id, "ListProperties")
+	w, err := c.lookupWin(id, xproto.MajorListProperties)
 	if err != nil {
 		return nil, err
 	}
@@ -853,13 +853,13 @@ func (c *Conn) ListProperties(id xproto.XID) ([]xproto.Atom, error) {
 // reparented back to their screen's root and remapped — this is what
 // keeps clients alive across a window-manager restart.
 func (c *Conn) ChangeSaveSet(id xproto.XID, insert bool) error {
-	if err := c.gate("ChangeSaveSet", id); err != nil {
+	if err := c.gate(xproto.MajorChangeSaveSet, id); err != nil {
 		return err
 	}
 	s := c.server
 	s.writeLock()
 	defer s.mu.Unlock()
-	if _, err := c.lookupWin(id, "ChangeSaveSet"); err != nil {
+	if _, err := c.lookupWin(id, xproto.MajorChangeSaveSet); err != nil {
 		return err
 	}
 	if insert {
@@ -954,10 +954,10 @@ func (c *Conn) Closed() bool {
 // SetWindowLabel sets the raster label drawn inside the window.
 // Lock-free.
 func (c *Conn) SetWindowLabel(id xproto.XID, label string) error {
-	if err := c.gate("SetWindowLabel", id); err != nil {
+	if err := c.gate(xproto.MajorSetWindowLabel, id); err != nil {
 		return err
 	}
-	w, err := c.lookupWin(id, "SetWindowLabel")
+	w, err := c.lookupWin(id, xproto.MajorSetWindowLabel)
 	if err != nil {
 		return err
 	}
@@ -972,10 +972,10 @@ func (c *Conn) SetWindowLabel(id xproto.XID, label string) error {
 // SetWindowFill sets the raster fill glyph for the window background.
 // Lock-free.
 func (c *Conn) SetWindowFill(id xproto.XID, fill byte) error {
-	if err := c.gate("SetWindowFill", id); err != nil {
+	if err := c.gate(xproto.MajorSetWindowFill, id); err != nil {
 		return err
 	}
-	w, err := c.lookupWin(id, "SetWindowFill")
+	w, err := c.lookupWin(id, xproto.MajorSetWindowFill)
 	if err != nil {
 		return err
 	}

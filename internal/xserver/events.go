@@ -106,13 +106,13 @@ func (c *Conn) Pending() int {
 // otherwise it goes to every connection selecting mask on the window.
 // The event is flagged SendEvent.
 func (c *Conn) SendEvent(dst xproto.XID, mask xproto.EventMask, ev xproto.Event) error {
-	if err := c.gate("SendEvent", dst); err != nil {
+	if err := c.gate(xproto.MajorSendEvent, dst); err != nil {
 		return err
 	}
 	s := c.server
 	s.writeLock()
 	defer s.mu.Unlock()
-	w, err := c.lookupWin(dst, "SendEvent")
+	w, err := c.lookupWin(dst, xproto.MajorSendEvent)
 	if err != nil {
 		return err
 	}
@@ -134,14 +134,14 @@ func (c *Conn) SendEvent(dst xproto.XID, mask xproto.EventMask, ev xproto.Event)
 // SetInputFocus assigns keyboard focus. PointerRoot means
 // focus-follows-pointer.
 func (c *Conn) SetInputFocus(id xproto.XID) error {
-	if err := c.gate("SetInputFocus", id); err != nil {
+	if err := c.gate(xproto.MajorSetInputFocus, id); err != nil {
 		return err
 	}
 	s := c.server
 	s.writeLock()
 	defer s.mu.Unlock()
 	if id != xproto.None && id != xproto.PointerRoot {
-		if _, err := c.lookupWin(id, "SetInputFocus"); err != nil {
+		if _, err := c.lookupWin(id, xproto.MajorSetInputFocus); err != nil {
 			return err
 		}
 	}
@@ -170,12 +170,12 @@ func (c *Conn) GetInputFocus() xproto.XID {
 // KillClient closes the connection owning the given resource, as the X
 // KillClient request does. Used by f.delete fallbacks.
 func (c *Conn) KillClient(id xproto.XID) error {
-	if err := c.gate("KillClient", id); err != nil {
+	if err := c.gate(xproto.MajorKillClient, id); err != nil {
 		return err
 	}
 	s := c.server
 	s.writeLock()
-	w, err := c.lookupWin(id, "KillClient")
+	w, err := c.lookupWin(id, xproto.MajorKillClient)
 	if err != nil {
 		s.mu.Unlock()
 		return err
@@ -183,7 +183,7 @@ func (c *Conn) KillClient(id xproto.XID) error {
 	owner := w.owner
 	if owner == nil {
 		err := c.note(&xproto.XError{
-			Code: xproto.BadValue, Major: "KillClient", Resource: id,
+			Code: xproto.BadValue, Major: xproto.MajorKillClient, Resource: id,
 			Detail: fmt.Sprintf("window 0x%x has no owner", uint32(id)),
 		})
 		s.mu.Unlock()

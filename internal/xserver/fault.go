@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/xproto"
 )
@@ -29,9 +30,10 @@ type FaultPolicy struct {
 	Code xproto.ErrorCode
 	// Times caps the number of injected faults; 0 means unlimited.
 	Times int
-	// Ops restricts injection to the named request majors
-	// (e.g. "GetGeometry"); empty means all requests are eligible.
-	Ops []string
+	// Ops restricts injection to the listed request majors
+	// (e.g. xproto.MajorGetGeometry); empty means all requests are
+	// eligible.
+	Ops []xproto.Major
 	// KillTarget additionally destroys the request's target window
 	// (when it is a live, non-root window owned by another connection)
 	// before failing — a deterministic death race: the window named by
@@ -42,7 +44,6 @@ type FaultPolicy struct {
 type faultState struct {
 	policy FaultPolicy
 	rng    *rand.Rand
-	ops    map[string]bool
 	seen   int // eligible requests observed
 	fired  int // faults injected
 }
@@ -62,12 +63,7 @@ func (c *Conn) SetFaultPolicy(p *FaultPolicy) {
 	var f *faultState
 	if p != nil {
 		f = &faultState{policy: *p, rng: rand.New(rand.NewSource(p.Seed))}
-		if len(p.Ops) > 0 {
-			f.ops = make(map[string]bool, len(p.Ops))
-			for _, op := range p.Ops {
-				f.ops[op] = true
-			}
-		}
+		f.policy.Ops = slices.Clone(p.Ops)
 	}
 	c.storeGates(in, f)
 }
@@ -108,7 +104,7 @@ func (c *Conn) SetErrorHandler(h func(*xproto.XError)) {
 
 // gate is the single entry every request method passes, first, before
 // it takes any lock (so faults fire for valid requests too). It fires
-// the connection's instrument for the request named major, then steps
+// the connection's instrument for a request of major, then steps
 // the fault schedule, and returns the injected error or nil to proceed.
 // With no hooks installed it costs one atomic load.
 //
@@ -117,7 +113,7 @@ func (c *Conn) SetErrorHandler(h func(*xproto.XError)) {
 // sees the connection's own request sequence. A KillTarget fault
 // destroys its target as an ordinary exclusive-lock destroy after errMu
 // is released, which is safe because no request holds a lock here.
-func (c *Conn) gate(major string, target xproto.XID) error {
+func (c *Conn) gate(major xproto.Major, target xproto.XID) error {
 	g := c.gates.Load()
 	if g == nil {
 		return nil
@@ -153,13 +149,13 @@ func (c *Conn) gate(major string, target xproto.XID) error {
 	})
 }
 
-// step advances the schedule by one request named major and returns the
+// step advances the schedule by one request of major and returns the
 // fault's ordinal when it fires, 0 otherwise. Caller holds errMu.
-func (f *faultState) step(major string) int {
+func (f *faultState) step(major xproto.Major) int {
 	if f.policy.Times > 0 && f.fired >= f.policy.Times {
 		return 0
 	}
-	if f.ops != nil && !f.ops[major] {
+	if len(f.policy.Ops) > 0 && !slices.Contains(f.policy.Ops, major) {
 		return 0
 	}
 	f.seen++

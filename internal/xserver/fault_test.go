@@ -91,7 +91,7 @@ func TestFaultPolicyOpsFilterAndCount(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateWindow: %v", err)
 	}
-	conn.SetFaultPolicy(&FaultPolicy{EveryN: 1, Code: xproto.BadMatch, Ops: []string{"GetGeometry"}})
+	conn.SetFaultPolicy(&FaultPolicy{EveryN: 1, Code: xproto.BadMatch, Ops: []xproto.Major{xproto.MajorGetGeometry}})
 
 	// Filtered-out requests never fault.
 	if err := conn.MapWindow(win); err != nil {
@@ -105,7 +105,7 @@ func TestFaultPolicyOpsFilterAndCount(t *testing.T) {
 		t.Errorf("injected error %v is not BadMatch", err)
 	}
 	var xe *xproto.XError
-	if !errors.As(err, &xe) || xe.Major != "GetGeometry" || xe.Resource != win {
+	if !errors.As(err, &xe) || xe.Major != xproto.MajorGetGeometry || xe.Resource != win {
 		t.Errorf("injected error carries %+v", xe)
 	}
 	if got := conn.FaultCount(); got != 1 {

@@ -23,20 +23,20 @@ import (
 // grabWindow as the event window and an active grab begins.
 // modifiers may be xproto.AnyModifier; button may be xproto.AnyButton.
 func (c *Conn) GrabButton(grabWindow xproto.XID, button int, modifiers uint16, eventMask xproto.EventMask) error {
-	if err := c.gate("GrabButton", grabWindow); err != nil {
+	if err := c.gate(xproto.MajorGrabButton, grabWindow); err != nil {
 		return err
 	}
 	s := c.server
 	s.writeLock()
 	defer s.mu.Unlock()
-	if _, err := c.lookupWin(grabWindow, "GrabButton"); err != nil {
+	if _, err := c.lookupWin(grabWindow, xproto.MajorGrabButton); err != nil {
 		return err
 	}
 	for _, g := range s.buttonGrabs {
 		if g.window == grabWindow && g.button == button && g.modifiers == modifiers {
 			if g.conn != c {
 				return c.note(&xproto.XError{
-					Code: xproto.BadAccess, Major: "GrabButton", Resource: grabWindow,
+					Code: xproto.BadAccess, Major: xproto.MajorGrabButton, Resource: grabWindow,
 					Detail: fmt.Sprintf("button %d already grabbed on 0x%x", button, uint32(grabWindow)),
 				})
 			}
@@ -63,13 +63,13 @@ func (c *Conn) UngrabButton(grabWindow xproto.XID, button int, modifiers uint16)
 
 // GrabKey establishes a passive key grab on a window.
 func (c *Conn) GrabKey(grabWindow xproto.XID, keysym string, modifiers uint16) error {
-	if err := c.gate("GrabKey", grabWindow); err != nil {
+	if err := c.gate(xproto.MajorGrabKey, grabWindow); err != nil {
 		return err
 	}
 	s := c.server
 	s.writeLock()
 	defer s.mu.Unlock()
-	if _, err := c.lookupWin(grabWindow, "GrabKey"); err != nil {
+	if _, err := c.lookupWin(grabWindow, xproto.MajorGrabKey); err != nil {
 		return err
 	}
 	s.keyGrabs = append(s.keyGrabs, &keyGrab{
@@ -92,13 +92,13 @@ func (c *Conn) UngrabKey(grabWindow xproto.XID, keysym string, modifiers uint16)
 // events are delivered to this connection with grabWindow as the event
 // window, until UngrabPointer.
 func (c *Conn) GrabPointer(grabWindow xproto.XID, eventMask xproto.EventMask) error {
-	if err := c.gate("GrabPointer", grabWindow); err != nil {
+	if err := c.gate(xproto.MajorGrabPointer, grabWindow); err != nil {
 		return err
 	}
 	s := c.server
 	s.writeLock()
 	defer s.mu.Unlock()
-	if _, err := c.lookupWin(grabWindow, "GrabPointer"); err != nil {
+	if _, err := c.lookupWin(grabWindow, xproto.MajorGrabPointer); err != nil {
 		return err
 	}
 	if s.activeGrab != nil && s.activeGrab.conn != c {

@@ -10,10 +10,10 @@ import "repro/internal/xproto"
 // takes any lock, and concurrently from different connections, so an
 // Instrument must be safe for concurrent use, must not block, and must
 // not issue requests on any connection. obs.ConnInstrument satisfies
-// this interface structurally (atomics plus a read-only map) without
-// either package importing the other.
+// this interface structurally (atomic adds on counters indexed by
+// major) without either package importing the other.
 type Instrument interface {
-	Request(major string, target xproto.XID)
+	Request(major xproto.Major, target xproto.XID)
 }
 
 // SetInstrument installs (or, with nil, removes) the connection's
@@ -30,40 +30,4 @@ func (c *Conn) SetInstrument(in Instrument) {
 		f = old.faults
 	}
 	c.storeGates(in, f)
-}
-
-// RequestMajors lists every request major passed to the connection's
-// gate, i.e. every value the Instrument's major parameter can take. obs
-// uses it to prebuild one counter per major so the per-request path
-// stays allocation-free; the xserver test suite cross-checks it against
-// the gate call sites (exactly one per major) so it cannot drift
-// silently.
-var RequestMajors = []string{
-	"ChangeProperty",
-	"ChangeSaveSet",
-	"ConfigureWindow",
-	"CreateWindow",
-	"DeleteProperty",
-	"DestroyWindow",
-	"GetGeometry",
-	"GetProperty",
-	"GetWindowAttributes",
-	"GrabButton",
-	"GrabKey",
-	"GrabPointer",
-	"KillClient",
-	"ListProperties",
-	"MapWindow",
-	"QueryTree",
-	"ReparentWindow",
-	"SelectInput",
-	"SendEvent",
-	"SetInputFocus",
-	"SetWindowFill",
-	"SetWindowLabel",
-	"ShapeCombineRectangles",
-	"ShapeQuery",
-	"ShapeSelectInput",
-	"TranslateCoordinates",
-	"UnmapWindow",
 }

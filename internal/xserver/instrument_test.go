@@ -1,81 +1,88 @@
 package xserver
 
 import (
-	"os"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"path/filepath"
-	"regexp"
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/xproto"
 )
 
-// TestRequestMajorsMatchFaultSites cross-checks the RequestMajors list
-// against the gate call sites in this package's sources. The list
-// exists so instrument implementations can pre-build per-major state; a
-// request method added without updating it would silently land in an
-// instrument's "other" bucket. Each major must also have exactly one
-// gate site: one request, one body.
-func TestRequestMajorsMatchFaultSites(t *testing.T) {
-	re := regexp.MustCompile(`\.gate\("([A-Za-z]+)"`)
-	sites := map[string]int{}
+// TestOneGatePerMajor pins "one request, one body": every request
+// major has exactly one gate call site in this package's sources, and
+// every gate call names its major as an xproto constant. It also checks
+// the names the majors give their counters and trace ops: non-empty and
+// unique.
+func TestOneGatePerMajor(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range files {
-		if strings.HasSuffix(f, "_test.go") {
+	fset := token.NewFileSet()
+	sites := map[string]int{} // "MajorQueryTree" → gate calls naming it
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		src, err := os.ReadFile(f)
+		f, err := parser.ParseFile(fset, name, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range re.FindAllStringSubmatch(string(src), -1) {
-			sites[m[1]]++
-		}
-	}
-	if len(sites) == 0 {
-		t.Fatal("no gate call sites found — did the gate get renamed?")
-	}
-	for major, n := range sites {
-		if n != 1 {
-			t.Errorf("request %q has %d gate call sites, want exactly 1", major, n)
-		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if fn, ok := call.Fun.(*ast.SelectorExpr); !ok || fn.Sel.Name != "gate" || len(call.Args) == 0 {
+				return true
+			}
+			arg, ok := call.Args[0].(*ast.SelectorExpr)
+			if ok {
+				pkg, isIdent := arg.X.(*ast.Ident)
+				ok = isIdent && pkg.Name == "xproto"
+			}
+			if !ok {
+				t.Errorf("%s: gate's major is not an xproto constant", fset.Position(call.Pos()))
+				return true
+			}
+			sites[arg.Sel.Name]++
+			return true
+		})
 	}
 
-	listed := map[string]bool{}
-	for _, major := range RequestMajors {
-		if listed[major] {
-			t.Errorf("RequestMajors lists %s twice", major)
+	names := map[string]bool{}
+	for m := xproto.MajorNone; m < xproto.NumMajors; m++ {
+		name := m.String()
+		if name == "" || names[name] {
+			t.Errorf("major %d has an empty or duplicate name %q", uint8(m), name)
 		}
-		listed[major] = true
-	}
-	for major := range sites {
-		if !listed[major] {
-			t.Errorf("gate site %q missing from RequestMajors", major)
+		names[name] = true
+		want := 1
+		if m == xproto.MajorNone {
+			want = 0
 		}
-	}
-	for major := range listed {
-		if sites[major] == 0 {
-			t.Errorf("RequestMajors lists %q but no gate site uses it", major)
+		if n := sites["Major"+name]; n != want {
+			t.Errorf("%s has %d gate call sites, want %d", m, n, want)
 		}
+		delete(sites, "Major"+name)
 	}
-	if !sort.StringsAreSorted(RequestMajors) {
-		t.Error("RequestMajors not sorted")
+	for id := range sites {
+		t.Errorf("a gate call names xproto.%s, which is not a request major", id)
 	}
 }
 
 // recordingInstrument captures instrument callbacks for inspection.
 type recordingInstrument struct {
-	requests map[string]int
+	requests map[xproto.Major]int
 	targets  []xproto.XID
 }
 
-func (r *recordingInstrument) Request(major string, target xproto.XID) {
+func (r *recordingInstrument) Request(major xproto.Major, target xproto.XID) {
 	if r.requests == nil {
-		r.requests = map[string]int{}
+		r.requests = map[xproto.Major]int{}
 	}
 	r.requests[major]++
 	r.targets = append(r.targets, target)
@@ -100,7 +107,7 @@ func TestInstrumentSeesUnbatchedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if in.requests["CreateWindow"] != 1 || in.requests["MapWindow"] != 1 || in.requests["GetProperty"] != 1 {
+	if in.requests[xproto.MajorCreateWindow] != 1 || in.requests[xproto.MajorMapWindow] != 1 || in.requests[xproto.MajorGetProperty] != 1 {
 		t.Errorf("requests = %v", in.requests)
 	}
 }
@@ -111,7 +118,7 @@ func TestInstrumentSeesFaultedRequests(t *testing.T) {
 	root := s.Screens()[0].Root
 	in := &recordingInstrument{}
 	c.SetInstrument(in)
-	c.SetFaultPolicy(&FaultPolicy{EveryN: 1, Code: xproto.BadWindow, Ops: []string{"MapWindow"}})
+	c.SetFaultPolicy(&FaultPolicy{EveryN: 1, Code: xproto.BadWindow, Ops: []xproto.Major{xproto.MajorMapWindow}})
 
 	w, err := c.CreateWindow(root, xproto.Rect{Width: 10, Height: 10}, 0, WindowAttributes{})
 	if err != nil {
@@ -122,7 +129,7 @@ func TestInstrumentSeesFaultedRequests(t *testing.T) {
 	}
 	// The instrument sits before the fault gate: a request that errors
 	// is still a request that was issued.
-	if in.requests["MapWindow"] != 1 {
+	if in.requests[xproto.MajorMapWindow] != 1 {
 		t.Errorf("requests = %v", in.requests)
 	}
 }

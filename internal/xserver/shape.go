@@ -16,13 +16,13 @@ import (
 // Passing no rectangles resets the window to an ordinary rectangular
 // shape.
 func (c *Conn) ShapeCombineRectangles(id xproto.XID, rects []xproto.Rect) error {
-	if err := c.gate("ShapeCombineRectangles", id); err != nil {
+	if err := c.gate(xproto.MajorShapeCombineRectangles, id); err != nil {
 		return err
 	}
 	s := c.server
 	s.writeLock()
 	defer s.mu.Unlock()
-	w, err := c.lookupWin(id, "ShapeCombineRectangles")
+	w, err := c.lookupWin(id, xproto.MajorShapeCombineRectangles)
 	if err != nil {
 		return err
 	}
@@ -48,10 +48,10 @@ func (c *Conn) ShapeCombineRectangles(id xproto.XID, rects []xproto.Rect) error 
 // its bounding rectangles (window-relative, sorted for determinism).
 // Lock-free.
 func (c *Conn) ShapeQuery(id xproto.XID) (shaped bool, rects []xproto.Rect, err error) {
-	if err := c.gate("ShapeQuery", id); err != nil {
+	if err := c.gate(xproto.MajorShapeQuery, id); err != nil {
 		return false, nil, err
 	}
-	w, err := c.lookupWin(id, "ShapeQuery")
+	w, err := c.lookupWin(id, xproto.MajorShapeQuery)
 	if err != nil {
 		return false, nil, err
 	}
@@ -72,13 +72,13 @@ func (c *Conn) ShapeQuery(id xproto.XID) (shaped bool, rects []xproto.Rect, err 
 // delivered to this connection (implemented via StructureNotify
 // selection, which is how our model routes ShapeNotify).
 func (c *Conn) ShapeSelectInput(id xproto.XID) error {
-	if err := c.gate("ShapeSelectInput", id); err != nil {
+	if err := c.gate(xproto.MajorShapeSelectInput, id); err != nil {
 		return err
 	}
 	s := c.server
 	s.writeLock()
 	defer s.mu.Unlock()
-	w, err := c.lookupWin(id, "ShapeSelectInput")
+	w, err := c.lookupWin(id, xproto.MajorShapeSelectInput)
 	if err != nil {
 		return err
 	}
