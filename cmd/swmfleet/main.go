@@ -9,7 +9,7 @@
 //	swmfleet -sessions 1000           # the thousand-session configuration
 //	swmfleet -restart 0.25            # restart-adopt a quarter of the fleet
 //	swmfleet -crash 3                 # panic-crash session 3, show isolation
-//	swmfleet -query                   # swmcmd-style stats query via session 0
+//	swmfleet -query                   # print the fleet registry snapshot
 package main
 
 import (
@@ -35,7 +35,7 @@ func main() {
 	template := flag.String("template", "openlook", "configuration template: openlook, motif or default")
 	restart := flag.Float64("restart", 0.25, "fraction of the fleet to restart-adopt")
 	crash := flag.Int("crash", -1, "panic-crash this session to demonstrate isolation (-1 = none)")
-	query := flag.Bool("query", false, "print a swmcmd-style stats query against session 0")
+	query := flag.Bool("query", false, "print the fleet registry snapshot (fleet.* instruments)")
 	verbose := flag.Bool("v", false, "log fleet diagnostics")
 	flag.Parse()
 
@@ -96,17 +96,11 @@ func main() {
 	}
 
 	if *query {
-		// The fleet mirrors its gauges into every session's registry, so
-		// an swmcmd -query stats against any session shows fleet health;
-		// print the same snapshot here.
-		var snap any
-		m.Exec(0, func(wm *core.WM) { snap = wm.Metrics().Snapshot() })
-		m.Drain()
-		data, err := json.MarshalIndent(snap, "", "  ")
+		data, err := json.MarshalIndent(m.Metrics().Snapshot(), "", "  ")
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("session 0 stats (incl. fleet.* gauges):\n%s\n", data)
+		fmt.Printf("fleet stats:\n%s\n", data)
 	}
 
 	st := m.Stats()

@@ -46,9 +46,6 @@ type Options struct {
 	DesktopHeight  int
 	// EnablePanner creates the Virtual Desktop panner (§6.1).
 	EnablePanner bool
-	// PannerScale is the desktop-pixels-per-panner-pixel ratio
-	// (default 32).
-	PannerScale int
 	// EnableScrollbars creates desktop scrollbar strips along the
 	// right and bottom screen edges (§6: the desktop "can be panned
 	// using scrollbars, a two dimensional panner object, or window
@@ -257,9 +254,6 @@ func New(server *xserver.Server, opts Options) (*WM, error) {
 			return nil, err
 		}
 		opts.DB = db
-	}
-	if opts.PannerScale <= 0 {
-		opts.PannerScale = 32
 	}
 	wm := &WM{
 		server:   server,

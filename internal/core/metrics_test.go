@@ -197,3 +197,89 @@ func TestManageDeathRaceErrorCountsAsOther(t *testing.T) {
 		t.Errorf("handler moved %v, want %v", moved, want)
 	}
 }
+
+// TestConfigureWindowAllOrNothing checks that a ConfigureWindow that
+// fails changes nothing, as X11 requires of every request but a listed
+// few. Each probe also moves geometry fields that a partial apply
+// would store first. For each it checks that the window's geometry,
+// its parent and its parent's stacking are unchanged, that the error
+// names ConfigureWindow, and that the request and its error are each
+// counted once under that major.
+func TestConfigureWindowAllOrNothing(t *testing.T) {
+	wm := freshWM(t)
+	conn := wm.Conn()
+	root := wm.Screens()[0].Root
+	create := func(parent xproto.XID) xproto.XID {
+		t.Helper()
+		win, err := conn.CreateWindow(parent, xproto.Rect{Width: 10, Height: 10}, 0, xserver.WindowAttributes{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return win
+	}
+	top, side := create(root), create(root)
+	win, sib, cousin, gone := create(top), create(top), create(side), create(top)
+	if err := conn.DestroyWindow(gone); err != nil {
+		t.Fatal(err)
+	}
+	// state is everything a partial apply could leave behind.
+	state := func() string {
+		t.Helper()
+		g, err := conn.GetGeometry(win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, parent, _, err := conn.QueryTree(win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, stack, err := conn.QueryTree(top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("geometry %+v parent %#x stack %#x", g.Rect, uint32(parent), stack)
+	}
+	const move = xproto.CWX | xproto.CWY | xproto.CWWidth | xproto.CWHeight
+	restack := func(sibling xproto.XID) xproto.WindowChanges {
+		return xproto.WindowChanges{Mask: move | xproto.CWSibling | xproto.CWStackMode,
+			X: 50, Y: 60, Width: 77, Height: 88, Sibling: sibling, StackMode: xproto.Above}
+	}
+	for _, tc := range []struct {
+		name string
+		ch   xproto.WindowChanges
+		code xproto.ErrorCode
+	}{
+		{"zero width after X", xproto.WindowChanges{Mask: xproto.CWX | xproto.CWWidth, X: 50, Width: 0}, xproto.BadValue},
+		{"zero height after a valid width", xproto.WindowChanges{Mask: move, X: 50, Y: 60, Width: 77, Height: 0}, xproto.BadValue},
+		{"sibling under another parent", restack(cousin), xproto.BadMatch},
+		{"sibling is the window itself", restack(win), xproto.BadMatch},
+		{"sibling without a stack mode", xproto.WindowChanges{Mask: move | xproto.CWSibling,
+			X: 50, Y: 60, Width: 77, Height: 88, Sibling: sib}, xproto.BadMatch},
+		{"destroyed sibling", restack(gone), xproto.BadWindow},
+	} {
+		// Each probe starts from the same geometry, so a store a
+		// previous probe leaked cannot hide this one's.
+		if err := conn.MoveResizeWindow(win, xproto.Rect{Width: 10, Height: 10}); err != nil {
+			t.Fatal(err)
+		}
+		before := state()
+		var err error
+		moved := counterDeltas(wm, func() { err = conn.ConfigureWindow(win, tc.ch) })
+		var xe *xproto.XError
+		if !errors.As(err, &xe) || xe.Code != tc.code || xe.Major != xproto.MajorConfigureWindow {
+			t.Errorf("%s: err = %v, want %v from ConfigureWindow", tc.name, err, tc.code)
+		}
+		if after := state(); after != before {
+			t.Errorf("%s: the failed request changed the server:\nbefore %s\nafter  %s", tc.name, before, after)
+		}
+		want := map[string]int64{
+			"xreq.total":                    1,
+			"xreq.ConfigureWindow":          1,
+			"xerr.op.ConfigureWindow":       1,
+			"xerr.code." + tc.code.String(): 1,
+		}
+		if !maps.Equal(moved, want) {
+			t.Errorf("%s: counters moved %v, want %v", tc.name, moved, want)
+		}
+	}
+}

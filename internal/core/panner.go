@@ -23,15 +23,15 @@ type Panner struct {
 	content xproto.XID
 	client  *Client
 
-	scale int // desktop pixels per panner pixel
-
-	viewport xproto.XID             // viewport outline child window
-	minis    map[xproto.XID]*Client // miniature child -> client
-	// miniOf is the reverse index: the miniature mirroring each client,
-	// with the geometry and label last pushed to the server so syncPanner
-	// can skip clients whose mirrored state is unchanged.
+	viewport xproto.XID // viewport outline child window
+	// miniOf holds the miniature mirroring each client, with the
+	// geometry and label last pushed to the server so syncPanner can
+	// skip clients whose mirrored state is unchanged.
 	miniOf map[*Client]*miniature
 }
+
+// pannerScale is the panner's ratio of desktop pixels to panner pixels.
+const pannerScale = 32
 
 // miniature is the panner-side record of one client's miniature window.
 type miniature struct {
@@ -42,9 +42,8 @@ type miniature struct {
 
 // createPanner builds and manages the panner window.
 func (wm *WM) createPanner(scr *Screen) error {
-	scale := wm.opts.PannerScale
-	pw := scr.DesktopW / scale
-	ph := scr.DesktopH / scale
+	pw := scr.DesktopW / pannerScale
+	ph := scr.DesktopH / pannerScale
 	if pw < 10 {
 		pw = 10
 	}
@@ -57,11 +56,7 @@ func (wm *WM) createPanner(scr *Screen) error {
 	if err != nil {
 		return err
 	}
-	p := &Panner{
-		wm: wm, scr: scr, content: content, scale: scale,
-		minis:  make(map[xproto.XID]*Client),
-		miniOf: make(map[*Client]*miniature),
-	}
+	p := &Panner{wm: wm, scr: scr, content: content, miniOf: make(map[*Client]*miniature)}
 	wm.check(nil, "panner class", icccm.SetClass(wm.conn, content, icccm.Class{Instance: "panner", Class: "SwmPanner"}))
 	wm.check(nil, "panner name", icccm.SetName(wm.conn, content, "Virtual Desktop"))
 	// The panner must not pan with the desktop: start sticky.
@@ -83,7 +78,7 @@ func (wm *WM) createPanner(scr *Screen) error {
 
 	// Viewport outline.
 	vp, err := wm.conn.CreateWindow(content, xproto.Rect{
-		X: 0, Y: 0, Width: scr.Width / scale, Height: scr.Height / scale,
+		X: 0, Y: 0, Width: scr.Width / pannerScale, Height: scr.Height / pannerScale,
 	}, 1, xserverAttrs("view"))
 	if err != nil {
 		return err
@@ -106,20 +101,20 @@ func (p *Panner) Window() xproto.XID { return p.content }
 func (p *Panner) Client() *Client { return p.client }
 
 // Scale returns desktop pixels per panner pixel.
-func (p *Panner) Scale() int { return p.scale }
+func (p *Panner) Scale() int { return pannerScale }
 
 // Miniatures returns the miniature-window -> client mapping.
 func (p *Panner) Miniatures() map[xproto.XID]*Client {
-	out := make(map[xproto.XID]*Client, len(p.minis))
-	for k, v := range p.minis {
-		out[k] = v
+	out := make(map[xproto.XID]*Client, len(p.miniOf))
+	for c, m := range p.miniOf {
+		out[m.win] = c
 	}
 	return out
 }
 
-// MiniatureCount reports the number of miniatures without copying the
+// MiniatureCount reports the number of miniatures without building the
 // mapping the way Miniatures does.
-func (p *Panner) MiniatureCount() int { return len(p.minis) }
+func (p *Panner) MiniatureCount() int { return len(p.miniOf) }
 
 // markPannerDirty schedules a panner sync for the next flushRedraw.
 // The ~10 places that used to rebuild the panner inline (manage,
@@ -149,10 +144,10 @@ func miniShown(c *Client, scr *Screen) bool {
 // miniRect is the desktop-to-panner projection of the client's frame.
 func (p *Panner) miniRect(c *Client) xproto.Rect {
 	return xproto.Rect{
-		X:      c.FrameRect.X / p.scale,
-		Y:      c.FrameRect.Y / p.scale,
-		Width:  max(c.FrameRect.Width/p.scale, 2),
-		Height: max(c.FrameRect.Height/p.scale, 2),
+		X:      c.FrameRect.X / pannerScale,
+		Y:      c.FrameRect.Y / pannerScale,
+		Width:  max(c.FrameRect.Width/pannerScale, 2),
+		Height: max(c.FrameRect.Height/pannerScale, 2),
 	}
 }
 
@@ -179,7 +174,6 @@ func (wm *WM) syncPanner(scr *Screen) {
 		damage++
 		wm.destroyWindow(m.win)
 		delete(p.miniOf, c)
-		delete(p.minis, m.win)
 	}
 	// Pass 2: create missing miniatures, update changed ones.
 	for _, c := range wm.clients {
@@ -236,7 +230,6 @@ func (wm *WM) createMini(p *Panner, c *Client, r xproto.Rect) {
 		return
 	}
 	p.miniOf[c] = &miniature{win: win, rect: r, label: label}
-	p.minis[win] = c
 	wm.check(nil, "fill miniature", wm.conn.SetWindowFill(win, '#'))
 	if err := wm.conn.MapWindow(win); err != nil {
 		// Don't keep an unmapped, untracked miniature alive.
@@ -251,14 +244,6 @@ func (wm *WM) dropFailedMini(p *Panner, c *Client, op string, err error) {
 	wm.check(nil, op, err)
 	if m := p.miniOf[c]; m != nil {
 		wm.destroyWindow(m.win)
-	}
-	wm.dropMini(p, c)
-}
-
-// dropMini removes c's miniature from both panner indexes.
-func (wm *WM) dropMini(p *Panner, c *Client) {
-	if m := p.miniOf[c]; m != nil {
-		delete(p.minis, m.win)
 		delete(p.miniOf, c)
 	}
 }
@@ -277,7 +262,7 @@ func (wm *WM) updatePannerViewport(scr *Screen) {
 	if p == nil || p.viewport == xproto.None {
 		return
 	}
-	wm.check(nil, "move panner viewport", wm.conn.MoveWindow(p.viewport, scr.PanX/p.scale, scr.PanY/p.scale))
+	wm.check(nil, "move panner viewport", wm.conn.MoveWindow(p.viewport, scr.PanX/pannerScale, scr.PanY/pannerScale))
 	wm.check(nil, "raise panner viewport", wm.conn.RaiseWindow(p.viewport))
 }
 
@@ -290,16 +275,13 @@ func (p *Panner) handlePress(button, x, y int) {
 		// Pan so the clicked point becomes the viewport center
 		// ("the current position outline can be moved to view another
 		// portion of the desktop").
-		wm.PanTo(p.scr, x*p.scale-p.scr.Width/2, y*p.scale-p.scr.Height/2)
+		wm.PanTo(p.scr, x*pannerScale-p.scr.Width/2, y*pannerScale-p.scr.Height/2)
 	case xproto.Button2:
 		// Start a move of the client whose miniature is under the
 		// pointer ("a move operation is started on the window").
-		mini := p.miniAt(x, y)
-		if mini == xproto.None {
-			return
+		if c := p.miniAt(x, y); c != nil {
+			wm.moveState = &moveState{client: c, viaPanner: true}
 		}
-		c := p.minis[mini]
-		wm.moveState = &moveState{client: c, viaPanner: true}
 	}
 }
 
@@ -312,23 +294,19 @@ func (p *Panner) handleRelease(button, x, y int) {
 	}
 	c := wm.moveState.client
 	wm.moveState = nil
-	wm.moveFrame(c, x*p.scale, y*p.scale)
+	wm.moveFrame(c, x*pannerScale, y*pannerScale)
 }
 
-// miniAt returns the miniature window containing the panner-relative
-// point.
-func (p *Panner) miniAt(x, y int) xproto.XID {
-	for mini, c := range p.minis {
-		_ = c
-		g, err := p.wm.conn.GetGeometry(mini)
-		if err != nil {
-			continue
-		}
-		if g.Rect.Contains(x, y) {
-			return mini
+// miniAt returns the client whose miniature contains the
+// panner-relative point, by the geometry last pushed to the server,
+// or nil.
+func (p *Panner) miniAt(x, y int) *Client {
+	for c, m := range p.miniOf {
+		if m.rect.Contains(x, y) {
+			return c
 		}
 	}
-	return xproto.None
+	return nil
 }
 
 // handleResize reacts to the panner client being resized: "The act of
@@ -336,18 +314,18 @@ func (p *Panner) miniAt(x, y int) xproto.XID {
 // window to resize."
 func (p *Panner) handleResize(w, h int) {
 	wm := p.wm
-	wm.ResizeDesktop(p.scr, w*p.scale, h*p.scale)
+	wm.ResizeDesktop(p.scr, w*pannerScale, h*pannerScale)
 	wm.check(nil, "resize panner viewport", wm.conn.MoveResizeWindow(p.viewport, xproto.Rect{
-		X: p.scr.PanX / p.scale, Y: p.scr.PanY / p.scale,
-		Width: p.scr.Width / p.scale, Height: p.scr.Height / p.scale,
+		X: p.scr.PanX / pannerScale, Y: p.scr.PanY / pannerScale,
+		Width: p.scr.Width / pannerScale, Height: p.scr.Height / pannerScale,
 	}))
 }
 
 // MiniatureClients returns the clients currently represented by
 // miniatures, sorted by frame position for deterministic iteration.
 func (p *Panner) MiniatureClients() []*Client {
-	out := make([]*Client, 0, len(p.minis))
-	for _, c := range p.minis {
+	out := make([]*Client, 0, len(p.miniOf))
+	for c := range p.miniOf {
 		out = append(out, c)
 	}
 	sort.Slice(out, func(i, j int) bool {

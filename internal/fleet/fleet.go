@@ -205,11 +205,6 @@ type Session struct {
 	// may only be read through a Drain barrier (see WM).
 	wm *core.WM
 
-	// mirror holds the gauges in wm's registry that publish copies
-	// the fleet instruments into, resolved once when install sets wm
-	// so a pump makes no registry lookups. Lane-owned, like wm.
-	mirror struct{ live, depth, panics, restarts *obs.Gauge }
-
 	// reg mirrors wm.Metrics() behind an atomic pointer so scrape
 	// paths (the /metrics exporter) can read a session's registry from
 	// any goroutine without a lane turn: the registry itself is
@@ -529,28 +524,11 @@ func (m *Manager) wmOptions() core.Options {
 	return opts
 }
 
-// install makes wm the session's WM: it publishes the registry
-// pointer for scrapes and resolves the mirror gauges publish writes.
-// It runs on the session's lane.
+// install makes wm the session's WM and publishes its registry pointer
+// for scrapes. It runs on the session's lane.
 func (s *Session) install(wm *core.WM) {
 	s.wm = wm
-	reg := wm.Metrics()
-	s.reg.Store(reg)
-	s.mirror.live = reg.Gauge("fleet.sessions_live")
-	s.mirror.depth = reg.Gauge("fleet.queue_depth")
-	s.mirror.panics = reg.Gauge("fleet.session_panics")
-	s.mirror.restarts = reg.Gauge("fleet.session_restarts")
-}
-
-// publish mirrors the fleet instruments into the session WM's registry
-// so `swmcmd -query stats` against any fleet session shows fleet
-// health alongside its own. Counters mirror as gauges: the value is a
-// point-in-time copy taken at the session's last start/pump.
-func (m *Manager) publish(s *Session) {
-	s.mirror.live.Set(m.sessionsLive.Value())
-	s.mirror.depth.Set(m.queueDepth.Value())
-	s.mirror.panics.Set(m.sessionPanics.Value())
-	s.mirror.restarts.Set(m.sessionRestarts.Value())
+	s.reg.Store(wm.Metrics())
 }
 
 // Start brings session i up. No-op unless the session is Stopped.
@@ -571,7 +549,6 @@ func (m *Manager) Start(i int) {
 		s.state.Store(int32(StateRunning))
 		m.sessionsStarted.Inc()
 		m.sessionsLive.Set(m.liveCount())
-		m.publish(s)
 	})
 }
 
@@ -618,17 +595,13 @@ func (m *Manager) Restart(i int) {
 		m.sessionRestarts.Inc()
 		s.state.Store(int32(StateRunning))
 		m.sessionsLive.Set(m.liveCount())
-		m.publish(s)
 	})
 }
 
 // Pump posts one event-pump cycle to session i.
 func (m *Manager) Pump(i int) {
 	s := m.sessions[i]
-	s.postMutate(taskWork, func() {
-		s.wm.Pump()
-		m.publish(s)
-	})
+	s.postMutate(taskWork, func() { s.wm.Pump() })
 }
 
 // Exec posts fn to run on session i's scheduler lane with the session's

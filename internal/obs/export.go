@@ -10,7 +10,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // Visitor receives every registered instrument, one call per
@@ -25,22 +24,21 @@ type Visitor interface {
 }
 
 // Visit walks the registry: counters, then gauges, then histograms,
-// each in sorted name order. It walks an immutable view of the three
-// name-sorted slices outside the registry lock, so a visitor may take
-// as long as it likes (a slow scrape) without blocking registration,
-// and the walk needs no sort, no map and no allocation: the order was
-// settled when each name was registered, and only the first Visit
-// after a registration that added a name rebuilds the view. A name
-// registered during a walk shows up in the next one.
+// each in sorted name order. It holds the registry lock for the walk,
+// so it needs no copy, no sort, no map and no allocation: the order
+// was settled when each name was registered. Registration happens at
+// construction, so a walk waits only on one still in progress. The
+// visitor runs under the lock and must not call back into r.
 func (r *Registry) Visit(v Visitor) {
-	all := r.current()
-	for _, c := range all.counters {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, c := range r.counters {
 		v.VisitCounter(c.name, c.inst.Value())
 	}
-	for _, g := range all.gauges {
+	for _, g := range r.gauges {
 		v.VisitGauge(g.name, g.inst.Value())
 	}
-	for _, h := range all.histograms {
+	for _, h := range r.histograms {
 		v.VisitHistogram(h.name, h.inst)
 	}
 }
@@ -62,19 +60,10 @@ type Label struct {
 }
 
 // LabeledRegistry pairs a registry with the labels its series carry.
-// Prefix, when non-empty, is the pre-rendered text-exposition form of
-// Labels (PrerenderLabels) and is used verbatim — scrape paths that
-// export the same label sets every cycle (a fleet's per-session
-// registries) render them once at construction instead of per scrape.
 type LabeledRegistry struct {
 	Registry *Registry
 	Labels   []Label
-	Prefix   string
 }
-
-// PrerenderLabels renders a label set once into the `k="v",k2="v2"`
-// series form ExportText embeds, for LabeledRegistry.Prefix.
-func PrerenderLabels(labels []Label) string { return renderLabels(labels) }
 
 // Export writes this registry alone in the Prometheus text exposition
 // format; see ExportText for the multi-registry form.
@@ -92,10 +81,10 @@ func (r *Registry) Export(w io.Writer, labels ...Label) error {
 // labels, -1 standing for +Inf as everywhere else in this package.
 //
 // The writer is allocation-conscious, not allocation-free: values are
-// appended with strconv into one reused buffer, but family grouping
-// across registries necessarily builds an index. Export runs on the
-// scrape path, which is cold next to the record paths the package
-// optimizes for.
+// appended with strconv into one buffer reused for every line, but
+// family grouping across registries necessarily builds an index.
+// Export runs on the scrape path, which is cold next to the record
+// paths the package optimizes for.
 func ExportText(w io.Writer, regs ...LabeledRegistry) error {
 	var families []*family
 	index := map[string]*family{}
@@ -113,19 +102,11 @@ func ExportText(w io.Writer, regs ...LabeledRegistry) error {
 		if lr.Registry == nil {
 			continue
 		}
-		labels := lr.Prefix
-		if labels == "" {
-			labels = renderLabels(lr.Labels)
-		}
-		lr.Registry.Visit(&collectVisitor{add: add, labels: labels})
+		lr.Registry.Visit(&collectVisitor{add: add, labels: renderLabels(lr.Labels)})
 	}
 	sort.Slice(families, func(i, j int) bool { return families[i].name < families[j].name })
 
-	bp := exportBufPool.Get().(*[]byte)
-	buf := *bp
-	// Return whatever capacity the scrape grew into; the capture is by
-	// reference so the final buffer, not the initial one, is pooled.
-	defer func() { *bp = buf[:0]; exportBufPool.Put(bp) }()
+	buf := make([]byte, 0, 256)
 	for _, f := range families {
 		buf = buf[:0]
 		buf = append(buf, "# TYPE "...)
@@ -150,11 +131,6 @@ func ExportText(w io.Writer, regs ...LabeledRegistry) error {
 	}
 	return nil
 }
-
-// exportBufPool recycles the scrape scratch buffer across ExportText
-// calls: /metrics on a busy fleet renders thousands of series per
-// scrape, and regrowing the line buffer every cycle is pure churn.
-var exportBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
 
 type series struct {
 	labels string // pre-rendered `k="v",k2="v2"`, no braces; "" for none

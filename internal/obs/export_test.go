@@ -68,8 +68,8 @@ func TestVisitOrderAfterLateRegistration(t *testing.T) {
 
 // TestRegistrationConcurrentWithReads runs registration of every kind
 // against Visit, Snapshot and ExportText. Run under -race it checks
-// that readers walk copies of the sorted slices, never the slices a
-// registration is inserting into.
+// that a walk and a registration exclude each other on the registry
+// lock, so no reader sees a slice while a merge is shifting it.
 func TestRegistrationConcurrentWithReads(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
@@ -112,9 +112,9 @@ func TestRegistrationConcurrentWithReads(t *testing.T) {
 	}
 }
 
-// TestVisitAllocFree pins the immutable Visit view: once the first
-// Visit has built it, a walk allocates nothing, and a registration that
-// adds a name is seen by the next walk.
+// TestVisitAllocFree pins the locked walk: Visit allocates nothing,
+// before or after a re-registration, and a registration that adds a
+// name is seen by the next walk.
 func TestVisitAllocFree(t *testing.T) {
 	r := populated()
 	var v visitCounter
@@ -122,7 +122,7 @@ func TestVisitAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { r.Visit(&v) }); allocs != 0 {
 		t.Errorf("Visit = %.1f allocs/op, want 0", allocs)
 	}
-	r.Counter("wm.managed") // existing name: the view stays
+	r.Counter("wm.managed") // existing name: nothing changes
 	if allocs := testing.AllocsPerRun(100, func() { r.Visit(&v) }); allocs != 0 {
 		t.Errorf("Visit after re-registration = %.1f allocs/op, want 0", allocs)
 	}

@@ -16,15 +16,14 @@
 //  2. Instruments are registered once, at construction time, and held
 //     as struct fields thereafter. Registry lookups never happen on a
 //     hot path.
-//  3. Readers never block writers, and reading is cheap too. Each
-//     instrument kind is a name-sorted slice. Visit walks an immutable
-//     view of the three slices outside the registry lock, with no
-//     sort, no map and no allocation; only the first Visit after a
-//     registration that added a name rebuilds that view. The stats
-//     render streams straight off the walk (swmproto.AppendStats),
-//     because a stats miss sits on a fleet lane's serving path.
-//     Snapshot() still builds maps, for callers that want the decoded
-//     shape.
+//  3. Reading is cheap. Each instrument kind is a name-sorted slice,
+//     and registration happens at construction, so Visit walks the
+//     three slices holding the registry's leaf lock, with no sort, no
+//     map and no allocation; a walk only ever waits on a registration
+//     still in progress. The stats render streams straight off the
+//     walk (swmproto.AppendStats), because a stats miss sits on a fleet
+//     lane's serving path. Snapshot() still builds maps, for callers
+//     that want the decoded shape.
 //
 // Instruments may be invoked while the X server's lock is held (the
 // connection instrument fires inside the request gate), so nothing in
@@ -182,20 +181,8 @@ var SizeBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 // sorts. Names never change after registration, which is why the order
 // is paid for once, at construction, rather than per read.
 type Registry struct {
-	mu  sync.Mutex
-	all instruments // guarded by mu; registration inserts here
-
-	// view is what Visit walks without the lock: the slices of all as
-	// they were when it was built, sharing their backing arrays. While
-	// it is set, registration copies all before inserting (unshare), so
-	// a view is never written; nil once a registration has added a
-	// name since it was built.
-	view atomic.Pointer[instruments]
-}
-
-// instruments is every registered instrument, one name-sorted slice
-// per kind.
-type instruments struct {
+	mu sync.Mutex
+	// One name-sorted slice per kind, guarded by mu.
 	counters   []named[*Counter]
 	gauges     []named[*Gauge]
 	histograms []named[*Histogram]
@@ -210,15 +197,15 @@ type named[T any] struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// register stores in out[j] the instrument called names[j] in r's
-// sorted slice s, registering the names s lacks. names must be
+// register stores in out[j] the instrument called names[j] in the
+// registry's sorted slice s, registering the names s lacks. names must be
 // strictly ascending; register panics before changing anything if they
 // are not, as NewHistogram does on unsorted bounds. New instruments
 // come from one block of zero T values, each readied by init (if
 // non-nil) before s is touched, and are merged into s in one pass from
 // the back. Every registration, single or batch, goes through here.
 // The caller holds the registry lock.
-func register[T any](r *Registry, s *[]named[*T], names []string, out []*T, init func(*T)) {
+func register[T any](s *[]named[*T], names []string, out []*T, init func(*T)) {
 	fresh, i := 0, 0
 	for j, name := range names {
 		if j > 0 && names[j-1] >= name {
@@ -242,7 +229,6 @@ func register[T any](r *Registry, s *[]named[*T], names []string, out []*T, init
 			init(&block[f])
 		}
 	}
-	r.unshare()
 	i = len(*s) - 1
 	all := slices.Grow(*s, fresh)[:len(*s)+fresh]
 	k := len(all) - 1
@@ -264,27 +250,12 @@ func register[T any](r *Registry, s *[]named[*T], names []string, out []*T, init
 	*s = all
 }
 
-// unshare drops the Visit view and, if there was one, gives
-// registration its own copy of the slices: a merge shifts entries in
-// place, and a walk may still be reading the view. Registrations
-// between two Visits copy once. The caller holds the registry lock.
-func (r *Registry) unshare() {
-	if r.view.Swap(nil) == nil {
-		return
-	}
-	r.all = instruments{
-		counters:   slices.Clone(r.all.counters),
-		gauges:     slices.Clone(r.all.gauges),
-		histograms: slices.Clone(r.all.histograms),
-	}
-}
-
 // Counter returns the named counter, registering it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	var c [1]*Counter
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	register(r, &r.all.counters, []string{name}, c[:], nil)
+	register(&r.counters, []string{name}, c[:], nil)
 	return c[0]
 }
 
@@ -298,7 +269,7 @@ func (r *Registry) Counters(names []string) []*Counter {
 	out := make([]*Counter, len(names))
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	register(r, &r.all.counters, names, out, nil)
+	register(&r.counters, names, out, nil)
 	return out
 }
 
@@ -307,7 +278,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	var g [1]*Gauge
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	register(r, &r.all.gauges, []string{name}, g[:], nil)
+	register(&r.gauges, []string{name}, g[:], nil)
 	return g[0]
 }
 
@@ -318,25 +289,8 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	var h [1]*Histogram
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	register(r, &r.all.histograms, []string{name}, h[:], func(h *Histogram) { h.setBounds(bounds) })
+	register(&r.histograms, []string{name}, h[:], func(h *Histogram) { h.setBounds(bounds) })
 	return h[0]
-}
-
-// current returns the view Visit walks, rebuilding it under the lock if
-// a registration has added a name since it was built.
-func (r *Registry) current() *instruments {
-	if v := r.view.Load(); v != nil {
-		return v
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v := r.view.Load()
-	if v == nil {
-		all := r.all
-		v = &all
-		r.view.Store(v)
-	}
-	return v
 }
 
 // Snapshot is a point-in-time copy of every registered instrument,
@@ -367,8 +321,8 @@ func (r *Registry) Snapshot() Snapshot {
 func (r *Registry) CounterNames() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]string, len(r.all.counters))
-	for i, c := range r.all.counters {
+	out := make([]string, len(r.counters))
+	for i, c := range r.counters {
 		out[i] = c.name
 	}
 	return out

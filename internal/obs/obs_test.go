@@ -171,29 +171,6 @@ func TestCountersRejectsUnsortedNames(t *testing.T) {
 	}
 }
 
-// TestCountersBatchKeepsView checks that a batch merge leaves a Visit
-// view taken before it untouched: the merge shifts entries in place,
-// so it must copy first.
-func TestCountersBatchKeepsView(t *testing.T) {
-	reg := NewRegistry()
-	// Register until the list has spare capacity, so a merge that
-	// skipped the copy would shift entries inside the view's array.
-	for i := 0; i == 0 || cap(reg.all.counters) == len(reg.all.counters); i++ {
-		reg.Counter(fmt.Sprintf("m%03d", i))
-	}
-	before := reg.current()
-	held := slices.Clone(before.counters)
-	reg.Counters([]string{"a"})
-	if !slices.Equal(before.counters, held) {
-		t.Error("batch registration wrote into a published view")
-	}
-	var v visitCounter
-	reg.Visit(&v)
-	if want := len(held) + 1; v.n != want {
-		t.Errorf("Visit after the batch saw %d counters, want %d", v.n, want)
-	}
-}
-
 // TestCountersBatchAllocs checks that a batch of new names costs as
 // many allocations as a batch of one (the result, one block of counters
 // and the grown list), not one or more per name.

@@ -85,9 +85,10 @@ var PreChange = map[string]Baseline{
 // 800k (≤40 per request). One reintroduced marshal-decode cycle per
 // request (~50 allocs) lands far over it. http-stats-query is the same
 // protocol op with the socket factored out: a warm snapshot-cache hit
-// through middleware, mux, and pooled envelope write measures ~3
-// allocs/op, and the budget of 20 means even one stray per-request
-// rendering step fails the job.
+// through middleware, mux, and pooled envelope write measures 4
+// allocs/op, one of them the middleware's status writer, and the
+// budget of 20 means even one stray per-request rendering step fails
+// the job.
 var AllocBudgets = map[string]int64{
 	"manage-100-clients":    9000,
 	"move-storm":            38,

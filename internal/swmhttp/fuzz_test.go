@@ -30,7 +30,7 @@ func fuzzStack(t testing.TB) http.Handler {
 		}
 		m.StartAll()
 		m.Drain()
-		fuzzMux = swmhttp.New(m, swmhttp.Config{MaxExecBody: 4096}).Handler()
+		fuzzMux = swmhttp.New(m, swmhttp.Config{}).Handler()
 	})
 	return fuzzMux
 }

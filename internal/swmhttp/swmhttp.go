@@ -69,9 +69,11 @@ type Config struct {
 	// Log receives one line per request (method, path, status,
 	// duration); nil disables request logging.
 	Log io.Writer
-	// MaxExecBody bounds the exec request body (default 1 MiB).
-	MaxExecBody int64
 }
+
+// maxExecBody bounds the exec request body. A longer body answers
+// bad_request.
+const maxExecBody = 1 << 20
 
 // Server is the HTTP transport over a Backend. Create with New, expose
 // with Handler (works under any net/http server, including httptest).
@@ -85,11 +87,6 @@ type Server struct {
 	errs     *obs.Counter
 	latency  *obs.Histogram
 	inflight *obs.Gauge
-
-	// sessionPrefixes holds each session's pre-rendered
-	// session="<id>" label series prefix, built once at New so a
-	// scrape renders no labels and formats no ids.
-	sessionPrefixes []string
 }
 
 // ExecBody is the POST /v1/sessions/{id}/exec request body.
@@ -122,9 +119,6 @@ type HealthResult struct {
 // wrapped in the middleware stack, instruments registered in the
 // backend's fleet registry.
 func New(b Backend, cfg Config) *Server {
-	if cfg.MaxExecBody <= 0 {
-		cfg.MaxExecBody = 1 << 20
-	}
 	reg := b.Metrics()
 	s := &Server{
 		backend:  b,
@@ -133,10 +127,6 @@ func New(b Backend, cfg Config) *Server {
 		errs:     reg.Counter("http.errors"),
 		latency:  reg.Histogram("http.request_ns", obs.LatencyBounds),
 		inflight: reg.Gauge("http.inflight"),
-	}
-	s.sessionPrefixes = make([]string, b.Sessions())
-	for i := range s.sessionPrefixes {
-		s.sessionPrefixes[i] = obs.PrerenderLabels([]obs.Label{{Key: "session", Value: strconv.Itoa(i)}})
 	}
 	mux := http.NewServeMux()
 	for _, r := range s.routes() {
@@ -204,8 +194,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 		start := time.Now()
 		s.requests.Inc()
 		s.inflight.Add(1)
-		sw := swPool.Get().(*statusWriter)
-		sw.ResponseWriter, sw.wrote, sw.code = w, false, 0
+		sw := &statusWriter{ResponseWriter: w}
 		defer func() {
 			if rec := recover(); rec != nil {
 				s.errs.Inc()
@@ -218,29 +207,25 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 			if s.cfg.Log != nil {
 				fmt.Fprintf(s.cfg.Log, "swmhttp: %s %s %d %v\n", r.Method, r.URL.Path, sw.status(), time.Since(start).Round(time.Microsecond))
 			}
-			// Nothing may touch sw past this point: it recycles.
-			sw.ResponseWriter = nil
-			swPool.Put(sw)
 		}()
 		next.ServeHTTP(sw, r)
 	})
 }
 
-// Request-lifecycle pools and shared header values: the 2xx serving
-// path allocates neither its writer wrapper nor its envelope buffer,
-// and header assignment installs shared pre-built slices instead of
-// copying strings through Header.Set.
+// The envelope buffer pool and shared header values: the 2xx serving
+// path does not allocate its envelope buffer, and header assignment
+// installs shared pre-built slices instead of copying strings through
+// Header.Set.
 var (
-	swPool     = sync.Pool{New: func() any { return new(statusWriter) }}
 	envBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 	ctJSON     = []string{"application/json; charset=utf-8"}
 	ccNoStore  = []string{"no-store"}
 )
 
 // maxPooledEnvBuf caps the buffers envBufPool keeps. An exec body can
-// grow a buffer to MaxExecBody (1 MiB by default), and once pooled it
-// would stay in circulation under steady traffic; the largest envelope
-// the hot paths render, stats, is about 7 KB.
+// grow a buffer to maxExecBody (1 MiB), and once pooled it would stay
+// in circulation under steady traffic; the largest envelope the hot
+// paths render, stats, is about 7 KB.
 const maxPooledEnvBuf = 64 << 10
 
 // putEnvBuf empties bp and returns it to envBufPool, or drops it if it
@@ -380,13 +365,13 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	bp := envBufPool.Get().(*[]byte)
 	defer putEnvBuf(bp)
 	rd := bytes.NewBuffer((*bp)[:0])
-	_, err := rd.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxExecBody))
+	_, err := rd.ReadFrom(http.MaxBytesReader(w, r.Body, maxExecBody))
 	body := rd.Bytes()
 	*bp = body
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			s.writeEnvelope(w, swmproto.Errorf(swmproto.CodeBadRequest, "exec body over %d bytes", s.cfg.MaxExecBody))
+			s.writeEnvelope(w, swmproto.Errorf(swmproto.CodeBadRequest, "exec body over %d bytes", maxExecBody))
 			return
 		}
 		s.writeEnvelope(w, swmproto.Errorf(swmproto.CodeBadRequest, "read exec body: %v", err))
@@ -452,7 +437,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	regs = append(regs, obs.LabeledRegistry{Registry: s.backend.Metrics()})
 	for i := 0; i < n; i++ {
 		if reg := s.backend.SessionRegistry(i); reg != nil {
-			regs = append(regs, obs.LabeledRegistry{Registry: reg, Prefix: s.sessionPrefixes[i]})
+			regs = append(regs, obs.LabeledRegistry{Registry: reg, Labels: []obs.Label{{Key: "session", Value: strconv.Itoa(i)}}})
 		}
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -314,6 +314,29 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+	// Fleet health has one home, the fleet registry: every swm_fleet_*
+	// family is one unlabeled series, with no per-session copies.
+	fleetSeries := map[string][]string{} // family -> its series
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			if family, _, _ := strings.Cut(rest, " "); strings.HasPrefix(family, "swm_fleet_") {
+				fleetSeries[family] = nil
+			}
+			continue
+		}
+		if series, _, _ := strings.Cut(line, " "); strings.HasPrefix(series, "swm_fleet_") {
+			family, _, _ := strings.Cut(series, "{")
+			fleetSeries[family] = append(fleetSeries[family], series)
+		}
+	}
+	if len(fleetSeries) == 0 {
+		t.Error("metrics has no swm_fleet_* family")
+	}
+	for family, series := range fleetSeries {
+		if len(series) != 1 || series[0] != family {
+			t.Errorf("family %s has series %v, want the one unlabeled series", family, series)
+		}
+	}
 	// The fleet keeps serving scrapes for live sessions only: stop one
 	// and its labeled series disappear rather than going stale.
 	m.Stop(1)

@@ -378,7 +378,9 @@ func setScreenIdx(w *window, sc int32) {
 
 // ConfigureWindow changes window geometry and/or stacking. If another
 // client holds SubstructureRedirect on the parent, the request is
-// redirected as a ConfigureRequest.
+// redirected as a ConfigureRequest. The request is all-or-nothing, as
+// X11 requires: every argument is checked before the redirect and
+// before any store, so a request that fails changes nothing.
 //
 // Geometry-only configures are lock-free (atomic field stores);
 // restacks hold the server lock exclusively.
@@ -395,10 +397,51 @@ func (c *Conn) ConfigureWindow(id xproto.XID, ch xproto.WindowChanges) error {
 	if err != nil {
 		return err
 	}
+	sibling, err := c.checkConfigure(w, ch)
+	if err != nil {
+		return c.note(err)
+	}
 	if c.configRedirected(w, ch) {
 		return nil
 	}
-	return c.note(s.configure(w, ch))
+	s.configure(w, ch, sibling)
+	return nil
+}
+
+// checkConfigure validates a configure change against w and returns
+// the sibling window it names (nil for none). A zero or negative
+// width or height is BadValue; a sibling without a stack-mode, or one
+// that is w itself or not w's sibling, is BadMatch; a sibling that does
+// not exist is BadWindow. Every error carries MajorConfigureWindow. A
+// change naming a sibling holds the server lock exclusively, so the
+// sibling's parent cannot change under the check.
+func (c *Conn) checkConfigure(w *window, ch xproto.WindowChanges) (*window, error) {
+	bad := func(code xproto.ErrorCode, format string, args ...any) error {
+		return &xproto.XError{Code: code, Major: xproto.MajorConfigureWindow, Resource: w.id, Detail: fmt.Sprintf(format, args...)}
+	}
+	if ch.Mask&xproto.CWWidth != 0 && ch.Width <= 0 {
+		return nil, bad(xproto.BadValue, "width %d", ch.Width)
+	}
+	if ch.Mask&xproto.CWHeight != 0 && ch.Height <= 0 {
+		return nil, bad(xproto.BadValue, "height %d", ch.Height)
+	}
+	if ch.Mask&xproto.CWSibling == 0 {
+		return nil, nil
+	}
+	if ch.Mask&xproto.CWStackMode == 0 {
+		return nil, bad(xproto.BadMatch, "sibling without a stack mode")
+	}
+	if ch.Sibling == xproto.None {
+		return nil, nil
+	}
+	sibling, err := c.lookupWin(ch.Sibling, xproto.MajorConfigureWindow)
+	if err != nil {
+		return nil, err
+	}
+	if sibling == w || sibling.parent.Load() != w.parent.Load() {
+		return nil, bad(xproto.BadMatch, "window %#x is not a sibling", uint32(ch.Sibling))
+	}
+	return sibling, nil
 }
 
 // configRedirected forwards the configure as a ConfigureRequest when
@@ -427,12 +470,11 @@ func (c *Conn) configRedirected(w *window, ch xproto.WindowChanges) bool {
 	return true
 }
 
-// configure applies a configure change. Geometry fields are atomic
+// configure applies a configure change that checkConfigure has
+// accepted, with the sibling it returned. Geometry fields are atomic
 // stores (safe from any context); the restack branch requires the
-// server lock exclusively — callers route accordingly. Field application order (and mid-request error
-// behavior) matches the X server: earlier fields stick even when a
-// later one fails validation.
-func (s *Server) configure(w *window, ch xproto.WindowChanges) error {
+// server lock exclusively — callers route accordingly.
+func (s *Server) configure(w *window, ch xproto.WindowChanges, sibling *window) {
 	if ch.Mask&(xproto.CWX|xproto.CWY) != 0 {
 		switch ch.Mask & (xproto.CWX | xproto.CWY) {
 		case xproto.CWX | xproto.CWY:
@@ -441,21 +483,6 @@ func (s *Server) configure(w *window, ch xproto.WindowChanges) error {
 			w.storeX(ch.X)
 		case xproto.CWY:
 			w.storeY(ch.Y)
-		}
-	}
-	if ch.Mask&xproto.CWWidth != 0 && ch.Width <= 0 {
-		return &xproto.XError{
-			Code: xproto.BadValue, Major: xproto.MajorConfigureWindow, Resource: w.id,
-			Detail: fmt.Sprintf("width %d", ch.Width),
-		}
-	}
-	if ch.Mask&xproto.CWHeight != 0 && ch.Height <= 0 {
-		if ch.Mask&xproto.CWWidth != 0 {
-			w.storeW(ch.Width)
-		}
-		return &xproto.XError{
-			Code: xproto.BadValue, Major: xproto.MajorConfigureWindow, Resource: w.id,
-			Detail: fmt.Sprintf("height %d", ch.Height),
 		}
 	}
 	switch ch.Mask & (xproto.CWWidth | xproto.CWHeight) {
@@ -470,14 +497,6 @@ func (s *Server) configure(w *window, ch xproto.WindowChanges) error {
 		w.borderW.Store(int32(ch.BorderWidth))
 	}
 	if ch.Mask&xproto.CWStackMode != 0 {
-		var sibling *window
-		if ch.Mask&xproto.CWSibling != 0 && ch.Sibling != xproto.None {
-			sb, err := s.lookupErr(ch.Sibling)
-			if err != nil {
-				return err
-			}
-			sibling = sb
-		}
 		w.restack(ch.StackMode, sibling)
 	}
 	p := w.parent.Load()
@@ -497,7 +516,6 @@ func (s *Server) configure(w *window, ch xproto.WindowChanges) error {
 		}
 	}
 	s.pointerRecheck(w)
-	return nil
 }
 
 // MoveWindow is shorthand for ConfigureWindow with CWX|CWY.
