@@ -68,15 +68,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, name := range []string{
-			"f.raise", "f.lower", "f.iconify", "f.deiconify", "f.move",
-			"f.resize", "f.zoom", "f.save", "f.restore", "f.stick",
-			"f.unstick", "f.focus", "f.delete", "f.destroy",
-			"f.warpvertical", "f.warphorizontal", "f.panvertical",
-			"f.panhorizontal", "f.pangoto", "f.places", "f.quit",
-			"f.restart", "f.refresh", "f.circleup", "f.circledown",
-			"f.menu", "f.setlabel", "f.setbindings", "f.nop",
-		} {
+		for _, name := range core.FunctionNames() {
 			fmt.Println(name)
 		}
 		return

@@ -10,10 +10,11 @@ import (
 )
 
 // LockOrder guards the locking discipline of internal/xserver. Request
-// methods take `Server.mu` once at their entry — exclusively through
-// the writeLock doorway, which reports contention, or shared with a
-// plain RLock — and then work through *Locked helpers, which never
-// re-acquire.
+// methods take `Server.mu` once at their entry, through the writeLock
+// doorway, which reports contention, and then work through *Locked
+// helpers, which never re-acquire. A shared RLock on a field named `mu`
+// counts as an acquire too, so the analyzer also covers packages that
+// use a sync.RWMutex.
 //
 // The analyzer builds the package's intra-package call graph, computes
 // per lock class which functions may acquire — the server class is a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -487,4 +488,18 @@ func indexStr(haystack, needle string) int {
 		}
 	}
 	return -1
+}
+
+// TestFunctionNamesMatchTable checks that FunctionNames, which
+// swmcmd -list prints, is exactly the function table's keys, sorted.
+func TestFunctionNamesMatchTable(t *testing.T) {
+	names := FunctionNames()
+	if len(names) != len(funcs) || !sort.StringsAreSorted(names) {
+		t.Fatalf("FunctionNames() = %v: want the %d table keys, sorted", names, len(funcs))
+	}
+	for i, name := range names {
+		if _, ok := funcs[name]; !ok || (i > 0 && names[i-1] == name) {
+			t.Errorf("FunctionNames()[%d] = %q: not a table key, or repeated", i, name)
+		}
+	}
 }

@@ -1341,3 +1341,66 @@ func TestShapedClientShapePropagatesToFrame(t *testing.T) {
 		t.Error("corner outside the shape still hits the shaped frame")
 	}
 }
+
+// TestPannerMiniAtPicksTopmost checks that a press over overlapping
+// miniatures picks the one on top of the panner's stacking order,
+// every time, and follows a restack.
+func TestPannerMiniAtPicksTopmost(t *testing.T) {
+	s, wm := newWM(t, Options{VirtualDesktop: true, EnablePanner: true})
+	p := wm.screens[0].Panner()
+	for _, inst := range []string{"a", "b"} {
+		launch(t, s, wm, clients.Config{Instance: inst, Class: "A", Width: 400, Height: 300,
+			NormalHints: &icccm.NormalHints{Flags: icccm.USPosition, X: 100, Y: 100}})
+	}
+	minis := p.Miniatures()
+	if len(minis) != 2 {
+		t.Fatalf("%d miniatures, want 2", len(minis))
+	}
+	topmost := func() *Client {
+		t.Helper()
+		_, _, kids, err := wm.conn.QueryTree(p.Window())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := len(kids) - 1; i >= 0; i-- {
+			if c, ok := minis[kids[i]]; ok {
+				return c
+			}
+		}
+		t.Fatal("no miniature among the panner's children")
+		return nil
+	}
+	name := func(c *Client) string {
+		if c == nil {
+			return "none"
+		}
+		return c.Class.Instance
+	}
+	upper := topmost()
+	g, err := wm.conn.GetGeometry(p.miniOf[upper].win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y := g.Rect.X+1, g.Rect.Y+1
+	for i := 0; i < 200; i++ {
+		if c := p.miniAt(x, y); c != upper {
+			t.Fatalf("call %d: miniAt picked %s, want the upper %s", i, name(c), name(upper))
+		}
+	}
+	for mini, c := range minis {
+		if c != upper {
+			if err := wm.conn.RaiseWindow(mini); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	lower := topmost()
+	if lower == upper {
+		t.Fatal("raise did not change the topmost miniature")
+	}
+	for i := 0; i < 200; i++ {
+		if c := p.miniAt(x, y); c != lower {
+			t.Fatalf("after the raise, call %d: miniAt picked %s, want %s", i, name(c), name(lower))
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -48,6 +49,16 @@ var funcs = map[string]funcImpl{
 	"f.selectdesktop":  fSelectDesktop,
 	"f.sendtodesktop":  fSendToDesktop,
 	"f.nextdesktop":    fNextDesktop,
+}
+
+// FunctionNames returns the names in the function table, sorted.
+func FunctionNames() []string {
+	names := make([]string, 0, len(funcs))
+	for name := range funcs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Execute runs one invocation in the given context, resolving the

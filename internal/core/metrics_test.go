@@ -120,6 +120,21 @@ func counterDeltas(wm *WM, f func()) map[string]int64 {
 	return moved
 }
 
+// TestDestroyRootCountsNoError checks DestroyWindow on a root window,
+// which X11 defines to have no effect: it is one request of its major
+// and moves no xerr counter.
+func TestDestroyRootCountsNoError(t *testing.T) {
+	wm := freshWM(t)
+	var err error
+	moved := counterDeltas(wm, func() { err = wm.Conn().DestroyWindow(wm.Screens()[0].Root) })
+	if err != nil {
+		t.Errorf("DestroyWindow(root) = %v, want no error", err)
+	}
+	if want := map[string]int64{"xreq.total": 1, "xreq.DestroyWindow": 1}; !maps.Equal(moved, want) {
+		t.Errorf("counters moved %v, want %v", moved, want)
+	}
+}
+
 // TestFaultedRequestCountsUnderItsMajor checks per-major accounting on
 // both sides of the gate: a request failed by a FaultPolicy is one
 // request of its major (the instrument fires before the schedule) and

@@ -297,12 +297,22 @@ func (p *Panner) handleRelease(button, x, y int) {
 	wm.moveFrame(c, x*pannerScale, y*pannerScale)
 }
 
-// miniAt returns the client whose miniature contains the
-// panner-relative point, by the geometry last pushed to the server,
-// or nil.
+// miniAt returns the client whose miniature is topmost at
+// panner-relative (x, y) in the panner's stacking order, or nil.
 func (p *Panner) miniAt(x, y int) *Client {
+	_, _, kids, err := p.wm.conn.QueryTree(p.content)
+	if err != nil {
+		p.wm.check(nil, "query panner", err)
+		return nil
+	}
+	hits := make(map[xproto.XID]*Client)
 	for c, m := range p.miniOf {
 		if m.rect.Contains(x, y) {
+			hits[m.win] = c
+		}
+	}
+	for i := len(kids) - 1; i >= 0; i-- {
+		if c := hits[kids[i]]; c != nil {
 			return c
 		}
 	}

@@ -135,15 +135,9 @@ type Config struct {
 	Sessions int
 	// Workers bounds the scheduler pool; default min(GOMAXPROCS, 8).
 	Workers int
-	// Screens configures each session's display (default one 1152x900
-	// screen, as xserver.NewServer).
-	Screens []xserver.ScreenSpec
 	// DB is the shared resource database; nil loads the built-in
 	// default template once for the whole fleet.
 	DB *xrdb.DB
-	// WM is the per-session option template. Its DB is replaced by the
-	// fleet's shared database.
-	WM core.Options
 	// Log receives fleet diagnostics (panics, start failures); nil
 	// discards them.
 	Log io.Writer
@@ -303,7 +297,7 @@ func New(cfg Config) (*Manager, error) {
 		m.sessions = append(m.sessions, &Session{
 			ID:     i,
 			mgr:    m,
-			server: xserver.NewServer(cfg.Screens...),
+			server: xserver.NewServer(),
 		})
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -516,14 +510,6 @@ func (m *Manager) liveCount() int64 {
 	return n
 }
 
-// wmOptions builds the per-session core options: the caller's template
-// with the fleet's shared database substituted.
-func (m *Manager) wmOptions() core.Options {
-	opts := m.cfg.WM
-	opts.DB = m.db
-	return opts
-}
-
 // install makes wm the session's WM and publishes its registry pointer
 // for scrapes. It runs on the session's lane.
 func (s *Session) install(wm *core.WM) {
@@ -539,7 +525,7 @@ func (m *Manager) Start(i int) {
 		if State(s.state.Load()) != StateStarting {
 			return
 		}
-		wm, err := core.New(s.server, m.wmOptions())
+		wm, err := core.New(s.server, core.Options{DB: m.db})
 		if err != nil {
 			s.state.Store(int32(StateFailed))
 			m.logf("session %d start: %v", s.ID, err)
@@ -583,7 +569,7 @@ func (m *Manager) Restart(i int) {
 			s.wm = nil
 		}
 		s.reg.Store(nil)
-		wm, err := core.New(s.server, m.wmOptions())
+		wm, err := core.New(s.server, core.Options{DB: m.db})
 		if err != nil {
 			s.state.Store(int32(StateFailed))
 			m.sessionsLive.Set(m.liveCount())

@@ -136,7 +136,7 @@ func (c *Conn) CreateWindow(parent xproto.XID, r xproto.Rect, borderWidth int, a
 	w.attach(p)
 	s.indexPut(w)
 	if anySelects(p.masks.Load(), xproto.SubstructureNotifyMask) {
-		s.deliver(p, xproto.SubstructureNotifyMask, xproto.Event{
+		s.deliver(p, xproto.SubstructureNotifyMask, &xproto.Event{
 			Type: xproto.CreateNotify, Window: p.id, Subwindow: w.id, Parent: p.id,
 			GX: r.X, GY: r.Y, Width: r.Width, Height: r.Height,
 			BorderWidth: borderWidth, OverrideRedirect: w.override,
@@ -158,10 +158,10 @@ func (c *Conn) DestroyWindow(id xproto.XID) error {
 	if err != nil {
 		return err
 	}
-	if w.isRoot {
-		return fmt.Errorf("xserver: cannot destroy root window")
+	// X11: "If the window is a root window, this request has no effect."
+	if !w.isRoot {
+		s.destroyLocked(w)
 	}
-	s.destroyLocked(w)
 	return nil
 }
 
@@ -199,11 +199,10 @@ func (s *Server) destroyTreeLocked(w *window, detachSelf bool) {
 		Type: xproto.DestroyNotify, Window: w.id, Subwindow: w.id,
 		Time: s.tick(),
 	}
-	s.deliver(w, xproto.StructureNotifyMask, ev)
+	s.deliver(w, xproto.StructureNotifyMask, &ev)
 	if parent != nil {
-		pev := ev
-		pev.Window = parent.id
-		s.deliver(parent, xproto.SubstructureNotifyMask, pev)
+		ev.Window = parent.id
+		s.deliver(parent, xproto.SubstructureNotifyMask, &ev)
 	}
 	for _, conn := range s.conns {
 		delete(conn.saveSet, w.id)
@@ -233,7 +232,7 @@ func (c *Conn) MapWindow(id xproto.XID) error {
 	if !w.override {
 		if p := w.parent.Load(); p != nil {
 			if redirector := s.redirector(p); redirector != nil && redirector != c {
-				redirector.enqueue(xproto.Event{
+				redirector.enqueue(&xproto.Event{
 					Type: xproto.MapRequest, Window: p.id, Subwindow: w.id,
 					Parent: p.id, Time: s.tick(),
 				})
@@ -256,16 +255,15 @@ func (s *Server) mapNow(w *window) {
 			Type: xproto.MapNotify, Window: w.id, Subwindow: w.id,
 			OverrideRedirect: w.override, Time: s.tick(),
 		}
-		s.deliver(w, xproto.StructureNotifyMask, ev)
+		s.deliver(w, xproto.StructureNotifyMask, &ev)
 		if p != nil {
-			pev := ev
-			pev.Window = p.id
-			s.deliver(p, xproto.SubstructureNotifyMask, pev)
+			ev.Window = p.id
+			s.deliver(p, xproto.SubstructureNotifyMask, &ev)
 		}
 	}
 	if anySelects(wmt, xproto.ExposureMask) && w.viewable() {
 		ww, wh := w.size()
-		s.deliver(w, xproto.ExposureMask, xproto.Event{
+		s.deliver(w, xproto.ExposureMask, &xproto.Event{
 			Type: xproto.Expose, Window: w.id,
 			Width: ww, Height: wh, Time: s.tick(),
 		})
@@ -301,11 +299,10 @@ func (s *Server) unmapNow(w *window, fromConfigure bool) {
 			Type: xproto.UnmapNotify, Window: w.id, Subwindow: w.id,
 			FromConfigure: fromConfigure, Time: s.tick(),
 		}
-		s.deliver(w, xproto.StructureNotifyMask, ev)
+		s.deliver(w, xproto.StructureNotifyMask, &ev)
 		if p != nil {
-			pev := ev
-			pev.Window = p.id
-			s.deliver(p, xproto.SubstructureNotifyMask, pev)
+			ev.Window = p.id
+			s.deliver(p, xproto.SubstructureNotifyMask, &ev)
 		}
 	}
 	s.pointerRecheck(w)
@@ -350,15 +347,13 @@ func (c *Conn) ReparentWindow(id, newParent xproto.XID, x, y int) error {
 		Parent: np.id, GX: x, GY: y, OverrideRedirect: w.override,
 		Time: s.tick(),
 	}
-	s.deliver(w, xproto.StructureNotifyMask, ev)
+	s.deliver(w, xproto.StructureNotifyMask, &ev)
 	if oldParent != nil {
-		oev := ev
-		oev.Window = oldParent.id
-		s.deliver(oldParent, xproto.SubstructureNotifyMask, oev)
+		ev.Window = oldParent.id
+		s.deliver(oldParent, xproto.SubstructureNotifyMask, &ev)
 	}
-	nev := ev
-	nev.Window = np.id
-	s.deliver(np, xproto.SubstructureNotifyMask, nev)
+	ev.Window = np.id
+	s.deliver(np, xproto.SubstructureNotifyMask, &ev)
 	if wasMapped {
 		// Remapping after reparent bypasses redirection, as the X server
 		// does for the re-map performed as part of ReparentWindow.
@@ -460,7 +455,7 @@ func (c *Conn) configRedirected(w *window, ch xproto.WindowChanges) bool {
 	if redirector == nil || redirector == c {
 		return false
 	}
-	redirector.enqueue(xproto.Event{
+	redirector.enqueue(&xproto.Event{
 		Type: xproto.ConfigureRequest, Window: p.id, Subwindow: w.id,
 		Parent: p.id, ValueMask: ch.Mask,
 		GX: ch.X, GY: ch.Y, Width: ch.Width, Height: ch.Height,
@@ -508,11 +503,10 @@ func (s *Server) configure(w *window, ch xproto.WindowChanges, sibling *window) 
 			GX: x, GY: y, Width: ww, Height: wh,
 			BorderWidth: int(w.borderW.Load()), Time: s.tick(),
 		}
-		s.deliver(w, xproto.StructureNotifyMask, ev)
+		s.deliver(w, xproto.StructureNotifyMask, &ev)
 		if p != nil {
-			pev := ev
-			pev.Window = p.id
-			s.deliver(p, xproto.SubstructureNotifyMask, pev)
+			ev.Window = p.id
+			s.deliver(p, xproto.SubstructureNotifyMask, &ev)
 		}
 	}
 	s.pointerRecheck(w)
@@ -770,7 +764,7 @@ func (c *Conn) changeProp(w *window, prop, typ xproto.Atom, format int, mode xpr
 		})
 	}
 	if anySelects(w.masks.Load(), xproto.PropertyChangeMask) {
-		s.deliver(w, xproto.PropertyChangeMask, xproto.Event{
+		s.deliver(w, xproto.PropertyChangeMask, &xproto.Event{
 			Type: xproto.PropertyNotify, Window: w.id, Atom: prop,
 			PropertyState: xproto.PropertyNewValue, Time: s.tick(),
 		})
@@ -831,7 +825,7 @@ func (c *Conn) DeleteProperty(id xproto.XID, prop xproto.Atom) error {
 	cell.propMu.Unlock()
 	s := c.server
 	if wasSet && anySelects(w.masks.Load(), xproto.PropertyChangeMask) {
-		s.deliver(w, xproto.PropertyChangeMask, xproto.Event{
+		s.deliver(w, xproto.PropertyChangeMask, &xproto.Event{
 			Type: xproto.PropertyNotify, Window: w.id, Atom: prop,
 			PropertyState: xproto.PropertyDeleted, Time: s.tick(),
 		})
@@ -913,11 +907,11 @@ func (c *Conn) Close() {
 				s.unmapNow(w, false)
 			}
 			w.moveTo(root, rx, ry)
-			s.deliver(w, xproto.StructureNotifyMask, xproto.Event{
+			s.deliver(w, xproto.StructureNotifyMask, &xproto.Event{
 				Type: xproto.ReparentNotify, Window: w.id, Subwindow: w.id,
 				Parent: root.id, GX: rx, GY: ry, Time: s.tick(),
 			})
-			s.deliver(root, xproto.SubstructureNotifyMask, xproto.Event{
+			s.deliver(root, xproto.SubstructureNotifyMask, &xproto.Event{
 				Type: xproto.ReparentNotify, Window: root.id, Subwindow: w.id,
 				Parent: root.id, GX: rx, GY: ry, Time: s.tick(),
 			})
@@ -949,10 +943,9 @@ func (c *Conn) Close() {
 	})
 	// DeleteFunc zeroes the vacated tail, so no slot past len keeps
 	// the closed conn (and its event queue) reachable.
-	s.buttonGrabs = slices.DeleteFunc(s.buttonGrabs, func(g *buttonGrab) bool { return g.conn == c })
-	s.keyGrabs = slices.DeleteFunc(s.keyGrabs, func(g *keyGrab) bool { return g.conn == c })
-	if s.activeGrab != nil && s.activeGrab.conn == c {
-		s.activeGrab = nil
+	s.grabs = slices.DeleteFunc(s.grabs, func(g *passiveGrab) bool { return g.conn == c })
+	if s.activeGrab.conn == c {
+		s.activeGrab = activeGrab{}
 	}
 	s.connMu.Lock()
 	delete(s.conns, c.fd)

@@ -25,7 +25,7 @@ func (s *Server) redirector(w *window) *Conn {
 // mask on w. Safe from any context: the mask table is an immutable
 // snapshot and each queue has its own leaf lock, so delivery needs no
 // server lock and stays FIFO per connection.
-func (s *Server) deliver(w *window, mask xproto.EventMask, ev xproto.Event) {
+func (s *Server) deliver(w *window, mask xproto.EventMask, ev *xproto.Event) {
 	mt := w.masks.Load()
 	if mt == nil {
 		return
@@ -44,7 +44,7 @@ func (s *Server) deliver(w *window, mask xproto.EventMask, ev xproto.Event) {
 
 // enqueue appends ev to the connection's event queue. Safe from any
 // context (leaf lock).
-func (c *Conn) enqueue(ev xproto.Event) {
+func (c *Conn) enqueue(ev *xproto.Event) {
 	c.qMu.Lock()
 	if c.closed.Load() {
 		c.qMu.Unlock()
@@ -61,7 +61,7 @@ func (c *Conn) enqueue(ev xproto.Event) {
 		// manage sequence in one allocation instead of a growth chain.
 		c.queue = make([]xproto.Event, 0, 16)
 	}
-	c.queue = append(c.queue, ev)
+	c.queue = append(c.queue, *ev)
 	c.qCond.Broadcast()
 	c.qMu.Unlock()
 }
@@ -123,11 +123,11 @@ func (c *Conn) SendEvent(dst xproto.XID, mask xproto.EventMask, ev xproto.Event)
 	}
 	if mask == 0 {
 		if w.owner != nil {
-			w.owner.enqueue(ev)
+			w.owner.enqueue(&ev)
 		}
 		return nil
 	}
-	s.deliver(w, mask, ev)
+	s.deliver(w, mask, &ev)
 	return nil
 }
 
@@ -149,12 +149,12 @@ func (c *Conn) SetInputFocus(id xproto.XID) error {
 	s.focus.Store(uint32(id))
 	if old != id {
 		if ow := s.lookup(old); ow != nil {
-			s.deliver(ow, xproto.FocusChangeMask, xproto.Event{
+			s.deliver(ow, xproto.FocusChangeMask, &xproto.Event{
 				Type: xproto.FocusOut, Window: old, Time: s.tick(),
 			})
 		}
 		if nw := s.lookup(id); nw != nil {
-			s.deliver(nw, xproto.FocusChangeMask, xproto.Event{
+			s.deliver(nw, xproto.FocusChangeMask, &xproto.Event{
 				Type: xproto.FocusIn, Window: id, Time: s.tick(),
 			})
 		}

@@ -19,7 +19,7 @@ func tailClear[T any](t *testing.T, what string, tbl []*T) {
 }
 
 // TestCloseClearsGrabTableTail pins that closing a connection removes
-// its passive grabs without leaving them in the tables' backing
+// its passive grabs without leaving them in the table's backing
 // arrays.
 func TestCloseClearsGrabTableTail(t *testing.T) {
 	s := NewServer()
@@ -37,14 +37,10 @@ func TestCloseClearsGrabTableTail(t *testing.T) {
 	a.Close()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.buttonGrabs) != 1 || s.buttonGrabs[0].conn != b {
-		t.Errorf("button grabs after close = %d, want only b's", len(s.buttonGrabs))
+	if len(s.grabs) != 2 || s.grabs[0].conn != b || s.grabs[1].conn != b {
+		t.Errorf("grabs after close = %d, want only b's button and key", len(s.grabs))
 	}
-	if len(s.keyGrabs) != 1 || s.keyGrabs[0].conn != b {
-		t.Errorf("key grabs after close = %d, want only b's", len(s.keyGrabs))
-	}
-	tailClear(t, "buttonGrabs", s.buttonGrabs)
-	tailClear(t, "keyGrabs", s.keyGrabs)
+	tailClear(t, "grabs", s.grabs)
 }
 
 // TestUngrabClearsGrabTableTail pins the same for explicit ungrabs.
@@ -66,9 +62,8 @@ func TestUngrabClearsGrabTableTail(t *testing.T) {
 	c.UngrabKey(root, "F1", 0)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.buttonGrabs) != 2 || len(s.keyGrabs) != 2 {
-		t.Errorf("after ungrab: %d button and %d key grabs, want 2 and 2", len(s.buttonGrabs), len(s.keyGrabs))
+	if len(s.grabs) != 4 {
+		t.Errorf("after ungrab: %d grabs, want 2 button and 2 key grabs", len(s.grabs))
 	}
-	tailClear(t, "buttonGrabs", s.buttonGrabs)
-	tailClear(t, "keyGrabs", s.keyGrabs)
+	tailClear(t, "grabs", s.grabs)
 }

@@ -12,10 +12,10 @@ import (
 // a bounds check — no map hashing, no lock. XIDs are allocated
 // sequentially from baseXID, which keeps the table dense.
 //
-// Server.mu held exclusively serializes every structural writer —
+// Server.mu, a plain mutex, serializes every structural writer —
 // window creation, map/unmap, restack, event-mask changes, destroy,
-// reparent, connection lifecycle, grabs and focus — the way a real X
-// server's single dispatch loop does. Readers never take it: all
+// reparent, connection lifecycle, grabs, focus and input injection —
+// the way a real X server's single dispatch loop does. Readers never take it: all
 // reachable per-window state is atomic or copy-on-write, or (property
 // values) behind a per-property leaf lock, so reads and property and
 // geometry writes proceed while a writer holds it.
@@ -28,7 +28,8 @@ import (
 //	Server.mu  >  Server.inputMu  >  Conn.qMu / Conn.errMu
 //
 // with propCell.propMu a leaf that is never held across another
-// acquire.
+// acquire. Input injection holds Server.mu and inputMu; a lock-free
+// configure's pointer recheck takes inputMu alone.
 
 // baseXID is the first XID allocID hands out. IDs below it (None,
 // PointerRoot) are never windows.
@@ -124,9 +125,9 @@ func (s *Server) SetLockObserver(lo LockObserver) {
 	s.lockObs.Store(&lo)
 }
 
-// writeLock takes Server.mu exclusively, recording contention on the
-// slow path. It is the only place Server.mu is locked exclusively;
-// callers release with s.mu.Unlock.
+// writeLock takes Server.mu, recording contention on the slow path. It
+// is the only place Server.mu is locked; callers release with
+// s.mu.Unlock.
 func (s *Server) writeLock() {
 	if s.mu.TryLock() {
 		return

@@ -7,15 +7,39 @@ import (
 	"repro/internal/xproto"
 )
 
-// Input locking: grab tables are written under the server lock held
-// exclusively and read under either mode. Pointer state lives in
-// atomics readable from anywhere; compound pointer updates (motion +
-// crossing recomputation, implicit grab lifecycle) additionally hold
-// inputMu, which sits below Server.mu in the lock order — so a
-// lock-free configure can recheck the pointer without touching the
-// server lock at all. Helpers suffixed *Input require inputMu.
+// The input path. X11 delivers every device event by one rule, and
+// deviceInput is its one implementation for motion, button and key
+// events: an active pointer grab first (pointer events only), then a
+// passive grab that a press activates, then propagation from the
+// source window up to the first window that selected the event.
+// Passive button and key grabs share one table, Server.grabs.
+//
+// Locking: the grab table and the active grab are read and written
+// under the server lock. Pointer state lives in atomics readable from
+// anywhere; compound pointer updates (motion + crossing recomputation,
+// implicit grab lifecycle) additionally hold inputMu, which sits below
+// Server.mu in the lock order, so a lock-free configure can recheck the
+// pointer without touching the server lock at all. Input injection
+// takes both through withInput. Helpers suffixed *Input require
+// inputMu.
 
 // --- Grabs ----------------------------------------------------------------
+
+// grabSpec identifies a passive grab: a button grab has an empty
+// keysym, a key grab has button 0.
+type grabSpec struct {
+	window    xproto.XID
+	button    int
+	keysym    string
+	modifiers uint16
+}
+
+// passiveGrab is one GrabButton or GrabKey registration.
+type passiveGrab struct {
+	grabSpec
+	conn      *Conn
+	eventMask xproto.EventMask // button grabs: the activated grab's mask
+}
 
 // GrabButton establishes a passive grab: when the button is pressed with
 // exactly the given modifiers while the pointer is inside grabWindow (or
@@ -26,65 +50,72 @@ func (c *Conn) GrabButton(grabWindow xproto.XID, button int, modifiers uint16, e
 	if err := c.gate(xproto.MajorGrabButton, grabWindow); err != nil {
 		return err
 	}
+	return c.grab(xproto.MajorGrabButton, grabSpec{window: grabWindow, button: button, modifiers: modifiers}, eventMask)
+}
+
+// GrabKey establishes a passive key grab: when the key is pressed with
+// exactly the given modifiers while the pointer is inside grabWindow (or
+// a descendant), the press is delivered to this connection with
+// grabWindow as the event window.
+func (c *Conn) GrabKey(grabWindow xproto.XID, keysym string, modifiers uint16) error {
+	if err := c.gate(xproto.MajorGrabKey, grabWindow); err != nil {
+		return err
+	}
+	return c.grab(xproto.MajorGrabKey, grabSpec{window: grabWindow, keysym: keysym, modifiers: modifiers}, 0)
+}
+
+// grab is the body of GrabButton and GrabKey. Another connection's
+// grab of the same combination is BadAccess; the connection's own is
+// replaced.
+func (c *Conn) grab(major xproto.Major, spec grabSpec, eventMask xproto.EventMask) error {
 	s := c.server
 	s.writeLock()
 	defer s.mu.Unlock()
-	if _, err := c.lookupWin(grabWindow, xproto.MajorGrabButton); err != nil {
+	if _, err := c.lookupWin(spec.window, major); err != nil {
 		return err
 	}
-	for _, g := range s.buttonGrabs {
-		if g.window == grabWindow && g.button == button && g.modifiers == modifiers {
-			if g.conn != c {
-				return c.note(&xproto.XError{
-					Code: xproto.BadAccess, Major: xproto.MajorGrabButton, Resource: grabWindow,
-					Detail: fmt.Sprintf("button %d already grabbed on 0x%x", button, uint32(grabWindow)),
-				})
-			}
-			g.eventMask = eventMask
-			return nil
-		}
+	if major == xproto.MajorGrabKey && spec.keysym == "" {
+		return c.note(&xproto.XError{Code: xproto.BadValue, Major: major, Resource: spec.window, Detail: "empty keysym"})
 	}
-	s.buttonGrabs = append(s.buttonGrabs, &buttonGrab{
-		conn: c, window: grabWindow, button: button,
-		modifiers: modifiers, eventMask: eventMask,
-	})
+	g := &passiveGrab{grabSpec: spec, conn: c, eventMask: eventMask}
+	for i, old := range s.grabs {
+		if old.grabSpec != spec {
+			continue
+		}
+		if old.conn != c {
+			what := fmt.Sprintf("button %d", spec.button)
+			if spec.keysym != "" {
+				what = "key " + spec.keysym
+			}
+			return c.note(&xproto.XError{
+				Code: xproto.BadAccess, Major: major, Resource: spec.window,
+				Detail: fmt.Sprintf("%s already grabbed on 0x%x", what, uint32(spec.window)),
+			})
+		}
+		s.grabs[i] = g
+		return nil
+	}
+	s.grabs = append(s.grabs, g)
 	return nil
 }
 
 // UngrabButton removes a passive button grab.
 func (c *Conn) UngrabButton(grabWindow xproto.XID, button int, modifiers uint16) {
-	s := c.server
-	s.writeLock()
-	defer s.mu.Unlock()
-	s.buttonGrabs = slices.DeleteFunc(s.buttonGrabs, func(g *buttonGrab) bool {
-		return g.conn == c && g.window == grabWindow && g.button == button && g.modifiers == modifiers
-	})
+	c.ungrab(grabSpec{window: grabWindow, button: button, modifiers: modifiers})
 }
 
-// GrabKey establishes a passive key grab on a window.
-func (c *Conn) GrabKey(grabWindow xproto.XID, keysym string, modifiers uint16) error {
-	if err := c.gate(xproto.MajorGrabKey, grabWindow); err != nil {
-		return err
-	}
-	s := c.server
-	s.writeLock()
-	defer s.mu.Unlock()
-	if _, err := c.lookupWin(grabWindow, xproto.MajorGrabKey); err != nil {
-		return err
-	}
-	s.keyGrabs = append(s.keyGrabs, &keyGrab{
-		conn: c, window: grabWindow, keysym: keysym, modifiers: modifiers,
-	})
-	return nil
-}
-
-// UngrabKey removes passive key grabs matching the arguments.
+// UngrabKey removes a passive key grab.
 func (c *Conn) UngrabKey(grabWindow xproto.XID, keysym string, modifiers uint16) {
+	c.ungrab(grabSpec{window: grabWindow, keysym: keysym, modifiers: modifiers})
+}
+
+// ungrab is the body of UngrabButton and UngrabKey.
+func (c *Conn) ungrab(spec grabSpec) {
 	s := c.server
 	s.writeLock()
 	defer s.mu.Unlock()
-	s.keyGrabs = slices.DeleteFunc(s.keyGrabs, func(g *keyGrab) bool {
-		return g.conn == c && g.window == grabWindow && g.keysym == keysym && g.modifiers == modifiers
+	s.grabs = slices.DeleteFunc(s.grabs, func(g *passiveGrab) bool {
+		return g.conn == c && g.grabSpec == spec
 	})
 }
 
@@ -101,10 +132,10 @@ func (c *Conn) GrabPointer(grabWindow xproto.XID, eventMask xproto.EventMask) er
 	if _, err := c.lookupWin(grabWindow, xproto.MajorGrabPointer); err != nil {
 		return err
 	}
-	if s.activeGrab != nil && s.activeGrab.conn != c {
+	if s.activeGrab.conn != nil && s.activeGrab.conn != c {
 		return fmt.Errorf("xserver: AlreadyGrabbed")
 	}
-	s.activeGrab = &activeGrab{conn: c, window: grabWindow, eventMask: eventMask}
+	s.activeGrab = activeGrab{conn: c, window: grabWindow, eventMask: eventMask}
 	return nil
 }
 
@@ -113,8 +144,8 @@ func (c *Conn) UngrabPointer() {
 	s := c.server
 	s.writeLock()
 	defer s.mu.Unlock()
-	if s.activeGrab != nil && s.activeGrab.conn == c {
-		s.activeGrab = nil
+	if s.activeGrab.conn == c {
+		s.activeGrab = activeGrab{}
 	}
 }
 
@@ -175,159 +206,93 @@ func (c *Conn) WindowAt(screen, rootX, rootY int) xproto.XID {
 // WarpPointer moves the pointer to root-relative coordinates on the
 // pointer's current screen, generating crossing and motion events.
 func (c *Conn) WarpPointer(rootX, rootY int) {
-	s := c.server
-	s.mu.RLock()
-	s.inputMu.Lock()
-	s.motionInput(rootX, rootY)
-	s.inputMu.Unlock()
-	s.mu.RUnlock()
+	c.server.FakeMotion(rootX, rootY)
 }
 
 // --- Input injection (test/driver API) --------------------------------------
 //
 // These methods stand in for a human at the physical display; they live
 // on Server rather than Conn because input originates at the device, not
-// at any client. They hold the server lock shared (keeping grab tables
-// and the tree stable against exclusive writers) plus inputMu.
+// at any client. Each runs under withInput.
+
+// withInput runs fn holding the server lock, so the tree and the grab
+// table hold still, and inputMu, so no lock-free configure's pointer
+// recheck interleaves.
+func (s *Server) withInput(fn func()) {
+	s.writeLock()
+	s.inputMu.Lock()
+	fn()
+	s.inputMu.Unlock()
+	s.mu.Unlock()
+}
 
 // FakeMotion moves the pointer to root coordinates, delivering
 // MotionNotify and crossing events.
 func (s *Server) FakeMotion(rootX, rootY int) {
-	s.mu.RLock()
-	s.inputMu.Lock()
-	s.motionInput(rootX, rootY)
-	s.inputMu.Unlock()
-	s.mu.RUnlock()
+	s.withInput(func() {
+		s.pointer.xy.Store(packIntPair(rootX, rootY))
+		s.updatePointerWindowInput()
+		s.deviceInput(xproto.MotionNotify, 0, "", 0)
+	})
 }
 
 // FakeSetScreen moves the pointer to another screen.
 func (s *Server) FakeSetScreen(screen int) {
-	s.mu.RLock()
-	s.inputMu.Lock()
-	if screen >= 0 && screen < len(s.screens) {
-		s.pointer.screen.Store(int32(screen))
-		s.pointer.lastWin.Store(uint32(xproto.None))
-	}
-	s.inputMu.Unlock()
-	s.mu.RUnlock()
+	s.withInput(func() {
+		if screen >= 0 && screen < len(s.screens) {
+			s.pointer.screen.Store(int32(screen))
+			s.pointer.lastWin.Store(uint32(xproto.None))
+		}
+	})
 }
 
 // FakeButtonPress presses a pointer button at the current pointer
 // position, running passive-grab activation and event delivery.
 func (s *Server) FakeButtonPress(button int, modifiers uint16) {
-	s.mu.RLock()
-	s.inputMu.Lock()
-	st := uint16(s.pointer.state.Load())
-	st |= buttonStateBit(button)
-	st |= modifiers
-	s.pointer.state.Store(uint32(st))
-	s.buttonEventInput(xproto.ButtonPress, button, modifiers)
-	s.inputMu.Unlock()
-	s.mu.RUnlock()
+	s.withInput(func() {
+		s.pointer.state.Store(s.pointer.state.Load() | uint32(buttonStateBit(button)|modifiers))
+		s.deviceInput(xproto.ButtonPress, button, "", modifiers)
+	})
 }
 
 // FakeButtonRelease releases a pointer button.
 func (s *Server) FakeButtonRelease(button int, modifiers uint16) {
-	s.mu.RLock()
-	s.inputMu.Lock()
-	s.buttonEventInput(xproto.ButtonRelease, button, modifiers)
-	st := uint16(s.pointer.state.Load())
-	st &^= buttonStateBit(button)
-	st &^= modifiers
-	s.pointer.state.Store(uint32(st))
-	// A button release ends an implicit grab.
-	if s.activeGrab != nil && s.activeGrab.implicit && st&allButtonsMask == 0 {
-		s.activeGrab = nil
-	}
-	s.inputMu.Unlock()
-	s.mu.RUnlock()
+	s.withInput(func() {
+		s.deviceInput(xproto.ButtonRelease, button, "", modifiers)
+		st := uint16(s.pointer.state.Load()) &^ (buttonStateBit(button) | modifiers)
+		s.pointer.state.Store(uint32(st))
+		// A button release ends an implicit grab.
+		if s.activeGrab.implicit && st&allButtonsMask == 0 {
+			s.activeGrab = activeGrab{}
+		}
+	})
 }
 
 // FakeKeyPress presses a key described by an X keysym name ("a", "Up",
 // "F1"...), honouring passive key grabs.
 func (s *Server) FakeKeyPress(keysym string, modifiers uint16) {
-	s.mu.RLock()
-	s.inputMu.Lock()
-	s.keyEventInput(xproto.KeyPress, keysym, modifiers)
-	s.inputMu.Unlock()
-	s.mu.RUnlock()
+	s.withInput(func() { s.deviceInput(xproto.KeyPress, 0, keysym, modifiers) })
 }
 
 // FakeKeyRelease releases a key.
 func (s *Server) FakeKeyRelease(keysym string, modifiers uint16) {
-	s.mu.RLock()
-	s.inputMu.Lock()
-	s.keyEventInput(xproto.KeyRelease, keysym, modifiers)
-	s.inputMu.Unlock()
-	s.mu.RUnlock()
+	s.withInput(func() { s.deviceInput(xproto.KeyRelease, 0, keysym, modifiers) })
 }
 
 const allButtonsMask = uint16(xproto.Button1Mask | xproto.Button2Mask |
 	xproto.Button3Mask | xproto.Button4Mask | xproto.Button5Mask)
 
+// buttonStateBit is button's bit in the pointer state, 0 for a button
+// outside 1..5.
 func buttonStateBit(button int) uint16 {
-	switch button {
-	case 1:
-		return xproto.Button1Mask
-	case 2:
-		return xproto.Button2Mask
-	case 3:
-		return xproto.Button3Mask
-	case 4:
-		return xproto.Button4Mask
-	case 5:
-		return xproto.Button5Mask
+	if button < 1 || button > 5 {
+		return 0
 	}
-	return 0
+	return xproto.Button1Mask << (button - 1)
 }
 
 func (s *Server) pointerPos() (int, int) {
 	return unpackIntPair(s.pointer.xy.Load())
-}
-
-// motionInput updates pointer position and emits crossing + motion
-// events. Caller holds inputMu.
-func (s *Server) motionInput(rootX, rootY int) {
-	s.pointer.xy.Store(packIntPair(rootX, rootY))
-	s.updatePointerWindowInput()
-	// Motion delivery: to the active grab, else to the deepest window
-	// selecting PointerMotion, walking up.
-	t := s.tick()
-	state := uint16(s.pointer.state.Load())
-	rootID := s.screens[s.pointer.screen.Load()].Root
-	if g := s.activeGrab; g != nil {
-		if g.eventMask&xproto.PointerMotionMask != 0 {
-			if gw := s.lookup(g.window); gw != nil {
-				gx, gy := gw.rootCoords()
-				g.conn.enqueue(xproto.Event{
-					Type: xproto.MotionNotify, Window: g.window,
-					X: rootX - gx, Y: rootY - gy, RootX: rootX, RootY: rootY,
-					State: state, Time: t, Root: rootID,
-				})
-			}
-		}
-		return
-	}
-	w := s.pointerWindow()
-	for ; w != nil; w = w.parent.Load() {
-		delivered := false
-		if mt := w.masks.Load(); mt != nil {
-			for _, ms := range mt.sel {
-				if ms.mask&xproto.PointerMotionMask != 0 {
-					wx, wy := w.rootCoords()
-					ms.conn.enqueue(xproto.Event{
-						Type: xproto.MotionNotify, Window: w.id,
-						X: rootX - wx, Y: rootY - wy, RootX: rootX, RootY: rootY,
-						State: state, Time: t, Root: rootID,
-					})
-					delivered = true
-				}
-			}
-		}
-		if delivered {
-			break
-		}
-	}
 }
 
 // pointerWindow returns the deepest viewable window under the pointer.
@@ -395,7 +360,7 @@ func (s *Server) updatePointerWindowInput() {
 	state := uint16(s.pointer.state.Load())
 	if old := s.lookup(last); old != nil {
 		ox, oy := old.rootCoords()
-		s.deliver(old, xproto.LeaveWindowMask, xproto.Event{
+		s.deliver(old, xproto.LeaveWindowMask, &xproto.Event{
 			Type: xproto.LeaveNotify, Window: old.id,
 			X: px - ox, Y: py - oy,
 			RootX: px, RootY: py,
@@ -405,7 +370,7 @@ func (s *Server) updatePointerWindowInput() {
 	s.pointer.lastWin.Store(uint32(id))
 	if w != nil {
 		wx, wy := w.rootCoords()
-		s.deliver(w, xproto.EnterWindowMask, xproto.Event{
+		s.deliver(w, xproto.EnterWindowMask, &xproto.Event{
 			Type: xproto.EnterNotify, Window: w.id,
 			X: px - wx, Y: py - wy,
 			RootX: px, RootY: py,
@@ -414,121 +379,112 @@ func (s *Server) updatePointerWindowInput() {
 	}
 }
 
-// buttonEventInput dispatches a button press/release: active grab
-// first, then passive grab activation (press only), then normal
-// delivery to the deepest selecting window with upward propagation.
-// Caller holds the server lock shared plus inputMu.
-func (s *Server) buttonEventInput(typ xproto.EventType, button int, modifiers uint16) {
-	t := s.tick()
-	rootID := s.screens[s.pointer.screen.Load()].Root
-	px, py := s.pointerPos()
-	state := uint16(s.pointer.state.Load())
+// deviceInput generates one device event of typ at the pointer and
+// delivers it by X11's rule: an active pointer grab takes pointer
+// events; else a press activates the passive grab whose window is the
+// deepest at or above the pointer window; else the event propagates
+// from the source window (the pointer window, or for a key event an
+// explicit focus) to the first window that selected it, and every
+// connection selecting it there receives it. A button press that is
+// delivered starts an implicit grab. Button events, and a press a
+// passive grab takes, carry the pointer window as Subwindow. Caller
+// holds the server lock and inputMu.
+func (s *Server) deviceInput(typ xproto.EventType, button int, keysym string, modifiers uint16) {
+	ev := xproto.Event{
+		Type: typ, Root: s.screens[s.pointer.screen.Load()].Root, Time: s.tick(),
+		Button: button, Keysym: keysym, State: modifiers | uint16(s.pointer.state.Load()),
+	}
+	ev.RootX, ev.RootY = s.pointerPos()
 	under := s.pointerWindow()
-	var underID xproto.XID
-	if under != nil {
-		underID = under.id
+	src := under
+	var mask xproto.EventMask
+	key := false
+	switch typ {
+	case xproto.MotionNotify:
+		mask = xproto.PointerMotionMask
+	case xproto.ButtonPress, xproto.ButtonRelease:
+		mask = xproto.ButtonPressMask
+		if typ == xproto.ButtonRelease {
+			mask = xproto.ButtonReleaseMask
+		}
+		if under != nil {
+			ev.Subwindow = under.id
+		}
+	case xproto.KeyPress, xproto.KeyRelease:
+		mask = xproto.KeyPressMask
+		if typ == xproto.KeyRelease {
+			mask = xproto.KeyReleaseMask
+		}
+		key = true
+		if fw := s.lookup(xproto.XID(s.focus.Load())); fw != nil {
+			src = fw
+		}
 	}
 
-	mask := xproto.ButtonPressMask
-	if typ == xproto.ButtonRelease {
-		mask = xproto.ButtonReleaseMask
-	}
-
-	// Active grab takes priority.
-	if g := s.activeGrab; g != nil {
-		if g.eventMask&mask != 0 {
-			if gw := s.lookup(g.window); gw != nil {
-				gx, gy := gw.rootCoords()
-				g.conn.enqueue(xproto.Event{
-					Type: typ, Window: g.window, Subwindow: underID,
-					X: px - gx, Y: py - gy,
-					RootX: px, RootY: py,
-					Button: button, State: modifiers | state,
-					Time: t, Root: rootID,
-				})
-			}
+	if g := &s.activeGrab; g.conn != nil && !key {
+		if gw := s.lookup(g.window); gw != nil && g.eventMask&mask != 0 {
+			relativeTo(&ev, gw)
+			g.conn.enqueue(&ev)
 		}
 		return
 	}
 
-	// Passive grabs: on press, find the most specific grab whose window
-	// is the pointer window or an ancestor. Deepest grab window wins.
-	if typ == xproto.ButtonPress && under != nil {
-		var best *buttonGrab
-		bestDepth := -1
-		for _, g := range s.buttonGrabs {
-			if g.button != button && g.button != xproto.AnyButton {
-				continue
-			}
-			if g.modifiers != xproto.AnyModifier && g.modifiers != modifiers {
+	if (typ == xproto.ButtonPress || typ == xproto.KeyPress) && under != nil {
+		var best *passiveGrab
+		var bestWin *window
+		bestDepth := 0
+		for _, g := range s.grabs {
+			if g.keysym != keysym || (g.button != button && g.button != xproto.AnyButton) ||
+				(g.modifiers != modifiers && g.modifiers != xproto.AnyModifier) {
 				continue
 			}
 			gw := s.lookup(g.window)
-			if gw == nil {
-				continue
-			}
-			if gw != under && !gw.isAncestorOf(under) {
-				continue
-			}
 			depth := 0
-			for p := under; p != nil && p != gw; p = p.parent.Load() {
+			p := under
+			for ; p != nil && p != gw; p = p.parent.Load() {
 				depth++
 			}
-			// Smaller depth = grab window closer to the pointer window.
-			if best == nil || depth < bestDepth {
-				best, bestDepth = g, depth
+			if p != nil && (best == nil || depth < bestDepth) {
+				best, bestWin, bestDepth = g, gw, depth
 			}
 		}
 		if best != nil {
-			gw := s.lookup(best.window)
-			gx, gy := gw.rootCoords()
-			best.conn.enqueue(xproto.Event{
-				Type: typ, Window: best.window, Subwindow: underID,
-				X: px - gx, Y: py - gy,
-				RootX: px, RootY: py,
-				Button: button, State: modifiers | state,
-				Time: t, Root: rootID,
-			})
-			// Activate an implicit grab so the matching release goes to
-			// the same client.
-			s.activeGrab = &activeGrab{
-				conn: best.conn, window: best.window,
-				eventMask: best.eventMask | mask | xproto.ButtonReleaseMask,
-				implicit:  true,
+			ev.Subwindow = under.id
+			relativeTo(&ev, bestWin)
+			best.conn.enqueue(&ev)
+			if typ == xproto.ButtonPress {
+				s.activeGrab = activeGrab{
+					conn: best.conn, window: best.window,
+					eventMask: best.eventMask | mask | xproto.ButtonReleaseMask,
+					implicit:  true,
+				}
 			}
 			return
 		}
 	}
 
-	// Normal delivery: deepest window selecting the mask, walking up.
-	for w := under; w != nil; w = w.parent.Load() {
-		delivered := false
-		var grabConn *Conn
-		var grabMask xproto.EventMask
-		if mt := w.masks.Load(); mt != nil {
-			for _, ms := range mt.sel {
-				if ms.mask&mask != 0 {
-					wx, wy := w.rootCoords()
-					ms.conn.enqueue(xproto.Event{
-						Type: typ, Window: w.id, Subwindow: underID,
-						X: px - wx, Y: py - wy,
-						RootX: px, RootY: py,
-						Button: button, State: modifiers | state,
-						Time: t, Root: rootID,
-					})
-					if !delivered {
-						grabConn, grabMask = ms.conn, ms.mask
-					}
-					delivered = true
-				}
-			}
+	for w := src; w != nil; w = w.parent.Load() {
+		mt := w.masks.Load()
+		if mt == nil {
+			continue
 		}
-		if delivered {
-			if typ == xproto.ButtonPress && grabConn != nil {
-				// Implicit grab for press/release pairing.
-				s.activeGrab = &activeGrab{
-					conn: grabConn, window: w.id,
-					eventMask: grabMask | xproto.ButtonReleaseMask,
+		var first *maskSel
+		for i := range mt.sel {
+			ms := &mt.sel[i]
+			if ms.mask&mask == 0 {
+				continue
+			}
+			if first == nil {
+				first = ms
+				relativeTo(&ev, w)
+			}
+			ms.conn.enqueue(&ev)
+		}
+		if first != nil {
+			if typ == xproto.ButtonPress {
+				s.activeGrab = activeGrab{
+					conn: first.conn, window: w.id,
+					eventMask: first.mask | xproto.ButtonReleaseMask,
 					implicit:  true,
 				}
 			}
@@ -537,82 +493,9 @@ func (s *Server) buttonEventInput(typ xproto.EventType, button int, modifiers ui
 	}
 }
 
-// keyEventInput dispatches a key press/release: passive key grabs
-// first, then focus/pointer delivery. Caller holds the server lock
-// shared plus inputMu.
-func (s *Server) keyEventInput(typ xproto.EventType, keysym string, modifiers uint16) {
-	t := s.tick()
-	rootID := s.screens[s.pointer.screen.Load()].Root
-	px, py := s.pointerPos()
-	state := uint16(s.pointer.state.Load())
-	under := s.pointerWindow()
-
-	mask := xproto.KeyPressMask
-	if typ == xproto.KeyRelease {
-		mask = xproto.KeyReleaseMask
-	}
-
-	if typ == xproto.KeyPress && under != nil {
-		for _, g := range s.keyGrabs {
-			if g.keysym != keysym {
-				continue
-			}
-			if g.modifiers != xproto.AnyModifier && g.modifiers != modifiers {
-				continue
-			}
-			gw := s.lookup(g.window)
-			if gw == nil {
-				continue
-			}
-			if gw != under && !gw.isAncestorOf(under) {
-				continue
-			}
-			gx, gy := gw.rootCoords()
-			var underID xproto.XID
-			if under != nil {
-				underID = under.id
-			}
-			g.conn.enqueue(xproto.Event{
-				Type: typ, Window: g.window, Subwindow: underID,
-				X: px - gx, Y: py - gy,
-				RootX: px, RootY: py,
-				Keysym: keysym, State: modifiers | state,
-				Time: t, Root: rootID,
-			})
-			return
-		}
-	}
-
-	// Determine the delivery window: explicit focus, else pointer window.
-	var target *window
-	focus := xproto.XID(s.focus.Load())
-	if focus != xproto.PointerRoot && focus != xproto.None {
-		if fw := s.lookup(focus); fw != nil {
-			target = fw
-		}
-	}
-	if target == nil {
-		target = under
-	}
-	for w := target; w != nil; w = w.parent.Load() {
-		delivered := false
-		if mt := w.masks.Load(); mt != nil {
-			for _, ms := range mt.sel {
-				if ms.mask&mask != 0 {
-					wx, wy := w.rootCoords()
-					ms.conn.enqueue(xproto.Event{
-						Type: typ, Window: w.id,
-						X: px - wx, Y: py - wy,
-						RootX: px, RootY: py,
-						Keysym: keysym, State: modifiers | state,
-						Time: t, Root: rootID,
-					})
-					delivered = true
-				}
-			}
-		}
-		if delivered {
-			return
-		}
-	}
+// relativeTo makes w the event window of ev, with X and Y relative to
+// w's origin.
+func relativeTo(ev *xproto.Event, w *window) {
+	x, y := w.rootCoords()
+	ev.Window, ev.X, ev.Y = w.id, ev.RootX-x, ev.RootY-y
 }

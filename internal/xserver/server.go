@@ -2,9 +2,9 @@
 // sufficient to host a reparenting window manager and its clients: a
 // window tree with stacking order, properties and atoms, event masks and
 // delivery (including SubstructureRedirect), reparenting with save-sets,
-// passive button grabs and active pointer grabs, pointer/crossing
-// events, synthetic events via SendEvent, multiple screens, and the
-// SHAPE extension.
+// passive button and key grabs and active pointer grabs, pointer,
+// button, key and crossing events, synthetic events via SendEvent,
+// multiple screens, and the SHAPE extension.
 //
 // The server is a deterministic, single-process model: requests take
 // effect immediately and events are appended to per-connection FIFO
@@ -35,15 +35,16 @@ import (
 //   - Structural ops (CreateWindow, Map/UnmapWindow, SelectInput,
 //     restacking configures, ReparentWindow, DestroyWindow,
 //     ChangeSaveSet, Connect/Close, grabs, focus, SendEvent, shape
-//     changes) hold mu exclusively, taken through writeLock.
-//   - Input injection and Snapshot hold mu shared, so the tree and the
-//     grab tables stay stable under them.
+//     changes) and Snapshot hold mu, taken through writeLock.
+//   - Input injection holds mu and then inputMu, so the tree and the
+//     grab table stay still under it and no lock-free configure's
+//     pointer recheck interleaves with it.
 //
 // An installed fault policy or instrument never changes a request's
 // lock scope. Event queues are per-connection with their own mutex, so
 // delivery stays FIFO per client without a global order.
 type Server struct {
-	mu      sync.RWMutex  // structural writer lock; see above
+	mu      sync.Mutex    // structural writer lock; see above
 	inputMu sync.Mutex    // serializes pointer/crossing recomputation; below mu
 	nextID  xproto.XID    // next XID allocID hands out; guarded by mu
 	now     atomic.Uint64 // advances when an event is generated
@@ -64,15 +65,13 @@ type Server struct {
 
 	lockObs atomic.Pointer[LockObserver]
 
-	// passive button grabs established with GrabButton. Guarded by mu:
-	// written exclusively, read under either mode.
-	buttonGrabs []*buttonGrab
-	// keyGrabs established with GrabKey.
-	keyGrabs []*keyGrab
-	// active pointer grab, if any. Written under mu exclusive (grab
-	// requests) or mu shared + inputMu (implicit grabs from input
-	// delivery); both regimes mutually exclude.
-	activeGrab *activeGrab
+	// passive button and key grabs, established with GrabButton and
+	// GrabKey. Guarded by mu.
+	grabs []*passiveGrab
+	// active pointer grab; conn is nil when there is none. Guarded by
+	// mu; input delivery, which starts and ends implicit grabs, also
+	// holds inputMu.
+	activeGrab activeGrab
 }
 
 // Screen describes one head of the display. Root is the root window.
@@ -100,21 +99,6 @@ type pointerState struct {
 	xy      atomic.Uint64 // packIntPair(x, y), root-relative on the current screen
 	state   atomic.Uint32 // button mask (uint16)
 	lastWin atomic.Uint32 // window the pointer was last inside (for crossing events)
-}
-
-type buttonGrab struct {
-	conn      *Conn
-	window    xproto.XID
-	button    int
-	modifiers uint16
-	eventMask xproto.EventMask
-}
-
-type keyGrab struct {
-	conn      *Conn
-	window    xproto.XID
-	keysym    string
-	modifiers uint16
 }
 
 type activeGrab struct {

@@ -36,7 +36,7 @@ func (c *Conn) ShapeCombineRectangles(id xproto.XID, rects []xproto.Rect) error 
 	}
 	if anySelects(w.masks.Load(), xproto.StructureNotifyMask) {
 		ww, wh := w.size()
-		s.deliver(w, xproto.StructureNotifyMask, xproto.Event{
+		s.deliver(w, xproto.StructureNotifyMask, &xproto.Event{
 			Type: xproto.ShapeNotify, Window: w.id, Shaped: w.shaped.Load(),
 			Width: ww, Height: wh, Time: s.tick(),
 		})

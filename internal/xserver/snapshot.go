@@ -27,8 +27,8 @@ type TreeNode struct {
 // consistent cut; per-window fields read their own atomics.
 func (c *Conn) Snapshot(id xproto.XID) (*TreeNode, error) {
 	s := c.server
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.writeLock()
+	defer s.mu.Unlock()
 	w, err := s.lookupErr(id)
 	if err != nil {
 		return nil, err

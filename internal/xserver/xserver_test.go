@@ -340,10 +340,36 @@ func TestDestroyWindowRecursive(t *testing.T) {
 	}
 }
 
-func TestDestroyRootRejected(t *testing.T) {
+// TestDestroyRootHasNoEffect pins X11's rule for DestroyWindow on a
+// root window: the request has no effect. It is not an error, so no
+// error handler (and no error counter behind one) sees it.
+func TestDestroyRootHasNoEffect(t *testing.T) {
 	s, c := newTestServer(t)
-	if err := c.DestroyWindow(s.Screens()[0].Root); err == nil {
-		t.Error("destroying the root should fail")
+	root := s.Screens()[0].Root
+	w := mustCreate(t, c, root, xproto.Rect{Width: 10, Height: 10})
+	if err := c.SelectInput(root, xproto.StructureNotifyMask|xproto.SubstructureNotifyMask); err != nil {
+		t.Fatal(err)
+	}
+	var noted []*xproto.XError
+	c.SetErrorHandler(func(e *xproto.XError) { noted = append(noted, e) })
+	windows, now := s.NumWindows(), s.Now()
+	if err := c.DestroyWindow(root); err != nil {
+		t.Errorf("DestroyWindow(root) = %v, want no error", err)
+	}
+	if _, err := c.GetGeometry(root); err != nil {
+		t.Errorf("root gone after DestroyWindow: %v", err)
+	}
+	if _, err := c.GetGeometry(w); err != nil {
+		t.Errorf("root's child gone after DestroyWindow(root): %v", err)
+	}
+	if s.NumWindows() != windows || s.Now() != now {
+		t.Errorf("windows %d -> %d, time %d -> %d; want both unchanged", windows, s.NumWindows(), now, s.Now())
+	}
+	if evs := drain(c); len(evs) != 0 {
+		t.Errorf("DestroyWindow(root) generated events: %v", evs)
+	}
+	if len(noted) != 0 {
+		t.Errorf("error handler saw %v", noted)
 	}
 }
 
