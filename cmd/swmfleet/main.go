@@ -31,7 +31,7 @@ func main() {
 	log.SetPrefix("swmfleet: ")
 	sessions := flag.Int("sessions", 64, "number of display+WM sessions")
 	perSession := flag.Int("clients", 10, "clients launched per session")
-	workers := flag.Int("workers", 0, "scheduler worker pool size (0 = min(GOMAXPROCS, 8))")
+	workers := flag.Int("workers", 0, "goroutines a fleet-wide step fans out on (0 = min(GOMAXPROCS, 8))")
 	template := flag.String("template", "openlook", "configuration template: openlook, motif or default")
 	restart := flag.Float64("restart", 0.25, "fraction of the fleet to restart-adopt")
 	crash := flag.Int("crash", -1, "panic-crash this session to demonstrate isolation (-1 = none)")
@@ -58,12 +58,11 @@ func main() {
 		log.Fatal(err)
 	}
 	m.StartAll()
-	m.Drain()
 	fmt.Printf("started %d sessions in %v\n",
 		m.Stats().Live, time.Since(start).Round(time.Millisecond))
 
 	launch := time.Now()
-	for i := 0; i < m.Sessions(); i++ {
+	m.Each(func(i int) {
 		srv := m.Session(i).Server()
 		for j := 0; j < *perSession; j++ {
 			if _, err := clients.Launch(srv, clients.Config{
@@ -74,24 +73,23 @@ func main() {
 			}
 		}
 		m.Pump(i)
-	}
-	m.Drain()
+	})
 	fmt.Printf("managed %d clients in %v\n",
 		m.Sessions()*(*perSession), time.Since(launch).Round(time.Millisecond))
 
 	if *crash >= 0 && *crash < m.Sessions() {
 		m.Exec(*crash, func(*core.WM) { panic("swmfleet -crash demonstration") })
 		m.PumpAll()
-		m.Drain()
 		fmt.Printf("crashed session %d: fleet now %+v\n", *crash, m.Stats())
 	}
 
 	if n := int(float64(m.Sessions()) * *restart); n > 0 {
 		rs := time.Now()
-		for i := 0; i < n; i++ {
-			m.Restart(i)
-		}
-		m.Drain()
+		m.Each(func(i int) {
+			if i < n {
+				m.Restart(i)
+			}
+		})
 		fmt.Printf("restart-adopted %d sessions in %v\n", n, time.Since(rs).Round(time.Millisecond))
 	}
 
@@ -104,8 +102,8 @@ func main() {
 	}
 
 	st := m.Stats()
-	fmt.Printf("fleet: sessions=%d live=%d failed=%d panics=%d restarts=%d queue=%d\n",
-		st.Sessions, st.Live, st.Failed, st.Panics, st.Restarts, st.QueueDepth)
+	fmt.Printf("fleet: sessions=%d live=%d failed=%d panics=%d restarts=%d\n",
+		st.Sessions, st.Live, st.Failed, st.Panics, st.Restarts)
 
 	m.Close()
 	fmt.Println("fleet closed")

@@ -40,7 +40,7 @@ func main() {
 	addr := flag.String("addr", ":7070", "listen address")
 	sessions := flag.Int("sessions", 64, "number of display+WM sessions")
 	perSession := flag.Int("clients", 2, "clients launched per session")
-	workers := flag.Int("workers", 0, "scheduler worker pool size (0 = min(GOMAXPROCS, 8))")
+	workers := flag.Int("workers", 0, "goroutines a fleet-wide step fans out on (0 = min(GOMAXPROCS, 8))")
 	template := flag.String("template", "openlook", "configuration template: openlook, motif or default")
 	verbose := flag.Bool("v", false, "log fleet diagnostics and requests")
 	flag.Parse()
@@ -63,8 +63,7 @@ func main() {
 	}
 	defer m.Close()
 	m.StartAll()
-	m.Drain()
-	for i := 0; i < m.Sessions(); i++ {
+	m.Each(func(i int) {
 		srv := m.Session(i).Server()
 		for j := 0; j < *perSession; j++ {
 			if _, err := clients.Launch(srv, clients.Config{
@@ -75,8 +74,7 @@ func main() {
 			}
 		}
 		m.Pump(i)
-	}
-	m.Drain()
+	})
 	log.Printf("fleet of %d sessions (%d clients each) up in %v, serving on %s",
 		m.Sessions(), *perSession, time.Since(start).Round(time.Millisecond), *addr)
 

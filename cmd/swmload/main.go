@@ -19,6 +19,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -97,20 +98,23 @@ func selfHost(n int) (string, func(), error) {
 		return "", nil, err
 	}
 	m.StartAll()
-	m.Drain()
-	for i := 0; i < n; i++ {
+	errs := make([]error, n)
+	m.Each(func(i int) {
 		for j := 0; j < 2; j++ {
 			if _, err := clients.Launch(m.Session(i).Server(), clients.Config{
 				Instance: fmt.Sprintf("s%dc%d", i, j), Class: "XTerm",
 				Width: 120, Height: 90, X: 8 * j, Y: 6 * j,
 			}); err != nil {
-				m.Close()
-				return "", nil, err
+				errs[i] = err
+				return
 			}
 		}
+		m.Pump(i)
+	})
+	if err := errors.Join(errs...); err != nil {
+		m.Close()
+		return "", nil, err
 	}
-	m.PumpAll()
-	m.Drain()
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

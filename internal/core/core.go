@@ -633,8 +633,8 @@ func (wm *WM) Shutdown() {
 // method it belongs to the event-loop goroutine. To stop a Run blocked
 // on another goroutine, close the connection (Conn().Close(), which
 // makes Run return once the queue drains) or execute f.quit, join, then
-// Close. Fleet sessions serialize Close onto the session's scheduler
-// lane for exactly this reason.
+// Close. Fleet sessions run Close under the session's lane for
+// exactly this reason.
 func (wm *WM) Close() {
 	if wm.closed {
 		return

@@ -61,7 +61,7 @@ func (wm *WM) handleSwmQuery(scr *Screen) {
 // miss: warm reads never reach the lane.
 //
 // Like every other WM entry point, ServeProto must run on the event
-// loop (or the session's scheduler lane in a fleet); it is not
+// loop (or under the session's lane in a fleet); it is not
 // internally synchronized.
 func (wm *WM) ServeProto(req swmproto.Request) swmproto.Response {
 	if req.V != 0 && req.V != swmproto.Version {
@@ -126,14 +126,9 @@ func (wm *WM) ServeProto(req swmproto.Request) swmproto.Response {
 func (wm *WM) sendReply(req swmproto.Request, resp swmproto.Response) {
 	resp.V = swmproto.Version
 	resp.ID = req.ID
-	data, err := swmproto.EncodeResponse(resp)
-	if err != nil {
-		wm.logf("swm query %d: encode reply: %v", req.ID, err)
-		return
-	}
 	wm.check(nil, "write SWM_REPLY", wm.conn.ChangeProperty(
 		xproto.XID(req.ReplyWindow), wm.conn.InternAtom(swmproto.ReplyProperty),
-		wm.conn.InternAtom("STRING"), 8, xproto.PropModeReplace, data))
+		wm.conn.InternAtom("STRING"), 8, xproto.PropModeReplace, swmproto.AppendResponse(nil, &resp)))
 }
 
 func (wm *WM) traceResult() swmproto.TraceResult {

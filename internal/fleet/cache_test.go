@@ -3,6 +3,9 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -167,4 +170,75 @@ func TestQueryCacheNonDefaultScreen(t *testing.T) {
 	if resp.OK || resp.Code != swmproto.CodeBadRequest {
 		t.Errorf("screen-1 query = %+v, want bad_request from the lane", resp)
 	}
+}
+
+// TestServeNeverStale checks DESIGN.md §15's "never a stale serve" as
+// a property. A writer moves the session's state forward through
+// ServeSession execs and, after each one returns, records the state it
+// reached. Readers race it through the snapshot cache: each notes the
+// last recorded state before it queries, and the answer must not show
+// an older one. The state is the WM's xreq.total counter, which every
+// f.raise moves and no query does, read back through the stats target.
+func TestServeNeverStale(t *testing.T) {
+	const readers, steps = 4, 2000
+	m := serveFleet(t, 1)
+	launchClients(t, m, 0, 1)
+	xreq := m.SessionRegistry(0).Counter("xreq.total")
+	raise := swmproto.Request{Op: swmproto.OpExec, Command: "f.raise(XTerm)"}
+	stats := swmproto.Request{Op: swmproto.OpQuery, Target: swmproto.TargetStats}
+
+	var reached atomic.Int64
+	reached.Store(xreq.Value())
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				want := reached.Load()
+				resp := m.ServeSession(0, stats)
+				if !resp.OK {
+					t.Errorf("stats query: %+v", resp)
+					return
+				}
+				if got := servedCounter(t, resp.Result, "xreq.total"); got < want {
+					t.Errorf("served xreq.total = %d after the writer had reached %d: a stale serve", got, want)
+					return
+				}
+			}
+		}()
+	}
+	for range steps {
+		if resp := m.ServeSession(0, raise); !resp.OK {
+			t.Errorf("raise: %+v", resp)
+			break
+		}
+		reached.Store(xreq.Value())
+	}
+	close(done)
+	wg.Wait()
+}
+
+// servedCounter reads one counter out of a stats payload without
+// decoding the rest of it.
+func servedCounter(t *testing.T, stats []byte, name string) int64 {
+	t.Helper()
+	key := []byte(`"` + name + `":`)
+	i := bytes.Index(stats, key)
+	if i < 0 {
+		t.Fatalf("stats payload has no %s counter", name)
+	}
+	rest := stats[i+len(key):]
+	end := bytes.IndexAny(rest, ",}")
+	v, err := strconv.ParseInt(string(rest[:end]), 10, 64)
+	if err != nil {
+		t.Fatalf("%s counter: %v", name, err)
+	}
+	return v
 }

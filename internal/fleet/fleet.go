@@ -14,19 +14,21 @@
 //     structure is the read-mostly xrdb database (queries walk its
 //     atomic snapshot, its memo sits behind its lock; see xrdb.DB for
 //     the contract).
-//   - All WM work runs as tasks on a session's scheduler lane, drained
-//     by a bounded worker pool, not a goroutine per session. A
-//     session's tasks are FIFO and never run concurrently with each
-//     other (the session is enqueued at most once, and only the
-//     goroutine that set its queued flag drains it), which is what
-//     makes lock-free core.WM safe to drive here. A ServeSession
-//     request that finds its lane idle is that goroutine: the caller
-//     runs its own task and hands any later arrivals to the pool, so
-//     an exec or a cache miss costs no goroutine handoff.
-//   - Tasks run isolated: a panic marks that one session Failed,
-//     increments fleet.session_panics, and the worker moves on. A
-//     crashing session degrades; it never takes down the fleet. A
-//     Failed session can be recovered with Restart.
+//   - Each session has a lane, a one-slot semaphore. Every session
+//     operation (Start, Stop, Restart, Pump, Exec, a ServeSession exec
+//     or cache miss) runs on the goroutine that calls it, while that
+//     goroutine holds the lane. A session's operations therefore never
+//     run concurrently with each other, which is what makes lock-free
+//     core.WM safe to drive here, and none of them crosses to another
+//     goroutine. Each fans one step out over the fleet on at most
+//     Workers goroutines; it is the only place the package starts one.
+//   - Operations run isolated: a panic marks that one session Failed,
+//     increments fleet.session_panics, and returns to the caller as a
+//     skipped operation. A crashing session degrades; it never takes
+//     down the fleet. A Failed session can be recovered with Restart.
+//   - Operations are synchronous, so an Exec fn must not call back
+//     into the Manager for its own session: the lane is held, and the
+//     call would wait on itself forever.
 //
 // Lifecycle state machine (see DESIGN.md §11):
 //
@@ -80,60 +82,26 @@ func (st State) String() string {
 	return fmt.Sprintf("state(%d)", int32(st))
 }
 
-// taskKind gates which tasks a session in a given state will run: a
-// Failed session executes only recovery tasks (restart, stop), a
-// Stopped session only a start. Everything else is silently skipped —
-// a pump posted to a session that crashed a moment earlier is not an
+// taskKind gates which operations a session in a given state will
+// run: a Failed session runs only recovery (restart, stop), a Stopped
+// session only a start. Everything else is silently skipped — a pump
+// that reaches a session that crashed a moment earlier is not an
 // error, it is the fleet degrading by one session.
 type taskKind int
 
 const (
 	taskStart taskKind = iota
-	taskWork           // pump, exec — requires Running
+	taskWork           // pump, exec, protocol request — requires Running
 	taskRestart
 	taskStop
 )
-
-// task is one entry in a session's FIFO: posted work (fn) or a
-// ServeSession request (call), never both.
-type task struct {
-	kind taskKind
-	fn   func()
-	call *serveCall
-}
-
-// serveCall is one ServeSession request on its session's lane. The
-// caller that finds the lane idle runs it itself and reads resp back
-// directly; on a busy lane done is made inside the append's critical
-// section, before any drainer can pop the task, and the drainer
-// signals it. ran is false when the state gate skipped the task or it
-// panicked. The drainer writes resp and ran before it signals, and the
-// caller reads them only after the task has run on its own goroutine
-// or after receiving from done.
-type serveCall struct {
-	req  swmproto.Request
-	slot int    // cache slot to publish a miss into, -1 for none
-	gen  uint64 // generation read before the render (see postMutate)
-	resp swmproto.Response
-	ran  bool
-	done chan struct{}
-}
-
-// run serves the request against the session's WM. A cache miss is
-// published under the generation read before the render, so the
-// caller's next read hits.
-func (c *serveCall) run(s *Session) {
-	c.resp = s.wm.ServeProto(c.req)
-	if c.slot >= 0 && c.resp.OK {
-		s.cache[c.slot].Store(&queryPayload{gen: c.gen, body: c.resp.Result})
-	}
-}
 
 // Config configures a Manager.
 type Config struct {
 	// Sessions is the number of sessions to create (required).
 	Sessions int
-	// Workers bounds the scheduler pool; default min(GOMAXPROCS, 8).
+	// Workers bounds how many goroutines Each fans out on; default
+	// min(GOMAXPROCS, 8).
 	Workers int
 	// DB is the shared resource database; nil loads the built-in
 	// default template once for the whole fleet.
@@ -141,42 +109,35 @@ type Config struct {
 	// Log receives fleet diagnostics (panics, start failures); nil
 	// discards them.
 	Log io.Writer
-	// ServeTimeout bounds how long ServeSession waits for a busy
-	// session lane to reach a protocol request (default 5s): a lane
-	// stuck behind a long task answers with a timeout envelope instead
-	// of hanging the caller. A request that finds its lane idle runs
-	// on the caller and never waits.
-	ServeTimeout time.Duration
 }
 
-// Manager owns a fleet of sessions and the scheduler that drives them.
+// Manager owns a fleet of sessions.
 type Manager struct {
 	cfg Config
 	db  *xrdb.DB
 
+	// serveTimeout bounds how long ServeSession waits for a busy lane:
+	// a lane stuck behind a long operation answers with a timeout
+	// envelope instead of hanging the caller.
+	serveTimeout time.Duration
+
 	reg             *obs.Registry
 	sessionsLive    *obs.Gauge
-	queueDepth      *obs.Gauge
 	sessionPanics   *obs.Counter
 	sessionRestarts *obs.Counter
 	sessionsStarted *obs.Counter
 	sessionsStopped *obs.Counter
 
-	queue     chan *Session
-	workersWG sync.WaitGroup
-	tasksWG   sync.WaitGroup
-
-	// mu guards closed. The sessions slice is immutable after New.
-	mu       sync.Mutex
-	closed   bool
+	// closed is set by Close: an operation that takes a lane afterwards
+	// is skipped, unless it is a Stop. The sessions slice is immutable
+	// after New.
+	closed   atomic.Bool
 	sessions []*Session
 }
 
-// Session is one display+WM pair. Its WM state is owned by the
-// scheduler lane: at most one goroutine (a worker, or a ServeSession
-// caller that found the lane idle) drains a session's task queue at
-// any moment, so tasks see the WM exactly as a single event-loop
-// goroutine would.
+// Session is one display+WM pair. Its WM state is owned by its lane:
+// at most one goroutine holds the lane at any moment, so operations
+// see the WM exactly as a single event-loop goroutine would.
 type Session struct {
 	ID  int
 	mgr *Manager
@@ -188,15 +149,13 @@ type Session struct {
 
 	state atomic.Int32
 
-	// mu guards tasks, head and queued. tasks[head:] are pending, in
-	// FIFO order; the slots before head have run and been cleared.
-	mu     sync.Mutex
-	tasks  []task
-	head   int
-	queued bool
+	// lane is the session's one-slot semaphore: a send takes it, a
+	// receive releases it, and an operation holds it from its state
+	// gate to its return.
+	lane chan struct{}
 
-	// wm is owned by the session's scheduler lane; outside a task it
-	// may only be read through a Drain barrier (see WM).
+	// wm is owned by the lane; outside an operation it may only be read
+	// while no other goroutine drives the session (see WM).
 	wm *core.WM
 
 	// reg mirrors wm.Metrics() behind an atomic pointer so scrape
@@ -205,10 +164,12 @@ type Session struct {
 	// internally synchronized, only the WM pointer is lane-owned.
 	reg atomic.Pointer[obs.Registry]
 
-	// gen counts observable-state generations: every mutating post
-	// (start, stop, restart, pump, exec) bumps it inside the FIFO
-	// append's critical section — see postMutate for why the two must
-	// be atomic together. Queries read it lock-free to validate cache.
+	// gen counts observable-state generations. It changes only while
+	// the lane is held, just before a mutating operation (start, stop,
+	// restart, pump, exec) runs, and a cache miss reads it while
+	// holding the lane. So a payload tagged g renders exactly the state
+	// of generation g. Warm queries read it lock-free to validate the
+	// cache.
 	gen atomic.Uint64
 
 	// cache holds the session's pre-rendered query payloads, one slot
@@ -258,19 +219,16 @@ func cacheSlot(target string) int {
 	return -1
 }
 
-// New creates a fleet: the shared database and prototype cache, the
-// session set (each with its own server, all Stopped), and the worker
-// pool. Call StartAll (or Start) to bring sessions up, and Close to
-// tear the fleet down.
+// New creates a fleet: the shared database and prototype cache, and
+// the session set (each with its own server and lane, all Stopped). It
+// starts no goroutine. Call StartAll (or Start) to bring sessions up,
+// and Close to tear the fleet down.
 func New(cfg Config) (*Manager, error) {
 	if cfg.Sessions <= 0 {
 		return nil, fmt.Errorf("fleet: Sessions must be positive, got %d", cfg.Sessions)
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-		if cfg.Workers > 8 {
-			cfg.Workers = 8
-		}
+		cfg.Workers = min(runtime.GOMAXPROCS(0), 8)
 	}
 	db := cfg.DB
 	if db == nil {
@@ -281,13 +239,12 @@ func New(cfg Config) (*Manager, error) {
 		}
 	}
 	m := &Manager{
-		cfg:   cfg,
-		db:    db,
-		reg:   obs.NewRegistry(),
-		queue: make(chan *Session, cfg.Sessions),
+		cfg:          cfg,
+		db:           db,
+		serveTimeout: 5 * time.Second,
+		reg:          obs.NewRegistry(),
 	}
 	m.sessionsLive = m.reg.Gauge("fleet.sessions_live")
-	m.queueDepth = m.reg.Gauge("fleet.queue_depth")
 	m.sessionPanics = m.reg.Counter("fleet.session_panics")
 	m.sessionRestarts = m.reg.Counter("fleet.session_restarts")
 	m.sessionsStarted = m.reg.Counter("fleet.sessions_started")
@@ -298,11 +255,8 @@ func New(cfg Config) (*Manager, error) {
 			ID:     i,
 			mgr:    m,
 			server: xserver.NewServer(),
+			lane:   make(chan struct{}, 1),
 		})
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		m.workersWG.Add(1)
-		go m.worker()
 	}
 	return m, nil
 }
@@ -326,158 +280,29 @@ func (m *Manager) logf(format string, args ...any) {
 	}
 }
 
-// post appends a task to the session's FIFO and enqueues the session
-// with the scheduler if it is not already waiting. It reports false if
-// the fleet is closed (the task is dropped).
-func (s *Session) post(k taskKind, fn func()) bool {
-	posted, _ := s.enqueue(task{kind: k, fn: fn}, false)
-	return posted
+// run takes the session's lane, runs op under it (see runHeld) and
+// releases it. Every operation but a ServeSession request, which takes
+// the lane with a timeout, goes through here; all of them mutate.
+func (s *Session) run(k taskKind, op func()) bool {
+	s.lane <- struct{}{}
+	defer func() { <-s.lane }()
+	return s.runHeld(k, true, op)
 }
 
-// postMutate is post for tasks that may change observable session
-// state (start, stop, restart, pump, exec): it bumps the generation
-// counter inside the same critical section that appends the task.
-//
-// The bump MUST share the append's critical section — it is what makes
-// the query cache's staleness argument airtight. gen never decreases,
-// and a mutation's bump becomes visible no later than its FIFO entry:
-// a query that reads generation g and later finds a payload tagged g
-// can conclude no mutation was enqueued after the tag was taken, so
-// the payload renders exactly generation-g state. If the bump happened
-// outside the lock, a query could read g+1, append its render ahead of
-// the mutation's append, and publish pre-mutation bytes tagged g+1 —
-// stale bytes served as current.
-func (s *Session) postMutate(k taskKind, fn func()) bool {
-	posted, _ := s.enqueue(task{kind: k, fn: fn}, true)
-	return posted
-}
-
-// enqueue appends t to the session's FIFO, bumping the generation
-// first when mutate is set. posted is false if the fleet is closed
-// (the task is dropped). If the lane was idle, posted work puts the
-// session on the scheduler queue; a ServeSession call instead claims
-// the lane for the caller (owned), which must then run it with
-// drainSession(s, true).
-func (s *Session) enqueue(t task, mutate bool) (posted, owned bool) {
+// runHeld is the one run path, entered with the lane held. It skips op
+// if the fleet is closed (a Stop still runs) or the state gate refuses
+// it, bumps gen before op runs if op mutates, and runs op behind the
+// fleet's blast wall: a panic marks the session Failed and is
+// accounted, never propagated. It reports whether op ran to
+// completion.
+func (s *Session) runHeld(k taskKind, mutate bool, op func()) bool {
 	m := s.mgr
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return false, false
+	if m.closed.Load() && k != taskStop || !s.admits(k) {
+		return false
 	}
-	m.tasksWG.Add(1)
-	s.mu.Lock()
 	if mutate {
 		s.gen.Add(1)
 	}
-	if len(s.tasks) == cap(s.tasks) && s.head > len(s.tasks)/2 {
-		// Mostly run slots: slide the pending tasks down over them
-		// rather than growing the queue.
-		n := copy(s.tasks, s.tasks[s.head:])
-		clear(s.tasks[n:])
-		s.tasks, s.head = s.tasks[:n], 0
-	}
-	s.tasks = append(s.tasks, t)
-	already := s.queued
-	s.queued = true
-	owned = !already && t.call != nil
-	if already && t.call != nil {
-		// Buffered so the drainer's send cannot block if the caller
-		// timed out and walked away.
-		t.call.done = make(chan struct{}, 1)
-	}
-	s.mu.Unlock()
-	if !already && !owned {
-		m.push(s)
-	}
-	m.mu.Unlock()
-	return true, owned
-}
-
-// push hands a session whose lane is claimed (queued set) to the
-// worker pool. The caller holds m.mu and has checked m.closed. It
-// never blocks: the queue holds every session once, and the queued
-// flag guarantees at-most-once membership.
-func (m *Manager) push(s *Session) {
-	m.queue <- s
-	m.queueDepth.Set(int64(len(m.queue)))
-}
-
-func (m *Manager) worker() {
-	defer m.workersWG.Done()
-	for s := range m.queue {
-		m.queueDepth.Set(int64(len(m.queue)))
-		m.drainSession(s, false)
-	}
-}
-
-// drainSession runs the session's queued tasks in FIFO order. Only the
-// goroutine that set the session's queued flag runs this, which
-// serializes all of a session's tasks. A worker (caller false) drains
-// to exhaustion. A ServeSession caller that claimed an idle lane
-// (caller true) runs only the first task, its own, and then hands any
-// tasks that arrived meanwhile to the pool: a caller never runs
-// another request's work.
-func (m *Manager) drainSession(s *Session, caller bool) {
-	for ran := false; ; ran = true {
-		s.mu.Lock()
-		if s.head == len(s.tasks) {
-			s.tasks, s.head = s.tasks[:0], 0
-			s.queued = false
-			s.mu.Unlock()
-			return
-		}
-		if caller && ran {
-			s.mu.Unlock()
-			m.mu.Lock()
-			if !m.closed {
-				m.push(s)
-				m.mu.Unlock()
-				return
-			}
-			m.mu.Unlock()
-			// Close raced this request and the pool is gone: the
-			// tasks posted before it closed still have to run.
-			caller = false
-			continue
-		}
-		// Pop without shifting the rest; clearing the slot lets the
-		// task's closure be collected once it has run.
-		t := s.tasks[s.head]
-		s.tasks[s.head] = task{}
-		s.head++
-		s.mu.Unlock()
-		ok := s.admits(t.kind) && m.runIsolated(s, t)
-		if t.call != nil {
-			t.call.ran = ok
-			if t.call.done != nil {
-				t.call.done <- struct{}{}
-			}
-		}
-		m.tasksWG.Done()
-	}
-}
-
-// admits applies the state gate: see taskKind.
-func (s *Session) admits(k taskKind) bool {
-	switch State(s.state.Load()) {
-	case StateStopped:
-		return k == taskStart
-	case StateStarting:
-		return k == taskStart
-	case StateRunning:
-		return k == taskWork || k == taskRestart || k == taskStop
-	case StateFailed:
-		return k == taskRestart || k == taskStop
-	}
-	return false
-}
-
-// runIsolated executes one task with panic isolation: a panic marks the
-// session Failed and is accounted, never propagated. The deferred
-// recover is the fleet's blast wall. It reports whether the task ran
-// to completion.
-func (m *Manager) runIsolated(s *Session, t task) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
@@ -489,12 +314,21 @@ func (m *Manager) runIsolated(s *Session, t task) (ok bool) {
 			m.logf("session %d panic (now failed): %v\n%s", s.ID, r, debug.Stack())
 		}
 	}()
-	if t.call != nil {
-		t.call.run(s)
-	} else {
-		t.fn()
-	}
+	op()
 	return true
+}
+
+// admits applies the state gate: see taskKind.
+func (s *Session) admits(k taskKind) bool {
+	switch State(s.state.Load()) {
+	case StateStopped:
+		return k == taskStart
+	case StateRunning:
+		return k != taskStart
+	case StateFailed:
+		return k == taskRestart || k == taskStop
+	}
+	return false
 }
 
 // liveCount recounts running sessions; cheap (an atomic load per
@@ -511,7 +345,7 @@ func (m *Manager) liveCount() int64 {
 }
 
 // install makes wm the session's WM and publishes its registry pointer
-// for scrapes. It runs on the session's lane.
+// for scrapes. It runs under the session's lane.
 func (s *Session) install(wm *core.WM) {
 	s.wm = wm
 	s.reg.Store(wm.Metrics())
@@ -520,11 +354,8 @@ func (s *Session) install(wm *core.WM) {
 // Start brings session i up. No-op unless the session is Stopped.
 func (m *Manager) Start(i int) {
 	s := m.sessions[i]
-	s.state.CompareAndSwap(int32(StateStopped), int32(StateStarting))
-	s.postMutate(taskStart, func() {
-		if State(s.state.Load()) != StateStarting {
-			return
-		}
+	s.run(taskStart, func() {
+		s.state.Store(int32(StateStarting))
 		wm, err := core.New(s.server, core.Options{DB: m.db})
 		if err != nil {
 			s.state.Store(int32(StateFailed))
@@ -543,18 +374,21 @@ func (m *Manager) Start(i int) {
 // returns to Stopped, restartable later.
 func (m *Manager) Stop(i int) {
 	s := m.sessions[i]
-	s.postMutate(taskStop, func() {
-		if s.wm != nil {
-			s.wm.Close()
-			s.wm = nil
-		}
-		s.reg.Store(nil)
-		prev := State(s.state.Swap(int32(StateStopped)))
-		if prev == StateRunning {
-			m.sessionsStopped.Inc()
-		}
-		m.sessionsLive.Set(m.liveCount())
-	})
+	s.run(taskStop, s.stop)
+}
+
+// stop is Stop's operation, run under the lane.
+func (s *Session) stop() {
+	if s.wm != nil {
+		s.wm.Close()
+		s.wm = nil
+	}
+	s.reg.Store(nil)
+	prev := State(s.state.Swap(int32(StateStopped)))
+	if prev == StateRunning {
+		s.mgr.sessionsStopped.Inc()
+	}
+	s.mgr.sessionsLive.Set(s.mgr.liveCount())
 }
 
 // Restart replays the paper's f.restart inside session i: the old WM
@@ -563,7 +397,7 @@ func (m *Manager) Stop(i int) {
 // a Failed session.
 func (m *Manager) Restart(i int) {
 	s := m.sessions[i]
-	s.postMutate(taskRestart, func() {
+	s.run(taskRestart, func() {
 		if s.wm != nil {
 			s.wm.Shutdown()
 			s.wm = nil
@@ -584,63 +418,71 @@ func (m *Manager) Restart(i int) {
 	})
 }
 
-// Pump posts one event-pump cycle to session i.
+// Pump runs one event-pump cycle on session i.
 func (m *Manager) Pump(i int) {
 	s := m.sessions[i]
-	s.postMutate(taskWork, func() { s.wm.Pump() })
+	s.run(taskWork, func() { s.wm.Pump() })
 }
 
-// Exec posts fn to run on session i's scheduler lane with the session's
-// WM — the fleet equivalent of being on the event-loop goroutine. fn
-// must not retain the WM past its return.
+// Exec runs fn with session i's WM while holding its lane — the fleet
+// equivalent of being on the event-loop goroutine. fn must not retain
+// the WM past its return, and must not call back into the Manager for
+// session i: the lane is held, so that call would wait on itself.
 func (m *Manager) Exec(i int, fn func(*core.WM)) {
 	s := m.sessions[i]
-	s.postMutate(taskWork, func() { fn(s.wm) })
+	s.run(taskWork, func() { fn(s.wm) })
+}
+
+// Each calls fn(i) for every session i on min(Workers, Sessions)
+// goroutines and returns when every call has returned. It is the
+// fleet's one fan-out: StartAll, StopAll and PumpAll are Each over one
+// operation, and a caller that prepares each session before pumping it
+// passes the whole step as fn, so preparing one session overlaps with
+// pumping another.
+func (m *Manager) Each(fn func(i int)) {
+	n := min(m.cfg.Workers, len(m.sessions))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for range n {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(m.sessions); i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // StartAll starts every session.
-func (m *Manager) StartAll() {
-	for i := range m.sessions {
-		m.Start(i)
-	}
-}
+func (m *Manager) StartAll() { m.Each(m.Start) }
 
 // StopAll stops every session.
-func (m *Manager) StopAll() {
-	for i := range m.sessions {
-		m.Stop(i)
-	}
-}
+func (m *Manager) StopAll() { m.Each(m.Stop) }
 
-// PumpAll posts a pump to every session.
-func (m *Manager) PumpAll() {
-	for i := range m.sessions {
-		m.Pump(i)
-	}
-}
+// PumpAll runs a pump on every session.
+func (m *Manager) PumpAll() { m.Each(m.Pump) }
 
-// Drain blocks until every task posted so far has run (or been skipped
-// by its state gate). It is the synchronization barrier that makes
-// Session.WM and fleet stats safe to read from the caller's goroutine.
+// Drain takes and releases every session's lane in turn, so every
+// operation that held a lane when Drain reached it has finished when
+// Drain returns. Operations run on their callers, so a goroutine never
+// needs Drain after its own calls; it is the barrier that makes
+// Session.WM and fleet stats safe to read while other goroutines drive
+// the fleet.
 func (m *Manager) Drain() {
-	m.tasksWG.Wait()
+	for _, s := range m.sessions {
+		s.lane <- struct{}{}
+		<-s.lane
+	}
 }
 
-// Close stops every session, waits for the work to finish, and shuts
-// the scheduler down. The Manager is unusable afterwards; posts to a
-// closed fleet are dropped.
+// Close marks the fleet closed and stops every session; clients
+// survive on their sessions' servers. Afterwards every operation but
+// Stop is skipped, so Close is idempotent.
 func (m *Manager) Close() {
+	m.closed.Store(true)
 	m.StopAll()
-	m.Drain()
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.closed = true
-	m.mu.Unlock()
-	close(m.queue)
-	m.workersWG.Wait()
 }
 
 // Server returns the session's display server. The server is created
@@ -651,16 +493,16 @@ func (s *Session) Server() *xserver.Server { return s.server }
 // State returns the session's lifecycle state.
 func (s *Session) State() State { return State(s.state.Load()) }
 
-// Panics reports how many tasks this session lost to panics.
+// Panics reports how many operations this session lost to panics.
 func (s *Session) Panics() int64 { return s.panics.Load() }
 
 // Restarts reports how many restart-adopt cycles this session ran.
 func (s *Session) Restarts() int64 { return s.restarts.Load() }
 
-// WM returns the session's window manager. It is owned by the
-// scheduler lane: only read it between Drain and the next post (tests
-// and stat collectors), or from inside Exec. It is nil unless the
-// session is Running or Failed-with-a-live-WM.
+// WM returns the session's window manager. It is owned by the lane:
+// only read it from inside Exec, or while no other goroutine drives the
+// session (after the caller's own operations return, or after Drain).
+// It is nil unless the session is Running or Failed-with-a-live-WM.
 func (s *Session) WM() *core.WM { return s.wm }
 
 // Stats is a point-in-time fleet summary.
@@ -674,30 +516,26 @@ type Stats struct {
 	Panics   int64
 	Restarts int64
 	Started  int64
-
-	QueueDepth int64
 }
 
 // The Manager is the fleet-shaped implementation of the protocol's
 // session-addressed handler seam: transports route requests here and
-// the Manager runs them on the addressed session's lane.
+// the Manager runs them under the addressed session's lane.
 var _ swmproto.SessionHandler = (*Manager)(nil)
 
 // ServeSession serves one protocol request against session id. A warm
-// cacheable query is answered from the session's snapshot cache;
-// anything else is appended to the session's scheduler lane — the same
-// FIFO and serialization a Pump gets, which is what makes the
-// lane-owned WM safe to query. If the lane is idle the caller drains
-// it for that one task on its own goroutine; if it is busy the caller
-// waits up to Config.ServeTimeout for a worker to reach the task. All
-// failure modes come back as protocol envelopes (unknown_session,
+// cacheable query is answered from the session's snapshot cache
+// without touching the lane. Anything else runs on the caller while it
+// holds the session's lane — the same serialization a Pump gets, which
+// is what makes the lane-owned WM safe to query. An idle lane is taken
+// at once; a busy one is waited for up to five seconds. All failure
+// modes come back as protocol envelopes (unknown_session,
 // session_down, timeout), never as Go errors: the envelope is the
 // transport contract, and HTTP status / exit codes derive from the
-// code. A request the state gate skipped, or whose task panicked,
-// answers session_down as soon as its lane turn comes. Safe to call
-// from any goroutine; concurrent requests against one session
-// serialize on its lane, requests against different sessions run in
-// parallel.
+// code. A request the state gate skipped, or that panicked, answers
+// session_down at once. Safe to call from any goroutine; concurrent
+// requests against one session serialize on its lane, requests against
+// different sessions run in parallel.
 func (m *Manager) ServeSession(id int, req swmproto.Request) swmproto.Response {
 	resp := m.serveSession(id, req)
 	// Stamp the envelope header exactly as the property transport's
@@ -721,54 +559,67 @@ func (m *Manager) serveSession(id int, req swmproto.Request) swmproto.Response {
 	// they were rendered — two atomic loads, no lane turn, no
 	// allocation. The tag is read BEFORE the payload so a concurrent
 	// render can only make us conservative (recompute), never stale;
-	// see postMutate for the ordering argument.
+	// see Session.gen for why a payload tagged g is generation g.
 	slot := -1
-	var gen uint64
 	if req.Op == swmproto.OpQuery && req.Screen == 0 {
 		if slot = cacheSlot(req.Target); slot >= 0 {
-			gen = s.gen.Load()
+			gen := s.gen.Load()
 			if p := s.cache[slot].Load(); p != nil && p.gen == gen {
 				return swmproto.Response{OK: true, Result: p.body}
 			}
 		}
 	}
 
-	return m.serveOnLane(s, &serveCall{req: req, slot: slot, gen: gen})
+	return s.serve(req, slot, m.serveTimeout)
 }
 
-// serveOnLane appends c to the session's lane and answers it: on an
-// idle lane by running it on the calling goroutine, on a busy lane by
-// waiting for the drainer's signal, up to the serve timeout.
-func (m *Manager) serveOnLane(s *Session, c *serveCall) swmproto.Response {
-	// Execs mutate observable state; their append must invalidate the
-	// cache like every other mutating task.
-	posted, owned := s.enqueue(task{kind: taskWork, call: c}, c.req.Op == swmproto.OpExec)
-	if !posted {
-		return swmproto.Errorf(swmproto.CodeSessionDown, "fleet is closed")
+// serve answers a request the cache could not, on the caller, while
+// it holds the lane; a miss publishes its render into cache slot slot
+// (-1 for none). It is kept out of serveSession so that a warm hit
+// does not set up the closure and deferred release: inline, they cost
+// a hit about 1 ns.
+func (s *Session) serve(req swmproto.Request, slot int, timeout time.Duration) swmproto.Response {
+	if !s.acquire(timeout) {
+		// The lane is stuck behind a long operation: degrade to a
+		// timeout envelope rather than hang the transport.
+		return swmproto.Errorf(swmproto.CodeTimeout, "session %d did not serve request %d within %v", s.ID, req.ID, timeout)
 	}
-	if owned {
-		m.drainSession(s, true)
-	} else {
-		timeout := m.cfg.ServeTimeout
-		if timeout <= 0 {
-			timeout = 5 * time.Second
+	defer func() { <-s.lane }()
+	var resp swmproto.Response
+	// Execs mutate observable state: they bump gen like every other
+	// mutating operation.
+	if !s.runHeld(taskWork, req.Op == swmproto.OpExec, func() {
+		resp = s.wm.ServeProto(req)
+		if slot >= 0 && resp.OK {
+			// gen cannot move while the lane is held, so the render
+			// is exactly this generation's state.
+			s.cache[slot].Store(&queryPayload{gen: s.gen.Load(), body: resp.Result})
 		}
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		select {
-		case <-c.done:
-		case <-timer.C:
-			// The lane is stuck behind a long task: degrade to a
-			// timeout envelope rather than hang the transport.
-			return swmproto.Errorf(swmproto.CodeTimeout, "session %d did not serve request %d within %v", s.ID, c.req.ID, timeout)
-		}
-	}
-	if !c.ran {
+	}) {
 		// The session stopped or crashed between the state check and
-		// its lane turn: the gate skipped the task, or it panicked.
+		// its lane turn: the gate skipped the request, or it panicked.
 		return swmproto.Errorf(swmproto.CodeSessionDown, "session %d is %s", s.ID, s.State())
 	}
-	return c.resp
+	return resp
+}
+
+// acquire takes the session's lane for a ServeSession request: at once
+// if it is idle, and only a busy lane makes a timer. It reports false
+// if the lane stayed busy for the whole timeout.
+func (s *Session) acquire(timeout time.Duration) bool {
+	select {
+	case s.lane <- struct{}{}:
+		return true
+	default:
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case s.lane <- struct{}{}:
+		return true
+	case <-timer.C:
+		return false
+	}
 }
 
 // SessionState names session i's lifecycle state for discovery
@@ -797,11 +648,10 @@ func (m *Manager) SessionRegistry(i int) *obs.Registry {
 // Stats counts session states and copies the fleet counters.
 func (m *Manager) Stats() Stats {
 	st := Stats{
-		Sessions:   len(m.sessions),
-		Panics:     m.sessionPanics.Value(),
-		Restarts:   m.sessionRestarts.Value(),
-		Started:    m.sessionsStarted.Value(),
-		QueueDepth: m.queueDepth.Value(),
+		Sessions: len(m.sessions),
+		Panics:   m.sessionPanics.Value(),
+		Restarts: m.sessionRestarts.Value(),
+		Started:  m.sessionsStarted.Value(),
 	}
 	for _, s := range m.sessions {
 		switch s.State() {

@@ -159,8 +159,9 @@ func TestFleetCloseLeaksNothing(t *testing.T) {
 	m.Drain()
 	m.Close()
 
-	// Workers are joined and sessions closed: goroutines settle back to
-	// the baseline, and no server retains a WM connection.
+	// Each's goroutines are joined and sessions closed: goroutines
+	// settle back to the baseline, and no server retains a WM
+	// connection.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline {
 		if time.Now().After(deadline) {
@@ -174,7 +175,7 @@ func TestFleetCloseLeaksNothing(t *testing.T) {
 		}
 	}
 
-	// Posts to a closed fleet are dropped, not deadlocked.
+	// Operations on a closed fleet are skipped, not deadlocked.
 	m.PumpAll()
 	m.Drain()
 	m.Close() // idempotent
@@ -213,58 +214,23 @@ func TestFleetSharesPrototypes(t *testing.T) {
 	}
 }
 
-func TestFleetConfigValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("New accepted zero sessions")
-	}
-}
-
-// TestSessionTaskQueueFIFO drives a session's task queue through
-// growth, pops and in-place compaction: tasks posted while the queue is
-// draining must still run in post order, and no run task's closure may
-// stay reachable from the queue afterwards.
-func TestSessionTaskQueueFIFO(t *testing.T) {
-	m, err := New(Config{Sessions: 1, Workers: 1})
+// TestNewStartsNoGoroutine pins that a fleet costs no goroutine while
+// idle: every operation runs on its caller, and only Each starts
+// goroutines, for as long as it runs.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	m, err := New(Config{Sessions: 16, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	m.StartAll()
-	m.Drain()
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("New changed the goroutine count from %d to %d", before, after)
+	}
+}
 
-	s := m.sessions[0]
-	const total = 1000
-	var ran []int
-	var post func(i int)
-	post = func(i int) {
-		s.post(taskWork, func() {
-			ran = append(ran, i)
-			if i+100 < total {
-				post(i + 100)
-			}
-		})
-	}
-	release := make(chan struct{})
-	s.post(taskWork, func() { <-release })
-	for i := 0; i < 100; i++ {
-		post(i)
-	}
-	close(release)
-	m.Drain()
-
-	if len(ran) != total {
-		t.Fatalf("ran %d tasks, want %d", len(ran), total)
-	}
-	for i, v := range ran {
-		if v != i {
-			t.Fatalf("task %d ran at position %d: order %v", v, i, ran)
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, tk := range s.tasks[:cap(s.tasks)] {
-		if tk.fn != nil {
-			t.Errorf("queue slot %d still holds a run task", i)
-		}
+func TestFleetConfigValidation(t *testing.T) {
+	if _, err := New(Config{}); err == nil {
+		t.Fatal("New accepted zero sessions")
 	}
 }

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -98,28 +100,21 @@ func TestServeSessionErrorEnvelopes(t *testing.T) {
 // behind a slow lane answers with a timeout envelope instead of
 // hanging the transport.
 func TestServeSessionTimeout(t *testing.T) {
-	m, err := New(Config{Sessions: 1, Workers: 1, ServeTimeout: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Close)
-	m.StartAll()
-	m.Drain()
+	m := serveFleet(t, 1)
+	m.serveTimeout = 30 * time.Millisecond
 
-	// Occupy the session's lane so the serve task queues behind it
-	// past the timeout.
-	release := make(chan struct{})
-	m.sessions[0].post(taskWork, func() { <-release })
+	// Hold the session's lane so the request waits past the timeout.
+	s := m.sessions[0]
+	s.lane <- struct{}{}
 	resp := m.ServeSession(0, swmproto.Request{ID: 3, Op: swmproto.OpQuery, Target: swmproto.TargetStats})
-	close(release)
+	<-s.lane
 	if resp.OK || resp.Code != swmproto.CodeTimeout {
 		t.Errorf("stuck lane = %+v, want code %s", resp, swmproto.CodeTimeout)
 	}
 	if resp.ID != 3 {
 		t.Errorf("timeout envelope id = %d, want 3", resp.ID)
 	}
-	m.Drain()
-	// The lane drained; the session serves again.
+	// The lane is free again; the session serves again.
 	if resp := m.ServeSession(0, swmproto.Request{Op: swmproto.OpQuery, Target: swmproto.TargetDesktop}); !resp.OK {
 		t.Errorf("after unblocking = %+v", resp)
 	}
@@ -130,8 +125,7 @@ func TestServeSessionTimeout(t *testing.T) {
 func TestServeSessionFailedLane(t *testing.T) {
 	m := serveFleet(t, 1)
 	s := m.sessions[0]
-	s.post(taskWork, func() { panic("serve fixture crash") })
-	m.Drain()
+	m.Exec(0, func(*core.WM) { panic("serve fixture crash") })
 	if st := s.State(); st != StateFailed {
 		t.Fatalf("session state = %s, want failed", st)
 	}
@@ -145,15 +139,15 @@ func TestServeSessionFailedLane(t *testing.T) {
 	}
 }
 
-// TestServeSessionPanicAnswersAtOnce pins the inline lane's failure
-// path: a request whose task panics on the caller's goroutine answers
-// session_down as soon as runIsolated has recovered, not a timeout
-// envelope after ServeTimeout, and the session is Failed.
+// TestServeSessionPanicAnswersAtOnce pins the lane's failure path: a
+// request that panics on the caller's goroutine answers session_down
+// as soon as the blast wall has recovered, not a timeout envelope, and
+// the session is Failed.
 func TestServeSessionPanicAnswersAtOnce(t *testing.T) {
 	m := serveFleet(t, 1)
 
-	// Between Drain and the next post the lane is idle and the test
-	// owns the WM; without one, ServeProto panics.
+	// No other goroutine drives the session, so the test owns the WM;
+	// without one, ServeProto panics.
 	s := m.sessions[0]
 	s.wm = nil
 	resp := m.ServeSession(0, swmproto.Request{ID: 4, Op: swmproto.OpQuery, Target: swmproto.TargetStats})
@@ -168,49 +162,54 @@ func TestServeSessionPanicAnswersAtOnce(t *testing.T) {
 	}
 }
 
-// TestServeSessionStoppedBeforeLaneTurn pins the gate-skip path on
-// both kinds of lane: a request whose session stops between the state
-// check and its lane turn answers session_down when that turn comes,
-// not a timeout envelope after ServeTimeout.
+// TestServeSessionStoppedBeforeLaneTurn pins the gate-skip path: a
+// request whose session stops between the state check and its lane
+// turn answers session_down when that turn comes, not a timeout
+// envelope.
 func TestServeSessionStoppedBeforeLaneTurn(t *testing.T) {
 	m := serveFleet(t, 1)
 	s := m.sessions[0]
 
-	// Idle lane: the state check passed, then a Stop ran to
-	// completion before the request reached its lane.
-	m.Stop(0)
-	m.Drain()
-	nop := swmproto.Request{Op: swmproto.OpExec, Command: "f.nop"}
-	if resp := m.serveOnLane(s, &serveCall{req: nop, slot: -1}); resp.Code != swmproto.CodeSessionDown {
-		t.Errorf("idle lane, stopped session = %+v, want code %s", resp, swmproto.CodeSessionDown)
+	// Hold the lane so the request passes the state check and waits;
+	// then stop the session under the held lane, as a Stop that won
+	// the lane first would.
+	s.lane <- struct{}{}
+	got := make(chan swmproto.Response)
+	go func() { got <- m.ServeSession(0, swmproto.Request{Op: swmproto.OpExec, Command: "f.nop"}) }()
+	waitInAcquire(t)
+	if !s.runHeld(taskStop, true, s.stop) {
+		t.Fatal("stop under the held lane did not run")
+	}
+	<-s.lane
+	if resp := <-got; resp.Code != swmproto.CodeSessionDown {
+		t.Errorf("stopped session = %+v, want code %s", resp, swmproto.CodeSessionDown)
 	}
 
-	// Busy lane: a Stop queued behind a blocking task lands ahead of
-	// the request, which waits on a worker.
-	m.Start(0)
-	m.Drain()
-	release := make(chan struct{})
-	s.post(taskWork, func() { <-release })
-	m.Stop(0)
-	got := make(chan swmproto.Response)
-	go func() { got <- m.ServeSession(0, nop) }()
-	// Release the lane once the request is queued behind the Stop.
-	for pending := 0; pending < 2; {
-		time.Sleep(time.Millisecond)
-		s.mu.Lock()
-		pending = len(s.tasks) - s.head
-		s.mu.Unlock()
-	}
-	close(release)
-	if resp := <-got; resp.Code != swmproto.CodeSessionDown {
-		t.Errorf("busy lane, stopped session = %+v, want code %s", resp, swmproto.CodeSessionDown)
+	// With the lane free and the session stopped, the gate skips work.
+	if s.run(taskWork, func() { t.Error("the gate ran work on a stopped session") }) {
+		t.Error("run reported work on a stopped session as done")
 	}
 }
 
-// TestServeSessionIdleLaneAllocBudget pins the inline lane's cost: an
-// exec on an idle lane runs on the caller with no closure, channel,
-// timer or goroutine handoff. What is left is the request's serveCall
-// and ServeProto's own two allocations; the pool round trip cost 8.
+// waitInAcquire returns once a goroutine is inside Session.acquire,
+// that is, past ServeSession's state check and at its lane.
+func waitInAcquire(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<16)
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		if n := runtime.Stack(buf, true); bytes.Contains(buf[:n], []byte("fleet.(*Session).acquire")) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no request reached its lane")
+		}
+	}
+}
+
+// TestServeSessionIdleLaneAllocBudget pins the idle lane's cost: an
+// exec runs on the caller with no closure, channel, timer or goroutine
+// handoff. What is left is ServeProto's own two allocations; the task
+// FIFO's request record cost one more, the worker pool round trip 8.
 func TestServeSessionIdleLaneAllocBudget(t *testing.T) {
 	m := serveFleet(t, 1)
 	req := swmproto.Request{Op: swmproto.OpExec, Command: "f.nop"}
@@ -219,19 +218,18 @@ func TestServeSessionIdleLaneAllocBudget(t *testing.T) {
 			t.Fatalf("exec: %+v", resp)
 		}
 	})
-	const budget = 3 // through the worker pool: 8
+	const budget = 2 // through the task FIFO: 3; through the worker pool: 8
 	if avg > budget {
-		t.Errorf("idle-lane exec = %.1f allocs/op, budget %d — is the request crossing to a worker again?", avg, budget)
+		t.Errorf("idle-lane exec = %.1f allocs/op, budget %d — is the request crossing to another goroutine again?", avg, budget)
 	}
 }
 
-// TestServeSessionInlineConcurrent drives inline and busy lanes at
+// TestServeSessionInlineConcurrent drives idle and busy lanes at
 // once: 16 goroutines send mixed execs and queries to 4 sessions while
-// async Exec posts and PumpAll keep the lanes contended. Before each
-// request a goroutine posts an Exec witness; since the request is
-// appended after it, the witness must have run by the time the
-// response comes back (FIFO across posts and served requests, cache
-// hits included), and each goroutine's witnesses run in posting order.
+// Exec calls and PumpAll keep the lanes contended. Before each request
+// a goroutine runs an Exec witness; since the request follows it, the
+// witness must have run by the time the response comes back (cache
+// hits included), and each goroutine's witnesses run in its own order.
 func TestServeSessionInlineConcurrent(t *testing.T) {
 	const sessions, goroutines, rounds = 4, 16, 100
 	m := serveFleet(t, sessions)

@@ -11,14 +11,14 @@ import (
 	"repro/internal/xserver"
 )
 
-// TestFleetRaceSoak is the PR 6 concurrency soak: 64 sessions driven
-// concurrently through the scheduler under `go test -race`, with fault
-// injection (including deterministic death races via KillTarget) on a
-// seeded random subset. It asserts no cross-session state bleed — every
-// session's stats are its own, every client resolves only through its
-// owning session, and each server's resource accounting is independent
-// — while the race detector watches the shared database, prototype
-// cache and scheduler.
+// TestFleetRaceSoak is the fleet's concurrency soak: 64 sessions
+// driven concurrently through their lanes under `go test -race`, with
+// fault injection (including deterministic death races via KillTarget)
+// on a seeded random subset. It asserts no cross-session state bleed —
+// every session's stats are its own, every client resolves only
+// through its owning session, and each server's resource accounting
+// is independent — while the race detector watches the shared
+// database, prototype cache and lanes.
 func TestFleetRaceSoak(t *testing.T) {
 	const (
 		sessions   = 64
@@ -68,12 +68,21 @@ func TestFleetRaceSoak(t *testing.T) {
 
 	for round := 0; round < rounds; round++ {
 		m.PumpAll()
-		// Restart-adopt a rotating slice while the rest keep pumping.
-		for i := round; i < sessions; i += rounds * 2 {
-			m.Restart(i)
-		}
+		// Restart-adopt a rotating slice on its own goroutine while
+		// PumpAll keeps the fleet pumping, so restarts overlap pumps.
+		restarted := make(chan struct{})
+		go func() {
+			defer close(restarted)
+			for i := round; i < sessions; i += rounds * 2 {
+				m.Restart(i)
+			}
+		}()
 		m.PumpAll()
+		<-restarted
 	}
+	// A restart may have won its lane after that session's pump: pump
+	// once more so every restarted WM has run.
+	m.PumpAll()
 	m.Drain()
 
 	// No cross-session state bleed. Servers allocate XIDs from the same

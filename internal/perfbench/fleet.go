@@ -1,6 +1,7 @@
 package perfbench
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -11,15 +12,15 @@ import (
 )
 
 // FleetSessions measures fleet mode end to end at the ROADMAP's
-// WM-as-a-service scale: bring up n display+WM sessions on the shared
-// scheduler, manage perSession clients in each, restart-adopt a quarter
-// of the fleet, and tear everything down. The whole lifecycle is the
+// WM-as-a-service scale: bring up n display+WM sessions, manage
+// perSession clients in each, restart-adopt a quarter of the fleet,
+// and tear everything down. The whole lifecycle is the
 // timed region — the workload exists to keep the thousand-session
 // story a measured fact rather than a claim, so both its allocation
 // count and its wall clock carry blocking budgets (AllocBudgets,
 // WallBudgets).
 //
-// The teardown is verified, not assumed: after Close the scheduler's
+// The teardown is verified, not assumed: after Close the fan-out's
 // goroutines must be gone and every session's server must hold only
 // client-owned state (the zero-leak acceptance bar for fleet mode).
 // The assertions run outside the timer so the goroutine-settle poll
@@ -34,28 +35,18 @@ func FleetSessions(n, perSession int) func(b *testing.B) {
 				b.Fatal(err)
 			}
 			m.StartAll()
-			m.Drain()
 			if st := m.Stats(); st.Live != n {
 				b.Fatalf("fleet came up degraded: %+v", st)
 			}
-			for s := 0; s < n; s++ {
-				srv := m.Session(s).Server()
-				for j := 0; j < perSession; j++ {
-					if _, err := clients.Launch(srv, clients.Config{
-						Instance: fmt.Sprintf("s%dc%d", s, j), Class: "Bench",
-						Width: 120, Height: 90, X: 8 * (j % 12), Y: 6 * (j % 14),
-					}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				m.Pump(s)
+			if err := manageClients(m, perSession, "Bench"); err != nil {
+				b.Fatal(err)
 			}
-			m.Drain()
 			slice := n / 4
-			for s := 0; s < slice; s++ {
-				m.Restart(s)
-			}
-			m.Drain()
+			m.Each(func(s int) {
+				if s < slice {
+					m.Restart(s)
+				}
+			})
 			if st := m.Stats(); st.Live != n || st.Restarts != int64(slice) {
 				b.Fatalf("restart slice degraded the fleet: %+v", st)
 			}
@@ -82,4 +73,26 @@ func FleetSessions(n, perSession int) func(b *testing.B) {
 			b.StartTimer()
 		}
 	}
+}
+
+// manageClients launches perSession clients of the given class on
+// every session's server and pumps the session so they get managed,
+// one session per Each step: launching on one session overlaps with
+// pumping another.
+func manageClients(m *fleet.Manager, perSession int, class string) error {
+	errs := make([]error, m.Sessions())
+	m.Each(func(s int) {
+		srv := m.Session(s).Server()
+		for j := 0; j < perSession; j++ {
+			if _, err := clients.Launch(srv, clients.Config{
+				Instance: fmt.Sprintf("s%dc%d", s, j), Class: class,
+				Width: 120, Height: 90, X: 8 * (j % 12), Y: 6 * (j % 14),
+			}); err != nil {
+				errs[s] = err
+				return
+			}
+		}
+		m.Pump(s)
+	})
+	return errors.Join(errs...)
 }

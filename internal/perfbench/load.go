@@ -70,24 +70,13 @@ func FleetHTTPLoad(sessions, loadClients, requests int) func(b *testing.B) {
 		}
 		defer m.Close()
 		m.StartAll()
-		m.Drain()
 		if st := m.Stats(); st.Live != sessions {
 			b.Fatalf("fleet came up degraded: %+v", st)
 		}
 		// Two managed clients per session so queries return real state.
-		for s := 0; s < sessions; s++ {
-			srv := m.Session(s).Server()
-			for j := 0; j < 2; j++ {
-				if _, err := clients.Launch(srv, clients.Config{
-					Instance: fmt.Sprintf("s%dc%d", s, j), Class: "XTerm",
-					Width: 120, Height: 90, X: 8 * j, Y: 6 * j,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			m.Pump(s)
+		if err := manageClients(m, 2, "XTerm"); err != nil {
+			b.Fatal(err)
 		}
-		m.Drain()
 
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -149,7 +138,6 @@ func HTTPStatsQuery() func(b *testing.B) {
 		}
 		defer m.Close()
 		m.StartAll()
-		m.Drain()
 		srv := m.Session(0).Server()
 		for j := 0; j < 2; j++ {
 			if _, err := clients.Launch(srv, clients.Config{
@@ -160,7 +148,6 @@ func HTTPStatsQuery() func(b *testing.B) {
 			}
 		}
 		m.Pump(0)
-		m.Drain()
 
 		h := swmhttp.New(m, swmhttp.Config{}).Handler()
 		req := httptest.NewRequest(http.MethodGet, "/v1/sessions/0/stats", nil)

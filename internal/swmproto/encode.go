@@ -3,8 +3,9 @@
 // encoding/json.Marshal: they render only on a cache miss, where a
 // hand-rolled encoder measured no faster end to end.
 //
-//   - AppendResponse writes the envelope of every HTTP answer, warm
-//     cache hits included, into a pooled buffer with no allocation.
+//   - AppendResponse writes the envelope of every answer on both
+//     transports: each HTTP answer, warm cache hits included, into a
+//     pooled buffer with no allocation, and each SWM_REPLY property.
 //   - AppendStats streams the stats payload straight off the
 //     registry's sorted walk. Marshalling Registry.Snapshot() instead
 //     costs a ~90 µs render on every read after a write.

@@ -18,8 +18,8 @@ type Handler interface {
 
 // SessionHandler serves requests addressed to one session of a fleet.
 // It is the Handler shape lifted over a session index: implementations
-// (internal/fleet's Manager) route the request onto the addressed
-// session's scheduler lane and run its WM's Handler there. Requests for
+// (internal/fleet's Manager) run the request under the addressed
+// session's lane, with its WM's Handler. Requests for
 // sessions that do not exist or cannot serve come back as error
 // envelopes (CodeUnknownSession, CodeSessionDown, CodeTimeout), never
 // as transport-level failures — the envelope is the contract.
@@ -47,8 +47,8 @@ const (
 	// CodeSessionDown: the session exists but has no running WM
 	// (stopped, starting, failed, or the fleet is closed).
 	CodeSessionDown = "session_down"
-	// CodeTimeout: the session's scheduler lane did not serve the
-	// request in time.
+	// CodeTimeout: the session's lane stayed busy past the serve
+	// timeout.
 	CodeTimeout = "timeout"
 	// CodeExecFailed: an OpExec command parsed but failed to execute.
 	CodeExecFailed = "exec_failed"

@@ -172,9 +172,6 @@ func DecodeRequest(data []byte) (Request, error) {
 	return req, nil
 }
 
-// EncodeResponse marshals a Response for ChangeProperty.
-func EncodeResponse(resp Response) ([]byte, error) { return json.Marshal(resp) }
-
 // DecodeResponse unmarshals a Response and checks the version.
 func DecodeResponse(data []byte) (Response, error) {
 	var resp Response

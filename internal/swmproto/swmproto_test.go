@@ -45,11 +45,7 @@ func TestDecodeRequestRejectsGarbage(t *testing.T) {
 
 func TestResponseRoundTrip(t *testing.T) {
 	in := Response{V: Version, ID: 7, OK: true, Result: json.RawMessage(`{"x":1}`)}
-	data, err := EncodeResponse(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeResponse(data)
+	out, err := DecodeResponse(AppendResponse(nil, &in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +96,8 @@ func TestClientSendPoll(t *testing.T) {
 	}
 
 	// Answer it by hand and poll.
-	data, _ := EncodeResponse(Response{V: Version, ID: req.ID, OK: true})
 	err = conn.ChangeProperty(cl.ReplyWindow(), conn.InternAtom(ReplyProperty),
-		conn.InternAtom("STRING"), 8, xproto.PropModeReplace, data)
+		conn.InternAtom("STRING"), 8, xproto.PropModeReplace, AppendResponse(nil, &Response{V: Version, ID: req.ID, OK: true}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -207,6 +207,12 @@ func (s *Server) destroyTreeLocked(w *window, detachSelf bool) {
 	for _, conn := range s.conns {
 		delete(conn.saveSet, w.id)
 	}
+	// Grabs die with their window, as in X: its passive grabs go, and
+	// an active grab on it is released.
+	s.grabs = slices.DeleteFunc(s.grabs, func(g *passiveGrab) bool { return g.window == w.id })
+	if s.activeGrab.window == w.id {
+		s.activeGrab = activeGrab{}
+	}
 	if xproto.XID(s.focus.Load()) == w.id {
 		s.focus.Store(uint32(xproto.PointerRoot))
 	}

@@ -67,3 +67,52 @@ func TestUngrabClearsGrabTableTail(t *testing.T) {
 	}
 	tailClear(t, "grabs", s.grabs)
 }
+
+// TestGrabsDieWithTheirWindow pins X's rule that destroying a window
+// drops its passive grabs and releases an active grab on it: a dead
+// active grab would otherwise swallow every later pointer event.
+func TestGrabsDieWithTheirWindow(t *testing.T) {
+	s, c := newTestServer(t)
+	watcher := s.Connect("watcher")
+	root := s.Screens()[0].Root
+	w := mustCreate(t, c, root, xproto.Rect{Width: 100, Height: 100})
+	if err := c.MapWindow(w); err != nil {
+		t.Fatal(err)
+	}
+	for button := 1; button <= 3; button++ {
+		if err := c.GrabButton(w, button, 0, xproto.ButtonPressMask); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.GrabKey(w, "F1", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.GrabPointer(w, xproto.PointerMotionMask); err != nil {
+		t.Fatal(err)
+	}
+	if err := watcher.SelectInput(root, xproto.PointerMotionMask); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := c.DestroyWindow(w); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	grabs, active := len(s.grabs), s.activeGrab.conn != nil
+	tailClear(t, "grabs", s.grabs)
+	s.mu.Unlock()
+	if grabs != 0 || active {
+		t.Errorf("after destroy: %d passive grabs, active grab held %v; want none", grabs, active)
+	}
+
+	s.FakeMotion(150, 150)
+	motion := 0
+	for _, ev := range drain(watcher) {
+		if ev.Type == xproto.MotionNotify {
+			motion++
+		}
+	}
+	if motion == 0 {
+		t.Error("root motion selector got no event after the grab window died")
+	}
+}
