@@ -1404,3 +1404,63 @@ func TestPannerMiniAtPicksTopmost(t *testing.T) {
 		}
 	}
 }
+
+// TestPannerMiniaturesFollowFrameStacking checks that the miniatures
+// stack like their clients' frames: after a's frame is raised above
+// b's, a press over the overlap picks a, and a's miniature sits above
+// b's among the panner's children, with the viewport still on top. A
+// deiconified client's frame keeps its place, and so must its new
+// miniature.
+func TestPannerMiniaturesFollowFrameStacking(t *testing.T) {
+	s, wm := newWM(t, Options{VirtualDesktop: true, EnablePanner: true})
+	p := wm.screens[0].Panner()
+	overlapping := func(inst string) *Client {
+		_, c := launch(t, s, wm, clients.Config{Instance: inst, Class: "A", Width: 400, Height: 300,
+			NormalHints: &icccm.NormalHints{Flags: icccm.USPosition, X: 100, Y: 100}})
+		return c
+	}
+	a, b := overlapping("a"), overlapping("b")
+	for _, step := range []struct {
+		c        *Client
+		src      string
+		top, low *Client // nil: b is iconified and has no miniature
+	}{
+		{a, "f.raise", a, b},
+		{b, "f.raise", b, a},
+		{a, "f.raise", a, b},
+		{a, "f.lower", b, a},
+		{b, "f.lower", a, b},
+		{b, "f.iconify", nil, nil},
+		{b, "f.deiconify", a, b},
+	} {
+		if err := wm.ExecuteString(&FuncContext{Client: step.c, Screen: step.c.scr}, step.src); err != nil {
+			t.Fatal(err)
+		}
+		wm.Pump()
+		if step.top == nil {
+			continue
+		}
+		name := step.c.Class.Instance + " " + step.src
+		g, err := wm.conn.GetGeometry(p.miniOf[step.top].win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := p.miniAt(g.Rect.X+1, g.Rect.Y+1); c != step.top {
+			t.Errorf("after %s: miniAt over the overlap did not pick %s", name, step.top.Class.Instance)
+		}
+		_, _, kids, err := wm.conn.QueryTree(p.Window())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos := make(map[xproto.XID]int, len(kids))
+		for i, k := range kids {
+			pos[k] = i
+		}
+		if pos[p.miniOf[step.top].win] < pos[p.miniOf[step.low].win] {
+			t.Errorf("after %s: %s's miniature stacks below %s's: children %v", name, step.top.Class.Instance, step.low.Class.Instance, kids)
+		}
+		if kids[len(kids)-1] != p.viewport {
+			t.Errorf("after %s: the viewport is not on top: children %v", name, kids)
+		}
+	}
+}

@@ -171,8 +171,7 @@ func (wm *WM) handleSwmCommand(scr *Screen) {
 	}
 	wm.check(nil, "consume SWM_COMMAND", wm.conn.DeleteProperty(scr.Root, atom))
 	cmd := string(prop.Data)
-	ctx := &FuncContext{Screen: scr, Client: wm.clientUnderPointer()}
-	if err := wm.ExecuteString(ctx, cmd); err != nil {
+	if err := wm.execCommand(scr, cmd); err != nil {
 		wm.logf("swmcmd %q: %v", cmd, err)
 	}
 }

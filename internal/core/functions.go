@@ -14,42 +14,68 @@ import (
 
 // funcs is the window-manager function table (paper §4.2). Functions
 // are dispatched by name from object bindings and from the swmcmd
-// property protocol. It is the same for every WM, so it is built once
-// per process and never written after.
-var funcs = map[string]funcImpl{
-	"f.raise":          fRaise,
-	"f.lower":          fLower,
-	"f.iconify":        fIconify,
-	"f.deiconify":      fDeiconify,
-	"f.move":           fMove,
-	"f.resize":         fResize,
-	"f.zoom":           fZoom,
-	"f.save":           fSave,
-	"f.restore":        fRestore,
-	"f.stick":          fStick,
-	"f.unstick":        fUnstick,
-	"f.focus":          fFocus,
-	"f.delete":         fDelete,
-	"f.destroy":        fDestroy,
-	"f.warpvertical":   fWarpVertical,
-	"f.warphorizontal": fWarpHorizontal,
-	"f.panvertical":    fPanVertical,
-	"f.panhorizontal":  fPanHorizontal,
-	"f.pangoto":        fPanGoto,
-	"f.places":         fPlaces,
-	"f.quit":           fQuit,
-	"f.restart":        fRestart,
-	"f.refresh":        fRefresh,
-	"f.circleup":       fCircleUp,
-	"f.circledown":     fCircleDown,
-	"f.menu":           fMenu,
-	"f.setlabel":       fSetLabel,
-	"f.setbindings":    fSetBindings,
-	"f.nop":            fNop,
-	"f.selectdesktop":  fSelectDesktop,
-	"f.sendtodesktop":  fSendToDesktop,
-	"f.nextdesktop":    fNextDesktop,
+// property protocol. Each entry says what the function takes from its
+// context (ctxKind). The table is the same for every WM, so it is
+// built once per process and never written after.
+var funcs = map[string]funcEntry{
+	"f.raise":          {fRaise, ctxTarget},
+	"f.lower":          {fLower, ctxTarget},
+	"f.iconify":        {fIconify, ctxTarget},
+	"f.deiconify":      {fDeiconify, ctxTarget},
+	"f.move":           {fMove, ctxTarget},
+	"f.resize":         {fResize, ctxTarget},
+	"f.zoom":           {fZoom, ctxTarget},
+	"f.save":           {fSave, ctxTarget},
+	"f.restore":        {fRestore, ctxTarget},
+	"f.stick":          {fStick, ctxTarget},
+	"f.unstick":        {fUnstick, ctxTarget},
+	"f.focus":          {fFocus, ctxTarget},
+	"f.delete":         {fDelete, ctxTarget},
+	"f.destroy":        {fDestroy, ctxTarget},
+	"f.warpvertical":   {fWarpVertical, ctxNone},
+	"f.warphorizontal": {fWarpHorizontal, ctxNone},
+	"f.panvertical":    {fPanVertical, ctxNone},
+	"f.panhorizontal":  {fPanHorizontal, ctxNone},
+	"f.pangoto":        {fPanGoto, ctxNone},
+	"f.places":         {fPlaces, ctxNone},
+	"f.quit":           {fQuit, ctxNone},
+	"f.restart":        {fRestart, ctxNone},
+	"f.refresh":        {fRefresh, ctxNone},
+	"f.circleup":       {fCircleUp, ctxNone},
+	"f.circledown":     {fCircleDown, ctxNone},
+	"f.menu":           {fMenu, ctxClient},
+	"f.setlabel":       {fSetLabel, ctxClient},
+	"f.setbindings":    {fSetBindings, ctxClient},
+	"f.nop":            {fNop, ctxNone},
+	"f.selectdesktop":  {fSelectDesktop, ctxNone},
+	"f.sendtodesktop":  {fSendToDesktop, ctxClient},
+	"f.nextdesktop":    {fNextDesktop, ctxNone},
 }
+
+// funcEntry is one function table entry: the implementation and what
+// it takes from its FuncContext.
+type funcEntry struct {
+	impl funcImpl
+	ctx  ctxKind
+}
+
+// ctxKind says what a function reads from its FuncContext besides the
+// screen.
+type ctxKind uint8
+
+const (
+	// ctxNone: the argument, if any, is a number or a name, and the
+	// context client is never read.
+	ctxNone ctxKind = iota
+	// ctxClient: the argument is a parameter, and the function acts on
+	// the context client when there is one (f.sendtodesktop needs
+	// one; f.setlabel, f.setbindings and f.menu fall back to every
+	// client or to none).
+	ctxClient
+	// ctxTarget: the argument is a window target (§4.2), and with no
+	// argument the target is the context client.
+	ctxTarget
+)
 
 // FunctionNames returns the names in the function table, sorted.
 func FunctionNames() []string {
@@ -70,11 +96,12 @@ func FunctionNames() []string {
 //	f.iconify(#$)        — the window under the mouse
 //	f.iconify(#0x1234)   — a specific window ID
 func (wm *WM) Execute(ctx *FuncContext, inv bindings.Invocation) error {
-	impl, ok := funcs[inv.Name]
+	fn, ok := funcs[inv.Name]
 	if !ok {
 		return fmt.Errorf("core: unknown window manager function %q", inv.Name)
 	}
-	if !functionTakesWindowTarget(inv.Name) {
+	impl := fn.impl
+	if fn.ctx != ctxTarget {
 		return impl(wm, ctx, inv)
 	}
 	// f.resize(WxH) carries a size, not a window target.
@@ -144,6 +171,31 @@ func (wm *WM) ExecuteString(ctx *FuncContext, src string) error {
 	if err != nil {
 		return err
 	}
+	return wm.executeAll(ctx, invs)
+}
+
+// execCommand runs a function list sent from outside the WM (swmcmd
+// over the SWM_COMMAND property or a transport's exec) on scr. Its
+// context client is the client under the pointer, resolved once, and
+// only when some invocation reads it: the query costs a QueryPointer
+// and a walk up the window tree.
+func (wm *WM) execCommand(scr *Screen, src string) error {
+	invs, err := bindings.ParseInvocations(src)
+	if err != nil {
+		return err
+	}
+	ctx := &FuncContext{Screen: scr}
+	for _, inv := range invs {
+		if funcs[inv.Name].ctx != ctxNone {
+			ctx.Client = wm.clientUnderPointer()
+			break
+		}
+	}
+	return wm.executeAll(ctx, invs)
+}
+
+// executeAll runs every invocation in ctx and returns the first error.
+func (wm *WM) executeAll(ctx *FuncContext, invs []bindings.Invocation) error {
 	var firstErr error
 	for _, inv := range invs {
 		if err := wm.Execute(ctx, inv); err != nil && firstErr == nil {
@@ -151,20 +203,6 @@ func (wm *WM) ExecuteString(ctx *FuncContext, src string) error {
 		}
 	}
 	return firstErr
-}
-
-// functionTakesWindowTarget reports whether the argument is a window
-// target (vs a numeric/name parameter).
-func functionTakesWindowTarget(name string) bool {
-	switch name {
-	case "f.warpvertical", "f.warphorizontal", "f.panvertical",
-		"f.panhorizontal", "f.pangoto", "f.menu", "f.setlabel",
-		"f.setbindings", "f.places", "f.quit", "f.restart", "f.refresh",
-		"f.nop", "f.selectdesktop", "f.nextdesktop", "f.sendtodesktop",
-		"f.circleup", "f.circledown":
-		return false
-	}
-	return true
 }
 
 // clientUnderPointer resolves the managed client owning the window under
@@ -208,6 +246,7 @@ func fRaise(wm *WM, ctx *FuncContext, inv bindings.Invocation) error {
 	if c.State == xproto.IconicState && c.icon != nil {
 		return wm.conn.RaiseWindow(c.icon.Window())
 	}
+	wm.markPannerRestack(c.scr)
 	return wm.conn.RaiseWindow(c.frame.Window)
 }
 
@@ -219,6 +258,7 @@ func fLower(wm *WM, ctx *FuncContext, inv bindings.Invocation) error {
 	if c.State == xproto.IconicState && c.icon != nil {
 		return wm.conn.LowerWindow(c.icon.Window())
 	}
+	wm.markPannerRestack(c.scr)
 	return wm.conn.LowerWindow(c.frame.Window)
 }
 
@@ -537,6 +577,7 @@ func fCircleUp(wm *WM, ctx *FuncContext, inv bindings.Invocation) error {
 	if len(frames) < 2 {
 		return nil
 	}
+	wm.markPannerRestack(scr)
 	return wm.conn.RaiseWindow(frames[0])
 }
 
@@ -546,6 +587,7 @@ func fCircleDown(wm *WM, ctx *FuncContext, inv bindings.Invocation) error {
 	if len(frames) < 2 {
 		return nil
 	}
+	wm.markPannerRestack(scr)
 	return wm.conn.LowerWindow(frames[len(frames)-1])
 }
 

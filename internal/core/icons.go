@@ -60,7 +60,7 @@ func (wm *WM) Deiconify(c *Client) error {
 	}
 	c.State = xproto.NormalState
 	wm.check(c, "set WM_STATE normal", icccm.SetState(wm.conn, c.Win, icccm.State{State: xproto.NormalState}))
-	wm.markPannerDirty(c.scr)
+	wm.markPannerRestack(c.scr)
 	return nil
 }
 

@@ -671,6 +671,7 @@ func (wm *WM) handleConfigureRequest(ev xproto.Event) {
 		wm.moveFrame(c, x, y)
 	}
 	if ev.ValueMask&xproto.CWStackMode != 0 {
+		wm.markPannerRestack(c.scr)
 		switch ev.StackMode {
 		case xproto.Above:
 			wm.check(c, "raise frame", wm.conn.RaiseWindow(c.frame.Window))

@@ -28,6 +28,9 @@ type Panner struct {
 	// geometry and label last pushed to the server so syncPanner can
 	// skip clients whose mirrored state is unchanged.
 	miniOf map[*Client]*miniature
+	// restack asks the next sync to restack the miniatures into their
+	// frames' order (markPannerRestack).
+	restack bool
 }
 
 // pannerScale is the panner's ratio of desktop pixels to panner pixels.
@@ -127,6 +130,19 @@ func (wm *WM) markPannerDirty(scr *Screen) {
 	}
 }
 
+// markPannerRestack schedules a panner sync that also restacks the
+// miniatures: a managed frame on scr changed its place in the stacking
+// order, or was deiconified. A new miniature starts on top of the
+// panner, which is right for a newly managed frame and wrong for a
+// deiconified one, which keeps its place. A move or a pan leaves the
+// order alone and only marks dirty.
+func (wm *WM) markPannerRestack(scr *Screen) {
+	if p := scr.panner; p != nil {
+		p.restack = true
+		scr.pannerDirty = true
+	}
+}
+
 // markViewDirty schedules a viewport/scrollbar refresh (pan position
 // changed but client geometry did not).
 func (wm *WM) markViewDirty(scr *Screen) {
@@ -153,7 +169,8 @@ func (p *Panner) miniRect(c *Client) xproto.Rect {
 
 // syncPanner reconciles the miniatures with the current client set:
 // create on appear, destroy on leave, move/resize/relabel only when
-// the mirrored state actually changed. Each request's error is handled
+// the mirrored state actually changed, and restack only when
+// markPannerRestack asked for it. Each request's error is handled
 // where it is issued: a failed destroy queues an orphan, a failed
 // create records nothing, and a failed update drops the miniature and
 // re-dirties the panner so the next sync recreates it.
@@ -205,6 +222,12 @@ func (wm *WM) syncPanner(scr *Screen) {
 			}
 		}
 	}
+	if p.restack {
+		p.restack = false
+		if !wm.restackMinis(p) {
+			retry = true
+		}
+	}
 	if retry {
 		scr.pannerDirty = true
 	}
@@ -235,6 +258,44 @@ func (wm *WM) createMini(p *Panner, c *Client, r xproto.Rect) {
 		// Don't keep an unmapped, untracked miniature alive.
 		wm.dropFailedMini(p, c, "map miniature", err)
 	}
+}
+
+// restackMinis stacks the miniatures in their frames' order on the
+// desktop, reading each order with one QueryTree. The longest run of
+// miniatures, from the bottom, that already sits in that order stays
+// put; each of the rest is raised, lowest frame first. It reports
+// false when a miniature had to be dropped, so the sync retries.
+func (wm *WM) restackMinis(p *Panner) bool {
+	_, _, frames, err := wm.conn.QueryTree(p.scr.Desktop)
+	if err != nil {
+		wm.check(nil, "query desktop", err)
+		return true
+	}
+	_, _, kids, err := wm.conn.QueryTree(p.content)
+	if err != nil {
+		wm.check(nil, "query panner", err)
+		return true
+	}
+	want := make([]*Client, 0, len(p.miniOf))
+	for _, f := range frames {
+		if c := wm.byFrame[f]; c != nil && p.miniOf[c] != nil {
+			want = append(want, c)
+		}
+	}
+	kept := 0
+	for _, k := range kids {
+		if kept < len(want) && k == p.miniOf[want[kept]].win {
+			kept++
+		}
+	}
+	ok := true
+	for _, c := range want[kept:] {
+		if err := wm.conn.RaiseWindow(p.miniOf[c].win); err != nil {
+			wm.dropFailedMini(p, c, "restack miniature", err)
+			ok = false
+		}
+	}
+	return ok
 }
 
 // dropFailedMini reports a failed miniature request, then destroys and

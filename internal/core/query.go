@@ -82,8 +82,7 @@ func (wm *WM) ServeProto(req swmproto.Request) swmproto.Response {
 	}
 	switch req.Op {
 	case swmproto.OpExec:
-		ctx := &FuncContext{Screen: scr, Client: wm.clientUnderPointer()}
-		if err := wm.ExecuteString(ctx, req.Command); err != nil {
+		if err := wm.execCommand(scr, req.Command); err != nil {
 			return swmproto.Errorf(swmproto.CodeExecFailed, "%v", err)
 		}
 		return swmproto.Response{OK: true}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/clients"
+	"repro/internal/icccm"
 	"repro/internal/swmproto"
 	"repro/internal/xproto"
 	"repro/internal/xserver"
@@ -303,5 +304,75 @@ func TestQueryPropertyConsumed(t *testing.T) {
 	conn := s.Connect("checker")
 	if _, ok, _ := conn.GetProperty(wm.screens[0].Root, conn.InternAtom(swmproto.QueryProperty)); ok {
 		t.Error("SWM_QUERY not consumed after serving")
+	}
+}
+
+// TestExecContextClientUnderPointer pins the exec context for the
+// functions that read the context client without taking a window
+// target: with the pointer over client b, an exec of each acts on b,
+// and not on a or on no client. A context resolved only for
+// window-target functions would leave f.setlabel and f.setbindings
+// relabelling every client, f.menu with no client and
+// f.sendtodesktop failing.
+func TestExecContextClientUnderPointer(t *testing.T) {
+	for _, tc := range []struct {
+		command string
+		check   func(t *testing.T, wm *WM, a, b *Client)
+	}{
+		{"f.setlabel(nail=BUSY)", func(t *testing.T, wm *WM, a, b *Client) {
+			if got := b.frame.Find("nail").Label(); got != "BUSY" {
+				t.Errorf("b's nail label = %q, want BUSY", got)
+			}
+			if got := a.frame.Find("nail").Label(); got == "BUSY" {
+				t.Errorf("a's nail label = %q: the label went to a client not under the pointer", got)
+			}
+		}},
+		{"f.setbindings(nail=<Btn1>:f.iconify)", func(t *testing.T, wm *WM, a, b *Client) {
+			if got := b.frame.Find("nail").Bindings.Lookup(xproto.ButtonPress, xproto.Button1, "", 0); len(got) != 1 || got[0].Name != "f.iconify" {
+				t.Errorf("b's nail Btn1 runs %v, want f.iconify", got)
+			}
+			if got := a.frame.Find("nail").Bindings.Lookup(xproto.ButtonPress, xproto.Button1, "", 0); len(got) == 1 && got[0].Name == "f.iconify" {
+				t.Error("a's nail was rebound: the bindings went to a client not under the pointer")
+			}
+		}},
+		{"f.menu(windowMenu)", func(t *testing.T, wm *WM, a, b *Client) {
+			menus := wm.screens[0].OpenMenus()
+			if len(menus) != 1 || menus[0].ctxClient != b {
+				t.Errorf("open menus %v, want one with context client b", menus)
+			}
+		}},
+		{"f.sendtodesktop(1)", func(t *testing.T, wm *WM, a, b *Client) {
+			if wm.DesktopOf(b) != 1 || wm.DesktopOf(a) != 0 {
+				t.Errorf("desktops a=%d b=%d, want a=0 b=1", wm.DesktopOf(a), wm.DesktopOf(b))
+			}
+		}},
+	} {
+		t.Run(tc.command, func(t *testing.T) {
+			s, wm := newWM(t, Options{VirtualDesktop: true})
+			// Desktop 1 exists for f.sendtodesktop(1).
+			if err := wm.SelectDesktop(wm.screens[0], 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := wm.SelectDesktop(wm.screens[0], 0); err != nil {
+				t.Fatal(err)
+			}
+			_, a := launch(t, s, wm, clients.Config{Instance: "a", Class: "XTerm", Width: 200, Height: 150,
+				NormalHints: &icccm.NormalHints{Flags: icccm.USPosition, X: 50, Y: 50}})
+			appB, b := launch(t, s, wm, clients.Config{Instance: "b", Class: "XTerm", Width: 200, Height: 150,
+				NormalHints: &icccm.NormalHints{Flags: icccm.USPosition, X: 500, Y: 400}})
+			rx, ry, _, err := wm.conn.TranslateCoordinates(appB.Win, wm.screens[0].Root, 10, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.FakeMotion(rx, ry)
+			wm.Pump()
+			if c := wm.clientUnderPointer(); c != b {
+				t.Fatalf("client under pointer = %v, want b", c)
+			}
+			if resp := wm.ServeProto(swmproto.Request{Op: swmproto.OpExec, Command: tc.command}); !resp.OK {
+				t.Fatalf("exec %s = %+v", tc.command, resp)
+			}
+			tc.check(t, wm, a, b)
+		})
 	}
 }

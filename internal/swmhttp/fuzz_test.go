@@ -35,31 +35,34 @@ func fuzzStack(t testing.TB) http.Handler {
 	return fuzzMux
 }
 
+// execBodySeeds is the exec-body seed corpus both fuzz targets start
+// from: malformed and hostile bodies, and valid ones.
+var execBodySeeds = []string{
+	``,
+	`{`,
+	`{"command":`,
+	`{"command": 12}`,
+	`{"command": null}`,
+	`{"command": ["f.iconify"]}`,
+	`{"screen": "zero", "command": "f.nop()"}`,
+	`null`,
+	`[]`,
+	`"just a string"`,
+	`{"command": "f.nop()", "command": "f.quit()"}`,
+	"\x00\x01\x02\xff",
+	`{"command": "` + strings.Repeat("A", 4000) + `"}`,
+	strings.Repeat("[", 2000),
+	`{"command": "f.nop()"} trailing garbage`,
+	`{"command": "f.iconify(XTerm)"}`,
+}
+
 // FuzzExecEndpoint drives arbitrary bytes at the POST exec decode path.
 // The contract under fuzzing: the transport degrades — every input
 // answers with a decodable protocol envelope, and a malformed body is a
 // client error (bad_request family), never a panic and never an
 // internal-code 500.
 func FuzzExecEndpoint(f *testing.F) {
-	seeds := []string{
-		``,
-		`{`,
-		`{"command":`,
-		`{"command": 12}`,
-		`{"command": null}`,
-		`{"command": ["f.iconify"]}`,
-		`{"screen": "zero", "command": "f.nop()"}`,
-		`null`,
-		`[]`,
-		`"just a string"`,
-		`{"command": "f.nop()", "command": "f.quit()"}`,
-		"\x00\x01\x02\xff",
-		`{"command": "` + strings.Repeat("A", 4000) + `"}`,
-		strings.Repeat("[", 2000),
-		`{"command": "f.nop()"} trailing garbage`,
-		`{"command": "f.iconify(XTerm)"}`,
-	}
-	for _, s := range seeds {
+	for _, s := range execBodySeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -77,6 +80,53 @@ func FuzzExecEndpoint(f *testing.F) {
 		}
 		if !resp.OK && resp.Code == "" {
 			t.Fatalf("input %q: error without a code: %+v", body, resp)
+		}
+	})
+}
+
+// FuzzDecodeExecBody checks the exec body scan against json.Unmarshal:
+// for every input the two agree on Command, on Screen and on whether
+// decoding fails. The seeds add the canonical body json.Marshal
+// writes and near misses of it: escapes, non-ASCII, an empty command,
+// whitespace, other keys and trailing bytes.
+func FuzzDecodeExecBody(f *testing.F) {
+	for _, s := range execBodySeeds {
+		f.Add([]byte(s))
+	}
+	for _, s := range []string{
+		`{"command":"f.circleup"}`,
+		`{"command":"f.iconify(XTerm) f.raise"}`,
+		`{"command":"f.setlabel(title=a b)"}`,
+		`{"command":"f.nop","screen":1}`,
+		`{"command":""}`,
+		`{"command":"\""}`,
+		`{"command":"a\"}`,
+		`{"command":"a\\"}`,
+		`{"command":"a\u0041"}`,
+		`{"command":"a\"}"}`,
+		`{"command":"a","command":"b"}`,
+		`{"command":"a","x":"b"}`,
+		`{"command":"a"}}`,
+		`{"command":"a"} `,
+		` {"command":"a"}`,
+		`{"command": "a"}`,
+		`{"Command":"a"}`,
+		`{"command":"` + "\t" + `"}`,
+		`{"command":"` + "\x7f" + `"}`,
+		`{"command":"é"}`,
+		`{"command":"` + "\xff" + `"}`,
+		`{"command":"<&>"}`,
+		`{"command":"}`,
+		`{"command":""}"}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, gotErr := swmhttp.DecodeExecBody(body)
+		var want swmhttp.ExecBody
+		wantErr := json.Unmarshal(body, &want)
+		if (gotErr != nil) != (wantErr != nil) || got != want {
+			t.Fatalf("body %q: scan = %+v, %v; json.Unmarshal = %+v, %v", body, got, gotErr, want, wantErr)
 		}
 	})
 }

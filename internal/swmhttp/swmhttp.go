@@ -377,8 +377,8 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		s.writeEnvelope(w, swmproto.Errorf(swmproto.CodeBadRequest, "read exec body: %v", err))
 		return
 	}
-	var exec ExecBody
-	if err := json.Unmarshal(body, &exec); err != nil {
+	exec, err := decodeExecBody(body)
+	if err != nil {
 		s.writeEnvelope(w, swmproto.Errorf(swmproto.CodeBadRequest, "decode exec body: %v", err))
 		return
 	}
@@ -393,6 +393,37 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		Command: exec.Command,
 		Screen:  exec.Screen,
 	}))
+}
+
+// decodeExecBody decodes an exec request body. Both in-repo producers
+// (swmcmd -http and swmload) send json.Marshal(ExecBody{Command: c}),
+// which for a plain command is {"command":"<c>"}. That form is read by
+// a prefix and suffix check when c is non-empty printable ASCII
+// (0x20–0x7e) with no '"' or '\', so it needs no unescaping; every
+// other body goes through json.Unmarshal. The scan accepts only bodies
+// json.Unmarshal decodes to the same ExecBody, so the two paths cannot
+// disagree (FuzzDecodeExecBody).
+func decodeExecBody(body []byte) (ExecBody, error) {
+	const head, tail = `{"command":"`, `"}`
+	if n := len(body) - len(tail); n > len(head) && string(body[:len(head)]) == head && string(body[n:]) == tail {
+		if c := body[len(head):n]; plainCommand(c) {
+			return ExecBody{Command: string(c)}, nil
+		}
+	}
+	var exec ExecBody
+	err := json.Unmarshal(body, &exec)
+	return exec, err
+}
+
+// plainCommand reports whether c is printable ASCII (0x20–0x7e) with
+// no '"' or '\': a JSON string body that needs no unescaping.
+func plainCommand(c []byte) bool {
+	for _, b := range c {
+		if b < 0x20 || b > 0x7e || b == '"' || b == '\\' {
+			return false
+		}
+	}
+	return true
 }
 
 // handleSessions serves discovery: every session id with its state.

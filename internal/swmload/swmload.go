@@ -74,9 +74,6 @@ type Config struct {
 	// of completions, and each latency is measured from the request's
 	// scheduled slot. 0 (the default) keeps the closed loop.
 	Rate float64
-	// HTTPClient overrides the client used for discovery (tests). The
-	// load path itself always runs on the raw per-worker connections.
-	HTTPClient *http.Client
 }
 
 // Summary is the result of one load run. Durations marshal as
@@ -166,12 +163,7 @@ func Run(cfg Config) (Summary, error) {
 	// Discovery is two requests; the stdlib client is fine there. The
 	// load path never touches it — each worker drives its own raw
 	// connection.
-	client := cfg.HTTPClient
-	if client == nil {
-		client = &http.Client{Timeout: cfg.Timeout}
-	}
-
-	sessions, err := discover(client, cfg.BaseURL)
+	sessions, err := discover(&http.Client{Timeout: cfg.Timeout}, cfg.BaseURL)
 	if err != nil {
 		return Summary{}, err
 	}
