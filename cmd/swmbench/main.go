@@ -45,7 +45,6 @@ func main() {
 	report := perfbench.Report{
 		GoVersion:    runtime.Version(),
 		Workloads:    results,
-		PreChange:    perfbench.PreChange,
 		AllocBudgets: perfbench.AllocBudgets,
 		WallBudgets:  perfbench.WallBudgets,
 		Load:         perfbench.LoadSummaries(),
@@ -60,9 +59,6 @@ func main() {
 			continue
 		}
 		line := fmt.Sprintf("%-32s %14.0f %12d %10d", r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
-		if base, ok := perfbench.PreChange[r.Name]; ok && base.AllocsPerOp > 0 {
-			line += fmt.Sprintf("   (pre-change: %.0f ns/op, %d allocs/op)", base.NsPerOp, base.AllocsPerOp)
-		}
 		if budget, ok := perfbench.AllocBudgets[r.Name]; ok && r.AllocsPerOp > budget {
 			line += fmt.Sprintf("   OVER BUDGET (%d > %d allocs/op)", r.AllocsPerOp, budget)
 			if *check {

@@ -45,7 +45,6 @@ func main() {
 	execEvery := flag.Int("exec-every", 10, "every Nth request per worker is an exec (0 = queries only)")
 	command := flag.String("exec-command", "f.nop", "command execs deliver")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request timeout")
-	rate := flag.Float64("rate", 0, "open-loop offered rate in req/s across all workers (0 = closed loop)")
 	jsonOut := flag.Bool("json", false, "emit the summary as JSON")
 	flag.Parse()
 
@@ -70,7 +69,6 @@ func main() {
 		ExecEvery:   *execEvery,
 		ExecCommand: *command,
 		Timeout:     *timeout,
-		Rate:        *rate,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -37,13 +37,13 @@ Meta <Key>F4 : f.pangoto(1152,900)`)
 	wm, err := core.New(server, core.Options{
 		DB:             db,
 		VirtualDesktop: true,
-		DesktopWidth:   2304, DesktopHeight: 1800, // 2x2 rooms
-		EnablePanner: true,
+		EnablePanner:   true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	scr := wm.Screens()[0]
+	wm.ResizeDesktop(scr, 2304, 1800) // 2x2 rooms
 
 	// Populate the rooms.
 	rooms := []struct {

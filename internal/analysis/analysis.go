@@ -47,7 +47,7 @@ type Analyzer struct {
 	// Name is the analyzer's short name ("conncheck", ...). Finding IDs
 	// are derived from it.
 	Name string
-	// Doc is a one-line description shown by `swmvet -list`.
+	// Doc is a one-line description of what the analyzer flags.
 	Doc string
 	// Run reports findings on the pass via Pass.Reportf.
 	Run func(*Pass)
@@ -63,26 +63,6 @@ func All() []*Analyzer {
 		SnapshotImmut,
 		WaiverAudit,
 	}
-}
-
-// ByName resolves a comma-separated analyzer name list ("" means all).
-func ByName(names string) ([]*Analyzer, error) {
-	if names == "" {
-		return All(), nil
-	}
-	byName := make(map[string]*Analyzer)
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		a, ok := byName[strings.TrimSpace(n)]
-		if !ok {
-			return nil, fmt.Errorf("analysis: unknown analyzer %q", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }
 
 // A Pass carries one analyzer's view of one package.

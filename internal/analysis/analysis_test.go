@@ -126,20 +126,6 @@ func TestRegistryExtraction(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	all, err := analysis.ByName("")
-	if err != nil || len(all) != len(analysis.All()) {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v", len(all), err)
-	}
-	two, err := analysis.ByName("conncheck, funcref")
-	if err != nil || len(two) != 2 {
-		t.Fatalf("ByName subset = %v, err %v", two, err)
-	}
-	if _, err := analysis.ByName("nope"); err == nil {
-		t.Error("ByName(nope) succeeded, want error")
-	}
-}
-
 func TestWriteJSON(t *testing.T) {
 	var buf bytes.Buffer
 	if err := analysis.WriteJSON(&buf, nil); err != nil {

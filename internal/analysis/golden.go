@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"testing"
 )
 
 // This file is the suite's analysistest-style golden driver, built on
@@ -23,17 +24,10 @@ import (
 // Waived findings (//swm:ok) are exempt from matching and are returned
 // to the caller so tests can assert waiver behavior explicitly.
 
-// TestingT is the subset of *testing.T the driver needs.
-type TestingT interface {
-	Helper()
-	Errorf(format string, args ...any)
-	Fatalf(format string, args ...any)
-}
-
 // RunGolden loads the fixture package in dir, runs the analyzer, checks
 // unwaived findings against `// want` comments, and returns every
 // finding (including waived ones) for further assertions.
-func RunGolden(t TestingT, l *Loader, a *Analyzer, dir string) []Finding {
+func RunGolden(t testing.TB, l *Loader, a *Analyzer, dir string) []Finding {
 	t.Helper()
 	pkg, err := l.LoadDir(dir)
 	if err != nil {

@@ -6,15 +6,20 @@ package atomicfield
 
 import "sync/atomic"
 
-// window mirrors the xserver window's atomic fields.
+// window mirrors the xserver window's atomic fields, plus the atomic
+// screen index it used to have.
 type window struct {
 	screenIdx atomic.Int32
 	parent    atomic.Pointer[window]
 	cells     [2]atomic.Uint32
 }
 
-// reparentScreen mirrors ReparentWindow's cross-screen test with the
-// Loads dropped: it compiles and vets clean.
+// reparentScreen mirrors the cross-screen test ReparentWindow used to
+// make before it rewrote a moved subtree's atomic screen index, with
+// the Loads dropped: it compiles and vets clean. (ReparentWindow now
+// refuses a parent on another screen, so xserver's screen index is a
+// plain field fixed at creation.) It stays as the atomicfield.compare
+// shape.
 func reparentScreen(w, np *window) bool {
 	return np.screenIdx != w.screenIdx // want `compares sync/atomic values plainly`
 }

@@ -227,11 +227,6 @@ func (a *App) Resize(w, h int) error {
 	return a.Conn.ResizeWindow(a.Win, w, h)
 }
 
-// MoveRequest asks for a new position the same way.
-func (a *App) MoveRequest(x, y int) error {
-	return a.Conn.MoveWindow(a.Win, x, y)
-}
-
 // SetName updates WM_NAME (titlebars track it).
 func (a *App) SetName(name string) error {
 	a.Cfg.Name = name

@@ -38,12 +38,10 @@ type Options struct {
 	// DB is the resource database. Nil loads the built-in default
 	// template (paper §3).
 	DB *xrdb.DB
-	// VirtualDesktop enables the Virtual Desktop (§6). Desktop size
-	// defaults to 4x the screen in each dimension, clamped to
-	// MaxDesktopSize.
+	// VirtualDesktop enables the Virtual Desktop (§6). The desktop
+	// starts at 4x the screen in each dimension, clamped to
+	// MaxDesktopSize; WM.ResizeDesktop changes it.
 	VirtualDesktop bool
-	DesktopWidth   int
-	DesktopHeight  int
 	// EnablePanner creates the Virtual Desktop panner (§6.1).
 	EnablePanner bool
 	// EnableScrollbars creates desktop scrollbar strips along the
@@ -272,9 +270,9 @@ func New(server *xserver.Server, opts Options) (*WM, error) {
 	m := newWMMetrics(reg, trace)
 	wm.metrics = m
 	wm.deg = degrade.New("swm").Observe(reg, trace)
-	wm.conn.SetInstrument(obs.NewConnInstrument(trace, &m.requestsByMajor, m.requests, m.otherRequests))
+	wm.conn.SetInstrument(m)
 	wm.conn.SetErrorHandler(m.noteXError)
-	server.SetLockObserver(m.lockInst)
+	server.SetLockObserver(m)
 
 	for _, srvScr := range server.Screens() {
 		scr := &Screen{
@@ -390,9 +388,7 @@ func (wm *WM) setupScreen(scr *Screen) error {
 		} else {
 			wm.logf("root bindings: %v", err)
 		}
-	} else if v, ok := wm.db.QueryString(
-		fmt.Sprintf("swm.%s.screen%d.root.bindings", colorName(scr.Monochrome), scr.Num),
-		fmt.Sprintf("Swm.%s.Screen%d.Root.Bindings", colorClass(scr.Monochrome), scr.Num)); ok {
+	} else if v, ok := ctx.LookupGlobal("root", "bindings"); ok {
 		if t, err := bindings.Parse(v); err == nil {
 			scr.rootBindings = t
 		}
@@ -447,20 +443,6 @@ func (wm *WM) setupScreen(scr *Screen) error {
 		}
 	}
 	return nil
-}
-
-func colorName(mono bool) string {
-	if mono {
-		return "monochrome"
-	}
-	return "color"
-}
-
-func colorClass(mono bool) string {
-	if mono {
-		return "Monochrome"
-	}
-	return "Color"
 }
 
 // grabRootBindings establishes passive grabs for root-level bindings so

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/clients"
+	"repro/internal/geom"
 	"repro/internal/icccm"
 	"repro/internal/templates"
 	"repro/internal/xproto"
@@ -787,8 +788,8 @@ func TestPannerClickPans(t *testing.T) {
 	s.FakeButtonPress(xproto.Button1, 0)
 	s.FakeButtonRelease(xproto.Button1, 0)
 	wm.Pump()
-	wantX := clamp(60*p.Scale()-scr.Width/2, 0, scr.DesktopW-scr.Width)
-	wantY := clamp(40*p.Scale()-scr.Height/2, 0, scr.DesktopH-scr.Height)
+	wantX := geom.Clamp(60*p.Scale()-scr.Width/2, 0, scr.DesktopW-scr.Width)
+	wantY := geom.Clamp(40*p.Scale()-scr.Height/2, 0, scr.DesktopH-scr.Height)
 	if scr.PanX != wantX || scr.PanY != wantY {
 		t.Errorf("pan = (%d,%d), want (%d,%d)", scr.PanX, scr.PanY, wantX, wantY)
 	}
@@ -835,13 +836,23 @@ func TestPannerResizeResizesDesktop(t *testing.T) {
 	_ = s
 }
 
+// TestDesktopSizeClampedTo32767 holds the paper's 32767x32767 limit on
+// the desktop New creates: 4x a 9000x9000 screen is over it in both
+// dimensions.
 func TestDesktopSizeClampedTo32767(t *testing.T) {
-	s, wm := newWM(t, Options{VirtualDesktop: true, DesktopWidth: 100000, DesktopHeight: 50000})
+	db, err := templates.Load(templates.OpenLook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wm, err := New(xserver.NewServer(xserver.ScreenSpec{Width: 9000, Height: 9000}),
+		Options{DB: db, VirtualDesktop: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	scr := wm.screens[0]
 	if scr.DesktopW != MaxDesktopSize || scr.DesktopH != MaxDesktopSize {
 		t.Errorf("desktop = %dx%d, want clamped to %d", scr.DesktopW, scr.DesktopH, MaxDesktopSize)
 	}
-	_ = s
 }
 
 // TestResizeDesktopClampedTo32767 holds the paper's 32767x32767 limit
@@ -914,7 +925,7 @@ func TestScrollbarsPan(t *testing.T) {
 	s.FakeButtonPress(xproto.Button1, 0)
 	s.FakeButtonRelease(xproto.Button1, 0)
 	wm.Pump()
-	want := clamp(scr.DesktopW/2-scr.Width/2, 0, scr.DesktopW-scr.Width)
+	want := geom.Clamp(scr.DesktopW/2-scr.Width/2, 0, scr.DesktopW-scr.Width)
 	if scr.PanX != want {
 		t.Errorf("scrollbar pan = %d, want %d", scr.PanX, want)
 	}

@@ -8,8 +8,6 @@ import (
 	"repro/internal/xserver"
 )
 
-func parseGeometryString(s string) (geom.Geometry, error) { return geom.Parse(s) }
-
 func xserverAttrs(label string) xserver.WindowAttributes {
 	return xserver.WindowAttributes{OverrideRedirect: true, Label: label}
 }
@@ -19,27 +17,11 @@ func xserverAttrs(label string) xserver.WindowAttributes {
 // Panning moves this window to negative offsets; its children receive
 // no ConfigureNotify because they have not moved relative to their
 // parent — exactly the ICCCM tension the paper analyzes (§6.3.1).
+// The desktop starts at 4x the screen in each dimension, clamped to
+// MaxDesktopSize; ResizeDesktop changes it afterwards.
 func (wm *WM) createDesktop(scr *Screen) error {
-	w := wm.opts.DesktopWidth
-	h := wm.opts.DesktopHeight
-	if w <= 0 {
-		w = scr.Width * 4
-	}
-	if h <= 0 {
-		h = scr.Height * 4
-	}
-	if w > MaxDesktopSize {
-		w = MaxDesktopSize
-	}
-	if h > MaxDesktopSize {
-		h = MaxDesktopSize
-	}
-	if w < scr.Width {
-		w = scr.Width
-	}
-	if h < scr.Height {
-		h = scr.Height
-	}
+	w := min(scr.Width*4, MaxDesktopSize)
+	h := min(scr.Height*4, MaxDesktopSize)
 	id, err := wm.conn.CreateWindow(scr.Root,
 		xproto.Rect{X: 0, Y: 0, Width: w, Height: h}, 0,
 		xserverAttrs("desktop"))
@@ -74,8 +56,8 @@ func (wm *WM) PanTo(scr *Screen, x, y int) {
 	if scr.Desktop == xproto.None {
 		return
 	}
-	x = clamp(x, 0, scr.DesktopW-scr.Width)
-	y = clamp(y, 0, scr.DesktopH-scr.Height)
+	x = geom.Clamp(x, 0, scr.DesktopW-scr.Width)
+	y = geom.Clamp(y, 0, scr.DesktopH-scr.Height)
 	if x == scr.PanX && y == scr.PanY {
 		return
 	}
@@ -97,8 +79,8 @@ func (wm *WM) ResizeDesktop(scr *Screen, w, h int) {
 	if scr.Desktop == xproto.None {
 		return
 	}
-	w = clamp(w, scr.Width, MaxDesktopSize)
-	h = clamp(h, scr.Height, MaxDesktopSize)
+	w = geom.Clamp(w, scr.Width, MaxDesktopSize)
+	h = geom.Clamp(h, scr.Height, MaxDesktopSize)
 	scr.DesktopW, scr.DesktopH = w, h
 	wm.check(nil, "resize desktop", wm.conn.ResizeWindow(scr.Desktop, w, h))
 	// Re-clamp the pan offset into the new bounds explicitly. PanTo
@@ -108,8 +90,8 @@ func (wm *WM) ResizeDesktop(scr *Screen, w, h int) {
 	// size — so move and mark unconditionally here. (This used to call
 	// updatePannerViewport directly and then again via the full panner
 	// rebuild; the dirty bits collapse both into one flush.)
-	scr.PanX = clamp(scr.PanX, 0, w-scr.Width)
-	scr.PanY = clamp(scr.PanY, 0, h-scr.Height)
+	scr.PanX = geom.Clamp(scr.PanX, 0, w-scr.Width)
+	scr.PanY = geom.Clamp(scr.PanY, 0, h-scr.Height)
 	wm.check(nil, "pan desktop", wm.conn.MoveWindow(scr.Desktop, -scr.PanX, -scr.PanY))
 	wm.markViewDirty(scr)
 	wm.markPannerDirty(scr)
@@ -158,8 +140,6 @@ func (wm *WM) Unstick(c *Client) error {
 func (scr *Screen) Viewport() xproto.Rect {
 	return xproto.Rect{X: scr.PanX, Y: scr.PanY, Width: scr.Width, Height: scr.Height}
 }
-
-func clamp(v, lo, hi int) int { return geom.Clamp(v, lo, hi) }
 
 // --- Scrollbars (§6: one of the three ways to pan) -------------------------
 

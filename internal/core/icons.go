@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/geom"
 	"repro/internal/icccm"
 	"repro/internal/objects"
 	"repro/internal/xproto"
@@ -220,11 +221,7 @@ type IconHolder struct {
 func (wm *WM) createIconHolder(scr *Screen, name string) error {
 	ctx := wm.ctx(scr)
 	h := &IconHolder{wm: wm, scr: scr, name: name}
-	lookup := func(attr string) (string, bool) {
-		names := []string{"swm", colorName(scr.Monochrome), fmt.Sprintf("screen%d", scr.Num), "iconHolder", name, attr}
-		classes := []string{"Swm", colorClass(scr.Monochrome), fmt.Sprintf("Screen%d", scr.Num), "IconHolder", name, titleFirst(attr)}
-		return wm.db.Query(names, classes)
-	}
+	lookup := func(attr string) (string, bool) { return ctx.LookupObject("iconHolder", name, attr) }
 	if v, ok := lookup("class"); ok {
 		h.classFilter = v
 	}
@@ -236,7 +233,7 @@ func (wm *WM) createIconHolder(scr *Screen, name string) error {
 	}
 	h.rect = xproto.Rect{X: 0, Y: 0, Width: 200, Height: 150}
 	if v, ok := lookup("geometry"); ok {
-		if g, err := parseGeometryString(v); err == nil {
+		if g, err := geom.Parse(v); err == nil {
 			x, y, w, hh := g.Apply(scr.Width, scr.Height, h.rect.Width, h.rect.Height)
 			h.rect = xproto.Rect{X: x, Y: y, Width: w, Height: hh}
 		}
@@ -256,7 +253,6 @@ func (wm *WM) createIconHolder(scr *Screen, name string) error {
 	}
 	wm.byObjWin[win] = objRef{screen: scr, holder: h}
 	scr.holders = append(scr.holders, h)
-	_ = ctx
 	return nil
 }
 
@@ -371,10 +367,8 @@ func (wm *WM) createRootIcon(scr *Screen, name string) error {
 	}
 	objects.Layout(tree, 0, 0)
 	x, y := 8, 8
-	names := []string{"swm", colorName(scr.Monochrome), fmt.Sprintf("screen%d", scr.Num), "rootIcon", name, "geometry"}
-	classes := []string{"Swm", colorClass(scr.Monochrome), fmt.Sprintf("Screen%d", scr.Num), "RootIcon", name, "Geometry"}
-	if v, ok := wm.db.Query(names, classes); ok {
-		if g, err := parseGeometryString(v); err == nil {
+	if v, ok := ctx.LookupObject("rootIcon", name, "geometry"); ok {
+		if g, err := geom.Parse(v); err == nil {
 			x, y, _, _ = g.Apply(scr.Width, scr.Height, tree.Rect.Width, tree.Rect.Height)
 		}
 	}
@@ -452,13 +446,3 @@ func (wm *WM) createRootPanel(scr *Screen, name string) error {
 
 // RootPanels lists the screen's managed root panels.
 func (scr *Screen) RootPanels() []*Client { return append([]*Client(nil), scr.rootPanels...) }
-
-func titleFirst(s string) string {
-	if s == "" {
-		return s
-	}
-	if s[0] >= 'a' && s[0] <= 'z' {
-		return string(s[0]-'a'+'A') + s[1:]
-	}
-	return s
-}

@@ -43,8 +43,8 @@ type wmMetrics struct {
 	errsByOp    [xproto.NumMajors]*obs.Counter
 	otherOpErrs *obs.Counter
 
-	// The connection instrument's counters: every request, requests
-	// by major (indexed like errsByOp), and majors with no counter.
+	// Request's counters: every request, requests by major (indexed
+	// like errsByOp), and majors with no counter.
 	requests, otherRequests *obs.Counter
 	requestsByMajor         [xproto.NumMajors]*obs.Counter
 
@@ -66,11 +66,10 @@ type wmMetrics struct {
 	// misses, loadHintTable the malformed records it drops.
 	hintHits, hintMisses, badHints *obs.Counter
 
-	// lockInst feeds xserver's writer-lock slow path (installed via
-	// Server.SetLockObserver in New): contended acquisitions and how
-	// long they waited.
+	// LockWait's instruments: contended writer-lock acquisitions and
+	// how long each waited.
 	lockContention *obs.Counter
-	lockInst       *obs.LockInstrument
+	lockWaitNs     *obs.Histogram
 }
 
 // counterField picks the wmMetrics field one registered counter lands
@@ -135,12 +134,36 @@ func newWMMetrics(reg *obs.Registry, trace *obs.Trace) *wmMetrics {
 		trace:        trace,
 		pumpNs:       reg.Histogram("pump.ns", obs.LatencyBounds),
 		pannerDamage: reg.Histogram("panner.damage", obs.SizeBounds),
+		lockWaitNs:   reg.Histogram("xserver.lock_wait_ns", obs.LatencyBounds),
 	}
 	for i, c := range reg.Counters(wmCounters.names) {
 		*wmCounters.fields[i](m) = c
 	}
-	m.lockInst = obs.NewLockInstrument(m.lockContention, reg.Histogram("xserver.lock_wait_ns", obs.LatencyBounds))
 	return m
+}
+
+// Request is the WM connection's xserver.Instrument: it counts one X
+// request in total and by major, and records it in the trace. It fires
+// from the request gate, concurrently with the connection error
+// handler, so it is restricted to atomic adds, reads of the counter
+// array (never written after newWMMetrics) and the trace's leaf mutex.
+func (m *wmMetrics) Request(major xproto.Major, target xproto.XID) {
+	m.requests.Inc()
+	if major < xproto.NumMajors && m.requestsByMajor[major] != nil {
+		m.requestsByMajor[major].Inc()
+	} else {
+		m.otherRequests.Inc()
+	}
+	m.trace.Record(obs.KindRequest, major.String(), uint32(target), 0, 0)
+}
+
+// LockWait is the server's xserver.LockObserver: it counts one
+// contended writer-lock acquisition and observes how long it waited.
+// It fires from the lock's slow path on any connection's goroutine, so
+// it is restricted to atomic ops.
+func (m *wmMetrics) LockWait(ns int64) {
+	m.lockContention.Inc()
+	m.lockWaitNs.Observe(ns)
 }
 
 // noteXError is the connection error handler: it runs with the server

@@ -8,10 +8,6 @@ import (
 	"repro/internal/xproto"
 )
 
-// The WM is the canonical implementation of the protocol's
-// transport-agnostic handler seam.
-var _ swmproto.Handler = (*WM)(nil)
-
 // handleSwmQuery serves the request/response form of the swmcmd
 // protocol (internal/swmproto): read and consume the SWM_QUERY property
 // from the root, serve the request, and write the response to the
@@ -47,7 +43,7 @@ func (wm *WM) handleSwmQuery(scr *Screen) {
 }
 
 // ServeProto dispatches a decoded request to its handler and packs the
-// answer: the swmproto.Handler implementation every transport shares.
+// answer: the one request handler every transport shares.
 // The property transport (handleSwmQuery) and the fleet's HTTP lane
 // dispatch (fleet.Manager.ServeSession → internal/swmhttp) both land
 // here, so the query-serving logic exists exactly once. Failures are

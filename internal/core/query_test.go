@@ -119,7 +119,7 @@ func TestQueryStatsLockContention(t *testing.T) {
 	s, wm := newWM(t, Options{VirtualDesktop: true})
 	cl := queryClient(t, s, wm)
 
-	var lo xserver.LockObserver = wm.metrics.lockInst
+	var lo xserver.LockObserver = wm.metrics
 	lo.LockWait(2500)
 	lo.LockWait(900)
 

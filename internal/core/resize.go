@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 
+	"repro/internal/objects"
 	"repro/internal/xproto"
 )
 
@@ -31,26 +32,8 @@ type resizeState struct {
 // wantsResizeCorners checks the decoration panel's resizeCorners
 // resource.
 func (wm *WM) wantsResizeCorners(c *Client) bool {
-	names := []string{"swm", colorName(c.scr.Monochrome), "screen" + itoa(c.scr.Num),
-		"panel", c.decoration, "resizeCorners"}
-	classes := []string{"Swm", colorClass(c.scr.Monochrome), "Screen" + itoa(c.scr.Num),
-		"Panel", c.decoration, "ResizeCorners"}
-	v, ok := wm.db.Query(names, classes)
+	v, ok := wm.ctx(c.scr).Lookup(objects.KindPanel, c.decoration, "resizeCorners")
 	return ok && strings.EqualFold(v, "true")
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // createResizeCorners attaches the four handles to a client's frame.

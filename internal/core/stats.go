@@ -52,7 +52,7 @@ func (wm *WM) Stats() Stats {
 		ProtoMisses:    int(m.protoMisses.Value()),
 		ProtoEvictions: int(m.protoEvictions.Value()),
 
-		LockContention: int(m.lockInst.Contended()),
+		LockContention: int(m.lockContention.Value()),
 	}
 	for t := xproto.KeyPress; t <= xproto.ShapeNotify; t++ {
 		if n := m.events[t].Value(); n > 0 {

@@ -257,11 +257,15 @@ var titleCased = map[string]string{
 	"background":        "Background",
 	"bindings":          "Bindings",
 	"button":            "Button",
+	"class":             "Class",
 	"cursor":            "Cursor",
 	"decoration":        "Decoration",
 	"focusFollowsMouse": "FocusFollowsMouse",
 	"font":              "Font",
 	"foreground":        "Foreground",
+	"geometry":          "Geometry",
+	"hideWhenEmpty":     "HideWhenEmpty",
+	"iconHolder":        "IconHolder",
 	"iconHolders":       "IconHolders",
 	"iconPanel":         "IconPanel",
 	"image":             "Image",
@@ -269,11 +273,15 @@ var titleCased = map[string]string{
 	"menu":              "Menu",
 	"panel":             "Panel",
 	"remoteStart":       "RemoteStart",
+	"resizeCorners":     "ResizeCorners",
+	"root":              "Root",
+	"rootIcon":          "RootIcon",
 	"rootIcons":         "RootIcons",
 	"rootPanels":        "RootPanels",
 	"shape":             "Shape",
 	"shapeMask":         "ShapeMask",
 	"shaped":            "Shaped",
+	"sizeToFit":         "SizeToFit",
 	"sticky":            "Sticky",
 	"text":              "Text",
 	"transient":         "Transient",
@@ -340,10 +348,17 @@ func (ctx *Context) appendBase(names, classes []string) ([]string, []string) {
 // Lookup queries a non-specific object resource:
 // swm.<color>.<screenN>.<type>.<objName>.<attr>.
 func (ctx *Context) Lookup(kind Kind, objName, attr string) (string, bool) {
+	return ctx.LookupObject(kind.String(), objName, attr)
+}
+
+// LookupObject is Lookup for an object class named by string, such as
+// the icon holders' and root icons' resources:
+// swm.<color>.<screenN>.<class>.<objName>.<attr>.
+func (ctx *Context) LookupObject(class, objName, attr string) (string, bool) {
 	var nbuf, cbuf [maxQueryDepth]string
 	names, classes := ctx.appendBase(nbuf[:0], cbuf[:0])
-	names = append(names, kind.String(), objName, attr)
-	classes = append(classes, titleCase(kind.String()), objName, titleCase(attr))
+	names = append(names, class, objName, attr)
+	classes = append(classes, titleCase(class), objName, titleCase(attr))
 	return ctx.DB.Query(names, classes)
 }
 
@@ -360,12 +375,15 @@ func (ctx *Context) LookupClient(class, instance, attr string) (string, bool) {
 }
 
 // LookupGlobal queries a non-specific operational resource:
-// swm.<color>.<screenN>.<attr>.
-func (ctx *Context) LookupGlobal(attr string) (string, bool) {
+// swm.<color>.<screenN>.<attr>[.<attr>...], each component's class its
+// title-cased name.
+func (ctx *Context) LookupGlobal(attrs ...string) (string, bool) {
 	var nbuf, cbuf [maxQueryDepth]string
 	names, classes := ctx.appendBase(nbuf[:0], cbuf[:0])
-	names = append(names, attr)
-	classes = append(classes, titleCase(attr))
+	for _, a := range attrs {
+		names = append(names, a)
+		classes = append(classes, titleCase(a))
+	}
 	return ctx.DB.Query(names, classes)
 }
 

@@ -111,10 +111,6 @@ func NewTrace(n int) *Trace {
 // Enable turns recording on.
 func (t *Trace) Enable() { t.enabled.Store(true) }
 
-// Disable turns recording off. Already-buffered entries remain
-// readable.
-func (t *Trace) Disable() { t.enabled.Store(false) }
-
 // Enabled reports whether recording is on.
 func (t *Trace) Enabled() bool { return t.enabled.Load() }
 

@@ -5,13 +5,9 @@
 // BENCH_<n>.json report.
 //
 // Each workload is a plain benchmark function so the two entry points
-// cannot drift apart. The recorded PreChange numbers are the same
-// workloads measured on the tree immediately before the adoption fast
-// path (compiled resource trie, decoration prototype cache,
-// multi-property manage fetch, and a since-removed parallel restart
-// sweep) went in — the BENCH_2.json report;
-// AllocBudgets are the blocking regression ceilings derived from the
-// post-change numbers.
+// cannot drift apart. AllocBudgets, WallBudgets and LoadBudgets are the
+// blocking regression ceilings; swmbench -delta compares a run with an
+// earlier report.
 package perfbench
 
 import (
@@ -28,37 +24,6 @@ import (
 	"repro/internal/templates"
 	"repro/internal/xserver"
 )
-
-// Baseline is a recorded measurement a run is compared against.
-type Baseline struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-// PreChange holds the workload numbers measured immediately before the
-// change each workload was introduced to gate, on the same machine
-// class the CI bench job uses. Timing is environment-sensitive and
-// therefore advisory; the allocation counts are deterministic and
-// enforced via AllocBudgets.
-//
-// manage-100-clients/move-storm/pan-storm were measured before the
-// adoption fast path (the BENCH_2.json report); its acceptance bar was
-// manage-100-clients at ≥3x the pre-change speed and ≤1/5th the
-// pre-change allocations.
-//
-// concurrent-clients-64 was measured against the global-lock xserver
-// (one RWMutex serializing every request) by running the identical
-// workload on both trees interleaved A/B on one host, so machine drift
-// hits both sides; the recorded number is the mean of five interleaved
-// seed runs. The acceptance bar was ≥3x this number. The gain came from
-// the lock-free reads and geometry writes and the per-property lock on
-// property writes: the workload's whole mix runs without Server.mu.
-var PreChange = map[string]Baseline{
-	"manage-100-clients":    {NsPerOp: 9204796, AllocsPerOp: 59683},
-	"move-storm":            {NsPerOp: 6386, AllocsPerOp: 6},
-	"pan-storm":             {NsPerOp: 1539, AllocsPerOp: 0},
-	"concurrent-clients-64": {NsPerOp: 13748740, AllocsPerOp: 9410},
-}
 
 // AllocBudgets are blocking ceilings on allocs/op: a regression that
 // undoes the incremental panner or the adoption fast path fails the
@@ -162,8 +127,8 @@ var LoadBudgets = map[string]LoadBudget{
 	"swmload-fleet-http": {MinQPS: 25000, MaxP99: 30 * time.Millisecond},
 }
 
-// Workload pairs a stable name (the key used in reports, PreChange and
-// AllocBudgets) with its benchmark body.
+// Workload pairs a stable name (the key used in reports and the budget
+// maps) with its benchmark body.
 type Workload struct {
 	Name  string
 	Bench func(b *testing.B)
@@ -199,11 +164,10 @@ type Result struct {
 
 // Report is the BENCH_<n>.json document.
 type Report struct {
-	GoVersion    string              `json:"go_version"`
-	Workloads    []Result            `json:"workloads"`
-	PreChange    map[string]Baseline `json:"pre_change"`
-	AllocBudgets map[string]int64    `json:"alloc_budgets"`
-	WallBudgets  map[string]float64  `json:"wall_budgets"`
+	GoVersion    string             `json:"go_version"`
+	Workloads    []Result           `json:"workloads"`
+	AllocBudgets map[string]int64   `json:"alloc_budgets"`
+	WallBudgets  map[string]float64 `json:"wall_budgets"`
 	// Load carries the traffic summaries (latency percentiles, error
 	// rate, request mix) the load workloads record via
 	// RecordLoadSummary — numbers a ns/op cannot express.
@@ -264,10 +228,10 @@ func launchN(b *testing.B, s *xserver.Server, pump func() int, n int) {
 	pump()
 }
 
-// ManageClients measures adopting n clients in one event-pump burst —
-// the WM-restart / session-restore shape. Setup (server, WM, client
-// launches) happens outside the timer; the measured region is the pump
-// that manages all n windows.
+// ManageClients measures launching n clients and managing them in one
+// event-pump burst — the session-restore shape. Server and WM setup
+// happen outside the timer; the measured region is launchN: the n
+// client launches and the pump that manages all n windows.
 func ManageClients(n int) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()

@@ -238,7 +238,7 @@ func TestErrorEnvelopes(t *testing.T) {
 // TestGoldenTransportParity is the zero-duplication proof: the same
 // query against the same session answers with byte-identical Result
 // payloads whether it arrives by X property or by HTTP, because both
-// transports dispatch through the one swmproto.Handler.
+// transports dispatch through the one WM.ServeProto.
 func TestGoldenTransportParity(t *testing.T) {
 	m, ts := newStack(t, 1)
 	launchClients(t, m, 0, 2)

@@ -67,7 +67,6 @@ func TestMergeEdgeCases(t *testing.T) {
 			latencies: []time.Duration{5 * time.Millisecond},
 			byTarget:  map[string]int{"stats": 1},
 		}
-		results[3].hist.Observe(5 * time.Millisecond)
 		s := merge(cfg, 2, time.Second, results)
 		if s.Requests != 1 || s.Errors != 0 {
 			t.Errorf("requests/errors = %d/%d, want 1/0", s.Requests, s.Errors)
@@ -78,9 +77,6 @@ func TestMergeEdgeCases(t *testing.T) {
 		if s.QPS != 1 {
 			t.Errorf("qps = %v, want 1", s.QPS)
 		}
-		if len(s.Hist) != 1 || s.Hist[0].Count != 1 {
-			t.Errorf("hist = %+v, want one bucket of count 1", s.Hist)
-		}
 	})
 
 	t.Run("all equal values", func(t *testing.T) {
@@ -90,8 +86,6 @@ func TestMergeEdgeCases(t *testing.T) {
 				latencies: []time.Duration{time.Millisecond, time.Millisecond},
 				byTarget:  map[string]int{"desktop": 2},
 			}
-			results[w].hist.Observe(time.Millisecond)
-			results[w].hist.Observe(time.Millisecond)
 		}
 		s := merge(cfg, 1, time.Second, results)
 		if s.Requests != 8 {
@@ -99,9 +93,6 @@ func TestMergeEdgeCases(t *testing.T) {
 		}
 		if s.P50 != time.Millisecond || s.P95 != time.Millisecond || s.P99 != time.Millisecond || s.Max != time.Millisecond {
 			t.Errorf("all-equal percentiles not all 1ms: p50=%v p95=%v p99=%v max=%v", s.P50, s.P95, s.P99, s.Max)
-		}
-		if len(s.Hist) != 1 || s.Hist[0].Count != 8 {
-			t.Errorf("hist = %+v, want one bucket of count 8", s.Hist)
 		}
 	})
 
@@ -113,14 +104,12 @@ func TestMergeEdgeCases(t *testing.T) {
 			latencies: []time.Duration{2 * time.Millisecond},
 			byTarget:  map[string]int{"clients": 1},
 		}
-		results[0].hist.Observe(2 * time.Millisecond)
 		results[1] = workerResult{
 			latencies: []time.Duration{4 * time.Millisecond},
 			byTarget:  map[string]int{"trace": 1},
 			errors:    1,
 			byCode:    map[string]int{"timeout": 1},
 		}
-		results[1].hist.Observe(4 * time.Millisecond)
 		s := merge(Config{Clients: 16}, 1, time.Second, results)
 		if s.Requests != 2 || s.Errors != 1 {
 			t.Errorf("requests/errors = %d/%d, want 2/1", s.Requests, s.Errors)
@@ -146,91 +135,6 @@ func TestMergeEdgeCases(t *testing.T) {
 		}
 		if s.P50 != 0 || s.Max != 0 || s.QPS != 0 {
 			t.Errorf("latency stats over zero samples: p50=%v max=%v qps=%v", s.P50, s.Max, s.QPS)
-		}
-		if len(s.Hist) != 0 {
-			t.Errorf("hist = %+v, want empty", s.Hist)
-		}
-	})
-
-	t.Run("open loop flags", func(t *testing.T) {
-		s := merge(Config{Clients: 1, Rate: 2500}, 1, time.Second, []workerResult{{}})
-		if !s.OpenLoop || s.Rate != 2500 {
-			t.Errorf("open-loop summary = %+v", s)
-		}
-	})
-}
-
-// TestLatencyHist pins the log₂ bucketing: ordering, quantile bounds,
-// and merge additivity.
-func TestLatencyHist(t *testing.T) {
-	t.Run("quantile bounds samples", func(t *testing.T) {
-		var h LatencyHist
-		samples := []time.Duration{3, 100, 1000, 100_000, 5_000_000}
-		for _, d := range samples {
-			h.Observe(d)
-		}
-		if h.Total() != int64(len(samples)) {
-			t.Fatalf("total = %d, want %d", h.Total(), len(samples))
-		}
-		// The quantile is an upper bound within a factor of two of the
-		// exact nearest-rank sample.
-		exact := percentile(samples, 99)
-		got := h.Quantile(99)
-		if got < exact || got >= 2*exact {
-			t.Errorf("Quantile(99) = %v, want in [%v, %v)", got, exact, 2*exact)
-		}
-		if h.Quantile(0) < 3 {
-			t.Errorf("Quantile(0) = %v, below the minimum sample", h.Quantile(0))
-		}
-	})
-
-	t.Run("zero and empty", func(t *testing.T) {
-		var h LatencyHist
-		if h.Quantile(99) != 0 || h.Total() != 0 || len(h.Buckets()) != 0 {
-			t.Error("empty histogram is not all-zero")
-		}
-		h.Observe(0)
-		if h.Total() != 1 {
-			t.Errorf("total after Observe(0) = %d", h.Total())
-		}
-	})
-
-	t.Run("merge is additive", func(t *testing.T) {
-		var a, b, want LatencyHist
-		for i := 0; i < 100; i++ {
-			d := time.Duration(1) << uint(i%20)
-			if i%2 == 0 {
-				a.Observe(d)
-			} else {
-				b.Observe(d)
-			}
-			want.Observe(d)
-		}
-		a.Merge(&b)
-		if a != want {
-			t.Error("merged histogram diverges from observing the union")
-		}
-		if a.Total() != 100 {
-			t.Errorf("merged total = %d", a.Total())
-		}
-	})
-
-	t.Run("buckets ascend and sum", func(t *testing.T) {
-		var h LatencyHist
-		for i := 0; i < 50; i++ {
-			h.Observe(time.Duration(i) * time.Microsecond)
-		}
-		var sum int64
-		prev := int64(-1)
-		for _, b := range h.Buckets() {
-			if b.Le <= prev {
-				t.Errorf("bucket edges not ascending: %d after %d", b.Le, prev)
-			}
-			prev = b.Le
-			sum += b.Count
-		}
-		if sum != 50 {
-			t.Errorf("bucket counts sum to %d, want 50", sum)
 		}
 	})
 }

@@ -1,17 +1,14 @@
 // Package swmload is the traffic generator for the swmproto HTTP
 // service: a seeded load driver that sustains many concurrent clients
 // issuing query and exec requests against a live fleet and reports
-// latency percentiles, a log₂ latency histogram, and error rates.
+// latency percentiles and error rates.
 //
 // The shape is deliberately boring and reproducible:
 //
-//   - By default workers are closed-loop: each issues its next request
-//     when the previous one completes, so concurrency == Clients
-//     exactly and the generator cannot outrun the service into a
-//     coordinated-omission death spiral. Setting Rate switches to an
-//     open loop: requests fire on a fixed global schedule and latency
-//     is measured from the scheduled instant, so a stalled service
-//     accrues queueing delay instead of silently pausing the clock.
+//   - Workers are closed-loop: each issues its next request when the
+//     previous one completes, so concurrency == Clients exactly and the
+//     generator cannot outrun the service into a coordinated-omission
+//     death spiral.
 //   - Every worker owns a rand.Rand seeded Seed+worker. The request mix
 //     (session choice, target choice, exec cadence) is a pure function
 //     of the seed, so two runs with the same Config hit the fleet with
@@ -69,11 +66,6 @@ type Config struct {
 	// Timeout bounds how long each request may wait for response
 	// headers (default 10s).
 	Timeout time.Duration
-	// Rate switches the run to open-loop mode: requests are issued at
-	// a fixed Rate per second spread evenly across workers, regardless
-	// of completions, and each latency is measured from the request's
-	// scheduled slot. 0 (the default) keeps the closed loop.
-	Rate float64
 }
 
 // Summary is the result of one load run. Durations marshal as
@@ -89,11 +81,8 @@ type Summary struct {
 	P95      time.Duration  `json:"p95_ns"`
 	P99      time.Duration  `json:"p99_ns"`
 	Max      time.Duration  `json:"max_ns"`
-	OpenLoop bool           `json:"open_loop,omitempty"`
-	Rate     float64        `json:"rate,omitempty"`
 	ByTarget map[string]int `json:"by_target"`
 	ByCode   map[string]int `json:"by_code"`
-	Hist     []HistBucket   `json:"histogram,omitempty"`
 }
 
 // ErrorRate is Errors over Requests, 0 for an empty run.
@@ -108,9 +97,6 @@ func (s Summary) ErrorRate() float64 {
 func (s Summary) Format(w io.Writer) {
 	fmt.Fprintf(w, "requests  %d (%d clients, %d sessions)\n", s.Requests, s.Clients, s.Sessions)
 	fmt.Fprintf(w, "elapsed   %v (%.0f req/s)\n", s.Elapsed.Round(time.Millisecond), s.QPS)
-	if s.OpenLoop {
-		fmt.Fprintf(w, "offered   %.0f req/s (open loop)\n", s.Rate)
-	}
 	fmt.Fprintf(w, "latency   p50=%v p95=%v p99=%v max=%v\n",
 		s.P50.Round(time.Microsecond), s.P95.Round(time.Microsecond),
 		s.P99.Round(time.Microsecond), s.Max.Round(time.Microsecond))
@@ -136,7 +122,6 @@ func (s Summary) Format(w io.Writer) {
 // workerResult is one worker's tally, merged after the run.
 type workerResult struct {
 	latencies []time.Duration
-	hist      LatencyHist
 	errors    int
 	byTarget  map[string]int
 	byCode    map[string]int
@@ -186,7 +171,7 @@ func Run(cfg Config) (Summary, error) {
 		wg.Add(1)
 		go func(w, n int) {
 			defer wg.Done()
-			results[w] = worker(cfg, p, cfg.Seed+int64(w), w, n, start)
+			results[w] = worker(cfg, p, cfg.Seed+int64(w), n)
 		}(w, n)
 	}
 	wg.Wait()
@@ -199,17 +184,13 @@ func merge(cfg Config, sessions int, elapsed time.Duration, results []workerResu
 		Clients:  cfg.Clients,
 		Sessions: sessions,
 		Elapsed:  elapsed,
-		OpenLoop: cfg.Rate > 0,
-		Rate:     cfg.Rate,
 		ByTarget: make(map[string]int),
 		ByCode:   make(map[string]int),
 	}
 	var all []time.Duration
-	var hist LatencyHist
 	for i := range results {
 		r := &results[i]
 		all = append(all, r.latencies...)
-		hist.Merge(&r.hist)
 		s.Errors += r.errors
 		for t, n := range r.byTarget {
 			s.ByTarget[t] += n
@@ -233,7 +214,6 @@ func merge(cfg Config, sessions int, elapsed time.Duration, results []workerResu
 			s.QPS = float64(len(all)) / sec
 		}
 	}
-	s.Hist = hist.Buckets()
 	return s
 }
 
@@ -348,7 +328,7 @@ func fastEnvelope(body []byte) (ok, matched bool) {
 // individually. The rng consumption order (session, then target) is
 // part of the determinism contract — both draws happen on every
 // iteration, exec or not.
-func worker(cfg Config, p *plan, seed int64, w, n int, start time.Time) workerResult {
+func worker(cfg Config, p *plan, seed int64, n int) workerResult {
 	rng := rand.New(rand.NewSource(seed))
 	r := workerResult{
 		latencies: make([]time.Duration, 0, n),
@@ -363,18 +343,6 @@ func worker(cfg Config, p *plan, seed int64, w, n int, start time.Time) workerRe
 		exec := cfg.ExecEvery > 0 && (i+1)%cfg.ExecEvery == 0
 
 		begin := time.Now()
-		if cfg.Rate > 0 {
-			// Open loop: request i of worker w owns global slot
-			// i*Clients+w on the fixed schedule. Latency is measured
-			// from the slot, not the send, so when the service falls
-			// behind the backlog shows up as latency rather than being
-			// coordinated away.
-			sched := start.Add(time.Duration(float64(i*cfg.Clients+w) / cfg.Rate * float64(time.Second)))
-			if d := time.Until(sched); d > 0 {
-				time.Sleep(d)
-			}
-			begin = sched
-		}
 		req := p.queries[si][ti]
 		if exec {
 			r.byTarget["exec"]++
@@ -388,9 +356,7 @@ func worker(cfg Config, p *plan, seed int64, w, n int, start time.Time) workerRe
 			r.byCode["transport"]++
 			continue
 		}
-		lat := time.Since(begin)
-		r.latencies = append(r.latencies, lat)
-		r.hist.Observe(lat)
+		r.latencies = append(r.latencies, time.Since(begin))
 		if ok, matched := fastEnvelope(body); !matched {
 			var resp swmproto.Response
 			if json.Unmarshal(body, &resp) != nil {

@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/clients"
 	"repro/internal/fleet"
@@ -105,39 +104,6 @@ func TestDeterministicMix(t *testing.T) {
 	}
 	if reflect.DeepEqual(a, c.ByTarget) {
 		t.Errorf("different seeds produced the identical mix: %v", a)
-	}
-}
-
-// TestOpenLoopRate pins the open-loop mode end to end: the run honours
-// the fixed schedule (elapsed ≈ requests/rate even though the fleet
-// could answer faster) and the summary carries the histogram.
-func TestOpenLoopRate(t *testing.T) {
-	_, ts := loadStack(t, 2)
-	sum, err := swmload.Run(swmload.Config{
-		BaseURL: ts.URL, Clients: 4, Requests: 200, Seed: 11,
-		Rate: 1000, // 200 requests at 1k/s → the run must span ~200ms
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Errors != 0 {
-		t.Fatalf("errors = %d (%v)", sum.Errors, sum.ByCode)
-	}
-	if !sum.OpenLoop || sum.Rate != 1000 {
-		t.Errorf("summary not flagged open-loop: %+v", sum)
-	}
-	if sum.Elapsed < 180*time.Millisecond {
-		t.Errorf("elapsed = %v; open loop at 1k/s must pace 200 requests over ~200ms", sum.Elapsed)
-	}
-	if len(sum.Hist) == 0 {
-		t.Error("open-loop summary carries no histogram")
-	}
-	var n int64
-	for _, b := range sum.Hist {
-		n += b.Count
-	}
-	if n != int64(sum.Requests) {
-		t.Errorf("histogram counts %d samples, want %d", n, sum.Requests)
 	}
 }
 

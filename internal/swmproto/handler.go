@@ -5,21 +5,13 @@ import (
 	"fmt"
 )
 
-// Handler serves one decoded protocol request. This is the
-// transport-agnostic seam of the protocol: request in, response out, no
-// X types (and no HTTP types) in the signature. *core.WM is the
-// canonical implementation; every transport — the X-property channel in
-// internal/core, the HTTP/JSON channel in internal/swmhttp — decodes
-// its wire form into a Request and dispatches through a Handler, so
-// there is exactly one piece of query-serving logic in the tree.
-type Handler interface {
-	ServeProto(Request) Response
-}
-
 // SessionHandler serves requests addressed to one session of a fleet.
-// It is the Handler shape lifted over a session index: implementations
-// (internal/fleet's Manager) run the request under the addressed
-// session's lane, with its WM's Handler. Requests for
+// This is the transport-agnostic seam of the protocol: request in,
+// response out, no X types (and no HTTP types) in the signature.
+// Implementations (internal/fleet's Manager) run the request under the
+// addressed session's lane, with its WM's ServeProto — the one piece
+// of query-serving logic in the tree, which the X-property channel in
+// internal/core dispatches to as well. Requests for
 // sessions that do not exist or cannot serve come back as error
 // envelopes (CodeUnknownSession, CodeSessionDown, CodeTimeout), never
 // as transport-level failures — the envelope is the contract.

@@ -120,10 +120,10 @@ func (c *Conn) CreateWindow(parent xproto.XID, r xproto.Rect, borderWidth int, a
 		class:    attrs.Class,
 		override: attrs.OverrideRedirect,
 		owner:    c,
+		screen:   p.screen,
 	}
 	w.setRect(r)
 	w.borderW.Store(int32(borderWidth))
-	w.screenIdx.Store(p.screenIdx.Load())
 	if attrs.Fill != 0 {
 		w.fill.Store(uint32(attrs.Fill))
 	}
@@ -315,10 +315,12 @@ func (s *Server) unmapNow(w *window, fromConfigure bool) {
 }
 
 // ReparentWindow makes the window a child of newParent at (x, y). The
-// window keeps its map state; a ReparentNotify is generated.
+// window keeps its map state; a ReparentNotify is generated. As X11
+// requires, a new parent that is the window itself or one of its
+// inferiors, or that is on another screen, is a Match error.
 //
 // Reparenting always holds the server lock exclusively: the cycle check
-// and the subtree screen rewrite need a stable tree.
+// needs a stable tree.
 func (c *Conn) ReparentWindow(id, newParent xproto.XID, x, y int) error {
 	if err := c.gate(xproto.MajorReparentWindow, id); err != nil {
 		return err
@@ -340,14 +342,17 @@ func (c *Conn) ReparentWindow(id, newParent xproto.XID, x, y int) error {
 			Detail: "reparent would create a cycle",
 		})
 	}
+	if np.screen != w.screen {
+		return c.note(&xproto.XError{
+			Code: xproto.BadMatch, Major: xproto.MajorReparentWindow, Resource: id,
+			Detail: "new parent is on another screen",
+		})
+	}
 	wasMapped := w.mapped.Load()
 	if wasMapped {
 		s.unmapNow(w, false)
 	}
 	oldParent := w.moveTo(np, x, y)
-	if sc := np.screenIdx.Load(); sc != w.screenIdx.Load() {
-		setScreenIdx(w, sc)
-	}
 	ev := xproto.Event{
 		Type: xproto.ReparentNotify, Window: w.id, Subwindow: w.id,
 		Parent: np.id, GX: x, GY: y, OverrideRedirect: w.override,
@@ -366,15 +371,6 @@ func (c *Conn) ReparentWindow(id, newParent xproto.XID, x, y int) error {
 		s.mapNow(w)
 	}
 	return nil
-}
-
-// setScreenIdx rewrites the cached screen index for a whole subtree.
-// Caller must hold the server lock exclusively.
-func setScreenIdx(w *window, sc int32) {
-	w.screenIdx.Store(sc)
-	for _, ch := range w.kids() {
-		setScreenIdx(ch, sc)
-	}
 }
 
 // ConfigureWindow changes window geometry and/or stacking. If another
@@ -565,7 +561,7 @@ func (c *Conn) GetGeometry(id xproto.XID) (Geometry, error) {
 		return Geometry{}, err
 	}
 	return Geometry{
-		Root:        c.server.screens[w.screen()].Root,
+		Root:        c.server.screens[w.screen].Root,
 		Rect:        w.rect(),
 		BorderWidth: int(w.borderW.Load()),
 	}, nil
@@ -623,7 +619,7 @@ func (c *Conn) QueryTree(id xproto.XID) (root, parent xproto.XID, children []xpr
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	root = c.server.screens[w.screen()].Root
+	root = c.server.screens[w.screen].Root
 	if p := w.parent.Load(); p != nil {
 		parent = p.id
 	} else if w.destroyed.Load() {

@@ -34,7 +34,7 @@ func (s *Server) deliver(w *window, mask xproto.EventMask, ev *xproto.Event) {
 	for _, ms := range mt.sel {
 		if ms.mask&mask != 0 {
 			if !rootSet {
-				ev.Root = s.screens[w.screen()].Root
+				ev.Root = s.screens[w.screen].Root
 				rootSet = true
 			}
 			ms.conn.enqueue(ev)
@@ -92,13 +92,6 @@ func (c *Conn) PollEvent() (xproto.Event, bool) {
 	ev := c.queue[c.qhead]
 	c.qhead++
 	return ev, true
-}
-
-// Pending reports the number of queued events.
-func (c *Conn) Pending() int {
-	c.qMu.Lock()
-	defer c.qMu.Unlock()
-	return len(c.queue) - c.qhead
 }
 
 // SendEvent delivers a synthetic event. If mask is zero the event goes to

@@ -106,9 +106,9 @@ func (s *Server) forEachWindow(fn func(*window)) {
 }
 
 // LockObserver receives writer-lock contention telemetry from
-// writeLock's slow path. obs wires a registry-backed implementation
-// via SetLockObserver; the hook must be safe for concurrent use and
-// must not call back into the server.
+// writeLock's slow path. The WM's metrics set (internal/core) is the
+// implementation SetLockObserver installs; the hook must be safe for
+// concurrent use and must not call back into the server.
 type LockObserver interface {
 	// LockWait reports one contended Server.mu acquisition and how long
 	// the acquirer waited, in nanoseconds.

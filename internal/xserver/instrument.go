@@ -2,16 +2,15 @@ package xserver
 
 import "repro/internal/xproto"
 
-// Instrument observes a connection's request traffic. It is the
-// build-once hook the obs layer attaches to: Request fires once per
-// request from the gate every request method passes first.
+// Instrument observes a connection's request traffic: Request fires
+// once per request from the gate every request method passes first.
 //
 // Contract (mirrors SetErrorHandler): callbacks run before the request
 // takes any lock, and concurrently from different connections, so an
 // Instrument must be safe for concurrent use, must not block, and must
-// not issue requests on any connection. obs.ConnInstrument satisfies
-// this interface structurally (atomic adds on counters indexed by
-// major) without either package importing the other.
+// not issue requests on any connection. The WM's metrics set
+// (internal/core) implements it with atomic adds on counters indexed
+// by major.
 type Instrument interface {
 	Request(major xproto.Major, target xproto.XID)
 }

@@ -157,10 +157,10 @@ func NewServer(specs ...ScreenSpec) *Server {
 			id:     s.allocID(),
 			class:  xproto.InputOutput,
 			isRoot: true,
+			screen: int32(i),
 		}
 		root.setRect(xproto.Rect{Width: spec.Width, Height: spec.Height})
 		root.mapped.Store(true)
-		root.screenIdx.Store(int32(i))
 		s.indexPut(root)
 		s.screens = append(s.screens, &Screen{
 			Number:     i,
@@ -259,7 +259,7 @@ func (s *Server) lookupErr(id xproto.XID) (*window, error) {
 
 // rootOf returns the root window of w's screen.
 func (s *Server) rootOf(w *window) *window {
-	return s.lookup(s.screens[w.screen()].Root)
+	return s.lookup(s.screens[w.screen].Root)
 }
 
 // NumConns reports the number of live client connections (diagnostics).

@@ -227,7 +227,12 @@ type window struct {
 
 	mapped    atomic.Bool
 	destroyed atomic.Bool
-	screenIdx atomic.Int32 // kept eager: reparent rewrites the subtree
+	// screen is the index of the window's screen, fixed at creation
+	// (ReparentWindow refuses a parent on another screen), so it is a
+	// plain field set before the window is published. An int32 packs
+	// beside the two bools; an int would move every window up a size
+	// class.
+	screen int32
 
 	parent atomic.Pointer[window]
 	// children is the children snapshot — bottom-to-top stacking order
@@ -398,10 +403,6 @@ func (w *window) labelStr() string {
 		return *lp
 	}
 	return ""
-}
-
-func (w *window) screen() int {
-	return int(w.screenIdx.Load())
 }
 
 // rootCoords returns w's top-left corner in root coordinates. Lock-free.

@@ -1,6 +1,7 @@
 package xserver
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -252,6 +253,62 @@ func TestReparentCycleRejected(t *testing.T) {
 	}
 	if err := c.ReparentWindow(a, a, 0, 0); err == nil {
 		t.Error("reparenting a window under itself should fail")
+	}
+}
+
+// TestReparentAcrossScreensIsBadMatch pins X11's rule that a new
+// parent on another screen than the old parent is a Match error, and
+// that the failed request changes nothing: parent, both parents' child
+// lists, geometry and map state stay, no event is generated, and the
+// error handler fires once.
+func TestReparentAcrossScreensIsBadMatch(t *testing.T) {
+	s := NewServer(ScreenSpec{Width: 800, Height: 600}, ScreenSpec{Width: 640, Height: 480})
+	c := s.Connect("t")
+	root0, root1 := s.Screens()[0].Root, s.Screens()[1].Root
+	frame := mustCreate(t, c, root1, xproto.Rect{Width: 100, Height: 100})
+	w := mustCreate(t, c, root0, xproto.Rect{X: 7, Y: 9, Width: 50, Height: 40})
+	if err := c.MapWindow(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MapWindow(w); err != nil {
+		t.Fatal(err)
+	}
+	for win, mask := range map[xproto.XID]xproto.EventMask{
+		w: xproto.StructureNotifyMask, root0: xproto.SubstructureNotifyMask, frame: xproto.SubstructureNotifyMask,
+	} {
+		if err := c.SelectInput(win, mask); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain(c)
+	var noted []*xproto.XError
+	c.SetErrorHandler(func(e *xproto.XError) { noted = append(noted, e) })
+
+	err := c.ReparentWindow(w, frame, 3, 4)
+	var xe *xproto.XError
+	if !errors.As(err, &xe) || xe.Code != xproto.BadMatch || xe.Major != xproto.MajorReparentWindow || xe.Resource != w {
+		t.Fatalf("ReparentWindow across screens = %v, want BadMatch on ReparentWindow for %v", err, w)
+	}
+	if len(noted) != 1 {
+		t.Errorf("error handler fired %d times, want 1", len(noted))
+	}
+	if evs := drain(c); len(evs) != 0 {
+		t.Errorf("failed reparent generated events: %v", evs)
+	}
+	if _, parent, _, _ := c.QueryTree(w); parent != root0 {
+		t.Errorf("parent = %v, want %v", parent, root0)
+	}
+	if _, _, kids, _ := c.QueryTree(root0); len(kids) != 1 || kids[0] != w {
+		t.Errorf("old parent's children = %v, want [%v]", kids, w)
+	}
+	if _, _, kids, _ := c.QueryTree(frame); len(kids) != 0 {
+		t.Errorf("new parent's children = %v, want none", kids)
+	}
+	if g, _ := c.GetGeometry(w); g.Rect != (xproto.Rect{X: 7, Y: 9, Width: 50, Height: 40}) || g.Root != root0 {
+		t.Errorf("geometry = %+v, want 50x40+7+9 on root %v", g, root0)
+	}
+	if attrs, _ := c.GetWindowAttributes(w); attrs.MapState != xproto.IsViewable {
+		t.Errorf("map state = %v, want viewable", attrs.MapState)
 	}
 }
 
