@@ -42,14 +42,20 @@ func main() {
 	flag.Parse()
 
 	results := perfbench.Run()
+	// Absent off Linux: the report then carries no CPU model.
+	cpuinfo, _ := os.ReadFile("/proc/cpuinfo")
 	report := perfbench.Report{
 		GoVersion:    runtime.Version(),
+		NumCPU:       runtime.NumCPU(),
+		GOMAXPROCS:   runtime.GOMAXPROCS(0),
+		CPUModel:     perfbench.CPUModel(cpuinfo),
 		Workloads:    results,
 		AllocBudgets: perfbench.AllocBudgets,
 		WallBudgets:  perfbench.WallBudgets,
 		Load:         perfbench.LoadSummaries(),
 	}
 
+	fmt.Printf("host: %d CPUs, GOMAXPROCS %d, %s, %s\n\n", report.NumCPU, report.GOMAXPROCS, report.CPUModel, report.GoVersion)
 	fmt.Printf("%-32s %14s %12s %10s\n", "workload", "ns/op", "allocs/op", "B/op")
 	failed := false
 	for _, r := range results {

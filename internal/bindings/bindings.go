@@ -40,8 +40,8 @@ func (inv Invocation) String() string {
 // Binding maps one event description to a function list.
 type Binding struct {
 	Event       xproto.EventType
-	Button      int    // for ButtonPress/ButtonRelease bindings
-	Keysym      string // for KeyPress/KeyRelease bindings
+	Button      int           // for ButtonPress/ButtonRelease bindings
+	Keysym      xproto.Keysym // for KeyPress/KeyRelease bindings
 	Modifiers   uint16
 	AnyModifier bool
 	Invocations []Invocation
@@ -157,14 +157,18 @@ func parseLine(line string) (Binding, error) {
 		if detail == "" {
 			return b, fmt.Errorf("<Key> requires a keysym detail")
 		}
-		b.Keysym = detail
+		if b.Keysym = xproto.StringToKeysym(detail); b.Keysym == xproto.NoSymbol {
+			return b, fmt.Errorf("unknown keysym %q", detail)
+		}
 		detail = ""
 	case lt2 == "keyup":
 		b.Event = xproto.KeyRelease
 		if detail == "" {
 			return b, fmt.Errorf("<KeyUp> requires a keysym detail")
 		}
-		b.Keysym = detail
+		if b.Keysym = xproto.StringToKeysym(detail); b.Keysym == xproto.NoSymbol {
+			return b, fmt.Errorf("unknown keysym %q", detail)
+		}
 		detail = ""
 	case lt2 == "enter" || lt2 == "enterwindow":
 		b.Event = xproto.EnterNotify
@@ -238,7 +242,7 @@ const relevantMods = xproto.ShiftMask | xproto.LockMask | xproto.ControlMask |
 // Button is consulted for button events, keysym for key events. The
 // modifier state must match exactly (ignoring button bits) unless the
 // binding says Any.
-func (t *Table) Lookup(ev xproto.EventType, button int, keysym string, state uint16) []Invocation {
+func (t *Table) Lookup(ev xproto.EventType, button int, keysym xproto.Keysym, state uint16) []Invocation {
 	for i := range t.Bindings {
 		b := &t.Bindings[i]
 		if b.Event != ev {

@@ -33,7 +33,7 @@ func TestParsePaperExample(t *testing.T) {
 		t.Errorf("binding 1 invocations: %v (want two functions per binding)", b1.Invocations)
 	}
 	b2 := tbl.Bindings[2]
-	if b2.Event != xproto.KeyPress || b2.Keysym != "Up" {
+	if b2.Event != xproto.KeyPress || b2.Keysym != xproto.StringToKeysym("Up") {
 		t.Errorf("binding 2: %+v", b2)
 	}
 	if !b2.Invocations[0].HasArg || b2.Invocations[0].Arg != "-50" {
@@ -103,6 +103,8 @@ func TestParseErrors(t *testing.T) {
 		"f.raise",                // no event
 		"<Btn9> : f.raise",       // bad button
 		"<Key> : f.raise",        // missing keysym
+		"<Key>Upp : f.raise",     // unknown keysym
+		"<KeyUp>Fn : f.raise",    // unknown keysym
 		"<Btn1> : raise",         // not an f. function
 		"<Btn1> : f.move(50",     // unterminated arg
 		"Hyper <Btn1> : f.raise", // unknown modifier
@@ -122,20 +124,20 @@ func TestLookupButtonMatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tbl.Lookup(xproto.ButtonPress, 1, "", 0); got == nil || got[0].Name != "f.raise" {
+	if got := tbl.Lookup(xproto.ButtonPress, 1, xproto.NoSymbol, 0); got == nil || got[0].Name != "f.raise" {
 		t.Errorf("plain Btn1 -> %v", got)
 	}
-	if got := tbl.Lookup(xproto.ButtonPress, 1, "", xproto.Mod1Mask); got == nil || got[0].Name != "f.move" {
+	if got := tbl.Lookup(xproto.ButtonPress, 1, xproto.NoSymbol, xproto.Mod1Mask); got == nil || got[0].Name != "f.move" {
 		t.Errorf("Meta Btn1 -> %v", got)
 	}
-	if got := tbl.Lookup(xproto.ButtonPress, 2, "", 0); got == nil || got[0].Name != "f.lower" {
+	if got := tbl.Lookup(xproto.ButtonPress, 2, xproto.NoSymbol, 0); got == nil || got[0].Name != "f.lower" {
 		t.Errorf("Btn2 -> %v", got)
 	}
-	if got := tbl.Lookup(xproto.ButtonPress, 3, "", 0); got != nil {
+	if got := tbl.Lookup(xproto.ButtonPress, 3, xproto.NoSymbol, 0); got != nil {
 		t.Errorf("Btn3 matched: %v", got)
 	}
 	// Modifier state must match exactly.
-	if got := tbl.Lookup(xproto.ButtonPress, 1, "", xproto.ControlMask); got != nil {
+	if got := tbl.Lookup(xproto.ButtonPress, 1, xproto.NoSymbol, xproto.ControlMask); got != nil {
 		t.Errorf("Ctrl Btn1 matched plain binding: %v", got)
 	}
 }
@@ -143,22 +145,22 @@ func TestLookupButtonMatching(t *testing.T) {
 func TestLookupIgnoresButtonStateBits(t *testing.T) {
 	tbl, _ := Parse("<Btn1> : f.raise")
 	state := xproto.Button1Mask // button state bit set during press
-	if got := tbl.Lookup(xproto.ButtonPress, 1, "", state); got == nil {
+	if got := tbl.Lookup(xproto.ButtonPress, 1, xproto.NoSymbol, state); got == nil {
 		t.Error("button state bits must not defeat modifier matching")
 	}
 }
 
 func TestLookupKey(t *testing.T) {
 	tbl, _ := Parse("<Key>Up : f.warpvertical(-50)\n<Key>Down : f.warpvertical(50)")
-	got := tbl.Lookup(xproto.KeyPress, 0, "Up", 0)
+	got := tbl.Lookup(xproto.KeyPress, 0, xproto.StringToKeysym("Up"), 0)
 	if got == nil || got[0].Arg != "-50" {
 		t.Errorf("Up -> %v", got)
 	}
-	got = tbl.Lookup(xproto.KeyPress, 0, "Down", 0)
+	got = tbl.Lookup(xproto.KeyPress, 0, xproto.StringToKeysym("Down"), 0)
 	if got == nil || got[0].Arg != "50" {
 		t.Errorf("Down -> %v", got)
 	}
-	if got := tbl.Lookup(xproto.KeyPress, 0, "Left", 0); got != nil {
+	if got := tbl.Lookup(xproto.KeyPress, 0, xproto.StringToKeysym("Left"), 0); got != nil {
 		t.Errorf("Left matched: %v", got)
 	}
 }
@@ -166,7 +168,7 @@ func TestLookupKey(t *testing.T) {
 func TestLookupAnyModifier(t *testing.T) {
 	tbl, _ := Parse("Any <Btn1> : f.focus")
 	for _, state := range []uint16{0, xproto.ControlMask, xproto.Mod1Mask | xproto.ShiftMask} {
-		if got := tbl.Lookup(xproto.ButtonPress, 1, "", state); got == nil {
+		if got := tbl.Lookup(xproto.ButtonPress, 1, xproto.NoSymbol, state); got == nil {
 			t.Errorf("state %b did not match Any binding", state)
 		}
 	}
@@ -174,7 +176,7 @@ func TestLookupAnyModifier(t *testing.T) {
 
 func TestLookupFirstMatchWins(t *testing.T) {
 	tbl, _ := Parse("<Btn1> : f.raise\n<Btn1> : f.lower")
-	got := tbl.Lookup(xproto.ButtonPress, 1, "", 0)
+	got := tbl.Lookup(xproto.ButtonPress, 1, xproto.NoSymbol, 0)
 	if got[0].Name != "f.raise" {
 		t.Errorf("got %v, want first binding", got)
 	}
@@ -302,7 +304,7 @@ func BenchmarkLookup(b *testing.B) {
 	tbl, _ := Parse(paperExample)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if tbl.Lookup(xproto.ButtonPress, 2, "", 0) == nil {
+		if tbl.Lookup(xproto.ButtonPress, 2, xproto.NoSymbol, 0) == nil {
 			b.Fatal("no match")
 		}
 	}

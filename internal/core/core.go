@@ -11,8 +11,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -328,12 +330,15 @@ func (wm *WM) DB() *xrdb.DB { return wm.db }
 func (wm *WM) Screens() []*Screen { return wm.screens }
 
 // Clients returns all managed clients (including internal ones) in
-// unspecified order.
+// ascending client-window id, which is the order the client windows
+// were created in: the server issues ids from one counter and never
+// reuses them.
 func (wm *WM) Clients() []*Client {
 	out := make([]*Client, 0, len(wm.clients))
 	for _, c := range wm.clients {
 		out = append(out, c)
 	}
+	slices.SortFunc(out, func(a, b *Client) int { return cmp.Compare(a.Win, b.Win) })
 	return out
 }
 

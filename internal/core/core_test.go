@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -52,6 +53,28 @@ func TestNewRejectsSecondWM(t *testing.T) {
 	s, _ := newWM(t, Options{})
 	if _, err := New(s, Options{}); err == nil {
 		t.Fatal("second WM attached to the same display")
+	}
+}
+
+// TestClientsInCreationOrder pins Clients to ascending client-window
+// id, so that every listing and loop over it comes out the same from
+// run to run.
+func TestClientsInCreationOrder(t *testing.T) {
+	s, wm := newWM(t, Options{})
+	for i := 0; i < 5; i++ {
+		launch(t, s, wm, clients.Config{Instance: fmt.Sprintf("c%d", i), Class: "XTerm", Width: 100, Height: 80})
+	}
+	for round := 0; round < 20; round++ {
+		cs := wm.Clients()
+		if len(cs) != 5 {
+			t.Fatalf("Clients() = %d clients, want 5", len(cs))
+		}
+		for i := 1; i < len(cs); i++ {
+			if cs[i-1].Win >= cs[i].Win {
+				t.Fatalf("round %d: Clients()[%d..%d] = 0x%x, 0x%x, want ascending ids",
+					round, i-1, i, uint32(cs[i-1].Win), uint32(cs[i].Win))
+			}
+		}
 	}
 }
 

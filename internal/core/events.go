@@ -236,7 +236,7 @@ func (wm *WM) handleButtonPress(ev xproto.Event) {
 	// window).
 	for _, scr := range wm.screens {
 		if ev.Window == scr.Root && scr.rootBindings != nil {
-			invs := scr.rootBindings.Lookup(ev.Type, ev.Button, "", ev.State)
+			invs := scr.rootBindings.Lookup(ev.Type, ev.Button, xproto.NoSymbol, ev.State)
 			wm.runInvocations(invs, &FuncContext{
 				Screen: scr, Client: wm.clientForWindow(ev.Subwindow, xproto.None), Event: ev,
 			})
@@ -375,11 +375,11 @@ func (wm *WM) dispatchObjectEvent(ref objRef, ev xproto.Event) {
 	if ref.obj != nil && ref.obj.Bindings != nil {
 		switch ev.Type {
 		case xproto.ButtonPress, xproto.ButtonRelease:
-			invs = ref.obj.Bindings.Lookup(ev.Type, ev.Button, "", ev.State)
+			invs = ref.obj.Bindings.Lookup(ev.Type, ev.Button, xproto.NoSymbol, ev.State)
 		case xproto.KeyPress, xproto.KeyRelease:
 			invs = ref.obj.Bindings.Lookup(ev.Type, 0, ev.Keysym, ev.State)
 		case xproto.EnterNotify, xproto.LeaveNotify, xproto.MotionNotify:
-			invs = ref.obj.Bindings.Lookup(ev.Type, 0, "", ev.State)
+			invs = ref.obj.Bindings.Lookup(ev.Type, 0, xproto.NoSymbol, ev.State)
 		}
 	}
 	if invs == nil && ref.client != nil && ref.client.icon != nil &&

@@ -80,7 +80,7 @@ func (m *Menu) dispatch(wm *WM, obj *objects.Object, ev xproto.Event) {
 	if obj != nil && obj.Bindings != nil {
 		switch ev.Type {
 		case xproto.ButtonPress, xproto.ButtonRelease:
-			invs = obj.Bindings.Lookup(ev.Type, ev.Button, "", ev.State)
+			invs = obj.Bindings.Lookup(ev.Type, ev.Button, xproto.NoSymbol, ev.State)
 		case xproto.KeyPress:
 			invs = obj.Bindings.Lookup(ev.Type, 0, ev.Keysym, ev.State)
 		}

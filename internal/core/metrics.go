@@ -10,8 +10,24 @@ import (
 
 // traceCap is the WM event-trace ring size: big enough to hold a few
 // pump bursts of context around an incident, small enough that the
-// fixed buffer is negligible (256 entries × ~64 bytes).
+// fixed buffer is negligible (256 entries × 40 bytes, none of them
+// scanned by the garbage collector).
 const traceCap = 256
+
+// Trace op codes, taken once so that recording is a plain store with
+// no name lookup. majorOps is indexed by xproto.Major.
+var (
+	opDispatch = obs.OpFor("dispatch")
+	opManage   = obs.OpFor("manage")
+	opUnmanage = obs.OpFor("unmanage")
+	opPan      = obs.OpFor("pan")
+	majorOps   = func() (t [xproto.NumMajors]obs.Op) {
+		for m := range t {
+			t[m] = obs.OpFor(xproto.Major(m).String())
+		}
+		return t
+	}()
+)
 
 // Fixed array sizes for the enum-indexed counters. Event types run
 // 2 (KeyPress) .. ShapeNotify; error codes 1 (BadRequest) .. BadAccess.
@@ -154,7 +170,13 @@ func (m *wmMetrics) Request(major xproto.Major, target xproto.XID) {
 	} else {
 		m.otherRequests.Inc()
 	}
-	m.trace.Record(obs.KindRequest, major.String(), uint32(target), 0, 0)
+	var op obs.Op
+	if major < xproto.NumMajors {
+		op = majorOps[major]
+	} else {
+		op = obs.OpFor(major.String())
+	}
+	m.trace.Record(obs.KindRequest, op, uint32(target), 0, 0)
 }
 
 // LockWait is the server's xserver.LockObserver: it counts one
@@ -185,17 +207,17 @@ func (wm *WM) countEvent(t xproto.EventType) {
 	if int(t) < numEventSlots && wm.metrics.events[t] != nil {
 		wm.metrics.events[t].Inc()
 	}
-	wm.metrics.trace.Record(obs.KindEvent, "dispatch", 0, int64(t), 0)
+	wm.metrics.trace.Record(obs.KindEvent, opDispatch, 0, int64(t), 0)
 }
 
 func (wm *WM) noteManaged(win xproto.XID) {
 	wm.metrics.managed.Inc()
-	wm.metrics.trace.Record(obs.KindManage, "manage", uint32(win), 0, 0)
+	wm.metrics.trace.Record(obs.KindManage, opManage, uint32(win), 0, 0)
 }
 
 func (wm *WM) noteUnmanaged(win xproto.XID) {
 	wm.metrics.unmanaged.Inc()
-	wm.metrics.trace.Record(obs.KindUnmanage, "unmanage", uint32(win), 0, 0)
+	wm.metrics.trace.Record(obs.KindUnmanage, opUnmanage, uint32(win), 0, 0)
 }
 
 func (wm *WM) noteDeathRace() {
@@ -204,7 +226,7 @@ func (wm *WM) noteDeathRace() {
 
 func (wm *WM) notePan(desktop xproto.XID, x, y int) {
 	wm.metrics.pans.Inc()
-	wm.metrics.trace.Record(obs.KindPan, "pan", uint32(desktop), int64(x), int64(y))
+	wm.metrics.trace.Record(obs.KindPan, opPan, uint32(desktop), int64(x), int64(y))
 }
 
 // Metrics returns the WM's metrics registry; Snapshot() it for an

@@ -167,7 +167,7 @@ func TestQueryTrace(t *testing.T) {
 	}
 	var sawManage, sawPan, sawRequest bool
 	for _, e := range trace.Entries {
-		switch e.Op {
+		switch e.Op.String() {
 		case "manage":
 			sawManage = true
 		case "pan":
@@ -328,10 +328,10 @@ func TestExecContextClientUnderPointer(t *testing.T) {
 			}
 		}},
 		{"f.setbindings(nail=<Btn1>:f.iconify)", func(t *testing.T, wm *WM, a, b *Client) {
-			if got := b.frame.Find("nail").Bindings.Lookup(xproto.ButtonPress, xproto.Button1, "", 0); len(got) != 1 || got[0].Name != "f.iconify" {
+			if got := b.frame.Find("nail").Bindings.Lookup(xproto.ButtonPress, xproto.Button1, xproto.NoSymbol, 0); len(got) != 1 || got[0].Name != "f.iconify" {
 				t.Errorf("b's nail Btn1 runs %v, want f.iconify", got)
 			}
-			if got := a.frame.Find("nail").Bindings.Lookup(xproto.ButtonPress, xproto.Button1, "", 0); len(got) == 1 && got[0].Name == "f.iconify" {
+			if got := a.frame.Find("nail").Bindings.Lookup(xproto.ButtonPress, xproto.Button1, xproto.NoSymbol, 0); len(got) == 1 && got[0].Name == "f.iconify" {
 				t.Error("a's nail was rebound: the bindings went to a client not under the pointer")
 			}
 		}},

@@ -89,7 +89,7 @@ func TestResourceKeysPerScreen(t *testing.T) {
 
 			for i, want := range []string{tc.rootKey, tc.other} {
 				rb := wm.screens[i].rootBindings
-				if rb == nil || len(rb.Bindings) != 1 || rb.Bindings[0].Keysym != want {
+				if rb == nil || len(rb.Bindings) != 1 || rb.Bindings[0].Keysym != xproto.StringToKeysym(want) {
 					t.Errorf("screen %d root bindings = %+v, want one binding of %s", i, rb, want)
 				}
 			}

@@ -61,11 +61,11 @@ func (t *Tracker) Check(op string, err error) bool {
 	return false
 }
 
-// Note records a non-nil degradation attributed to op (a static
-// string) involving window win (0 if none). Callers with their own
-// error-classification logic (core's death-race handling) use Note
-// directly so every surviving failure still flows through this one
-// doorway.
+// Note records a non-nil degradation attributed to op involving window
+// win (0 if none). While tracing is on it resolves op to its trace code
+// here, on the error path. Callers with their own error-classification
+// logic (core's death-race handling) use Note directly so every
+// surviving failure still flows through this one doorway.
 func (t *Tracker) Note(op string, win uint32, err error) {
 	t.count.Add(1)
 	wrapped := fmt.Errorf("%s: %s: %w", t.source, op, err)
@@ -75,8 +75,8 @@ func (t *Tracker) Note(op string, win uint32, err error) {
 	if t.counter != nil {
 		t.counter.Inc()
 	}
-	if t.trace != nil {
-		t.trace.Record(obs.KindDegrade, op, win, 0, 0)
+	if t.trace != nil && t.trace.Enabled() {
+		t.trace.Record(obs.KindDegrade, obs.OpFor(op), win, 0, 0)
 	}
 }
 

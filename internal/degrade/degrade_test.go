@@ -48,7 +48,7 @@ func TestObserveWiresMetricsAndTrace(t *testing.T) {
 	}
 	entries := trace.Snapshot()
 	if len(entries) != 1 || entries[0].Kind != obs.KindDegrade ||
-		entries[0].Op != "set WM_STATE" || entries[0].Window != 77 {
+		entries[0].Op.String() != "set WM_STATE" || entries[0].Window != 77 {
 		t.Errorf("trace = %+v", entries)
 	}
 }

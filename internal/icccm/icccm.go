@@ -451,18 +451,19 @@ func GetTransientFor(c *xserver.Conn, w xproto.XID) (xproto.XID, bool, error) {
 // SendDeleteWindow delivers a WM_DELETE_WINDOW ClientMessage to the
 // window's owning client.
 func SendDeleteWindow(c *xserver.Conn, w xproto.XID) error {
-	return c.SendEvent(w, 0, xproto.Event{
+	ev := xproto.Event{
 		Type:        xproto.ClientMessage,
 		MessageType: c.InternAtom("WM_PROTOCOLS"),
 		Format:      32,
-		Data:        put32(nil, uint32(c.InternAtom("WM_DELETE_WINDOW"))),
-	})
+	}
+	binary.LittleEndian.PutUint32(ev.Data[:], uint32(c.InternAtom("WM_DELETE_WINDOW")))
+	return c.SendEvent(w, 0, ev)
 }
 
 // DecodeAtom32 extracts the first format-32 atom from a ClientMessage
 // payload (used by clients receiving WM_PROTOCOLS messages).
-func DecodeAtom32(data []byte) xproto.Atom {
-	return xproto.Atom(get32(data, 0))
+func DecodeAtom32(data [20]byte) xproto.Atom {
+	return xproto.Atom(get32(data[:], 0))
 }
 
 // --- Synthetic ConfigureNotify ----------------------------------------------------

@@ -137,7 +137,7 @@ swm*button.foo.bindings: <Btn1> : f.raise
 	if foo.Bindings == nil {
 		t.Fatal("bindings not loaded")
 	}
-	if got := foo.Bindings.Lookup(xproto.ButtonPress, 1, "", 0); got == nil || got[0].Name != "f.raise" {
+	if got := foo.Bindings.Lookup(xproto.ButtonPress, 1, xproto.NoSymbol, 0); got == nil || got[0].Name != "f.raise" {
 		t.Errorf("bindings lookup = %v", got)
 	}
 }

@@ -8,11 +8,11 @@
 // Design constraints, in priority order:
 //
 //  1. Record paths allocate nothing. Counters, gauges and histograms
-//     are bare atomics; the trace stores fixed-size entries whose only
-//     pointer field is a static string. The hot paths (request gate,
-//     event pump, panner sync) run millions of times per benchmark and
-//     must stay inside the PR 2 allocation budgets (0 allocs/op for
-//     the pan storm).
+//     are bare atomics; the trace stores fixed-size entries that hold
+//     no pointer (an op is a code taken once from OpFor). The hot
+//     paths (request gate, event pump, panner sync) run millions of
+//     times per benchmark and must stay inside the PR 2 allocation
+//     budgets (0 allocs/op for the pan storm).
 //  2. Instruments are registered once, at construction time, and held
 //     as struct fields thereafter. Registry lookups never happen on a
 //     hot path.

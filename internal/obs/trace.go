@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,9 +68,80 @@ func (k *EventKind) UnmarshalJSON(data []byte) error {
 	return fmt.Errorf("obs: unknown event kind %q", name)
 }
 
-// Entry is one trace record. All fields are fixed-size; Op must be a
-// static (compile-time) string so recording never allocates. The
-// meaning of Window/Arg1/Arg2 depends on Kind:
+// Op names the operation a trace entry records ("dispatch", a request
+// major's name, a degraded operation) by a small code, so that an Entry
+// holds no pointers and the ring is never scanned by the garbage
+// collector. Codes come from OpFor; like EventKind, an Op marshals to
+// and from its name.
+type Op uint16
+
+// ops is the process-wide name table behind Op. Codes are handed out
+// in registration order and never reused; code 0 is the empty name, so
+// a zero Entry reads as it did when Op was a string.
+var ops = struct {
+	mu     sync.Mutex
+	byName map[string]Op
+	names  []string
+}{byName: map[string]Op{"": 0}, names: []string{""}}
+
+// OpFor returns the code of name, registering it on first use. It takes
+// a lock and a map lookup, so hot paths call it once (at package
+// initialisation, or into a table) and pass the code to Record. Once
+// all 65536 codes are taken, an unregistered name gets code 0.
+func OpFor(name string) Op {
+	op, _ := internOp(name)
+	return op
+}
+
+func internOp(name string) (Op, bool) {
+	ops.mu.Lock()
+	defer ops.mu.Unlock()
+	if op, ok := ops.byName[name]; ok {
+		return op, true
+	}
+	if len(ops.names) > math.MaxUint16 {
+		return 0, false
+	}
+	op := Op(len(ops.names))
+	ops.byName[name] = op
+	ops.names = append(ops.names, name)
+	return op, true
+}
+
+// String returns the op's name.
+func (o Op) String() string {
+	ops.mu.Lock()
+	defer ops.mu.Unlock()
+	if int(o) < len(ops.names) {
+		return ops.names[o]
+	}
+	return fmt.Sprintf("op(%d)", uint16(o))
+}
+
+// MarshalJSON encodes the op as its name, byte for byte as a string
+// field of that name would encode.
+func (o Op) MarshalJSON() ([]byte, error) {
+	return json.Marshal(o.String())
+}
+
+// UnmarshalJSON decodes a name back into an op, registering it, so
+// swmproto clients can round-trip trace snapshots.
+func (o *Op) UnmarshalJSON(data []byte) error {
+	var name string
+	if err := json.Unmarshal(data, &name); err != nil {
+		return fmt.Errorf("obs: bad op %s", data)
+	}
+	op, ok := internOp(name)
+	if !ok {
+		return fmt.Errorf("obs: op table full at %q", name)
+	}
+	*o = op
+	return nil
+}
+
+// Entry is one trace record. It holds no pointers: the op is a code, so
+// recording never allocates and the ring is not scanned by the garbage
+// collector. The meaning of Window/Arg1/Arg2 depends on Kind:
 //
 //	request:  Window = target XID
 //	event:    Window = event window, Arg1 = event type code
@@ -80,7 +153,7 @@ type Entry struct {
 	Seq    uint64    `json:"seq"`
 	Time   int64     `json:"time_ns"` // unix nanoseconds
 	Kind   EventKind `json:"kind"`
-	Op     string    `json:"op"`
+	Op     Op        `json:"op"`
 	Window uint32    `json:"window,omitempty"`
 	Arg1   int64     `json:"arg1,omitempty"`
 	Arg2   int64     `json:"arg2,omitempty"`
@@ -128,9 +201,8 @@ func (t *Trace) Len() int {
 }
 
 // Record appends an entry, overwriting the oldest once the ring is
-// full. op must be a static string (the entry retains it). No-op when
-// the trace is disabled.
-func (t *Trace) Record(kind EventKind, op string, window uint32, arg1, arg2 int64) {
+// full. No-op when the trace is disabled.
+func (t *Trace) Record(kind EventKind, op Op, window uint32, arg1, arg2 int64) {
 	if !t.enabled.Load() {
 		return
 	}

@@ -11,7 +11,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	if tr.Enabled() {
 		t.Fatal("trace enabled at birth")
 	}
-	tr.Record(KindPan, "pan", 0, 1, 2)
+	tr.Record(KindPan, OpFor("pan"), 0, 1, 2)
 	if tr.Len() != 0 {
 		t.Errorf("disabled trace recorded %d entries", tr.Len())
 	}
@@ -20,8 +20,8 @@ func TestTraceDisabledByDefault(t *testing.T) {
 func TestTraceRecordAndSnapshot(t *testing.T) {
 	tr := NewTrace(8)
 	tr.Enable()
-	tr.Record(KindManage, "manage", 42, 0, 0)
-	tr.Record(KindPan, "pan", 0, 256, 128)
+	tr.Record(KindManage, OpFor("manage"), 42, 0, 0)
+	tr.Record(KindPan, OpFor("pan"), 0, 256, 128)
 	entries := tr.Snapshot()
 	if len(entries) != 2 {
 		t.Fatalf("len = %d, want 2", len(entries))
@@ -41,7 +41,7 @@ func TestTraceWraparound(t *testing.T) {
 	tr := NewTrace(8)
 	tr.Enable()
 	for i := 1; i <= 20; i++ {
-		tr.Record(KindRequest, "req", uint32(i), 0, 0)
+		tr.Record(KindRequest, OpFor("req"), uint32(i), 0, 0)
 	}
 	if tr.Len() != 8 {
 		t.Fatalf("len = %d, want 8", tr.Len())
@@ -68,7 +68,7 @@ func TestTraceConcurrentWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				tr.Record(KindEvent, "dispatch", 0, int64(i), 0)
+				tr.Record(KindEvent, OpFor("dispatch"), 0, int64(i), 0)
 				if i%100 == 0 {
 					tr.Snapshot() // readers interleave with writers
 				}
@@ -94,11 +94,12 @@ func TestTraceConcurrentWriters(t *testing.T) {
 
 func TestTraceDisabledRecordAllocs(t *testing.T) {
 	tr := NewTrace(16)
-	if n := testing.AllocsPerRun(100, func() { tr.Record(KindRequest, "req", 1, 2, 3) }); n != 0 {
+	req := OpFor("req")
+	if n := testing.AllocsPerRun(100, func() { tr.Record(KindRequest, req, 1, 2, 3) }); n != 0 {
 		t.Errorf("disabled Record allocates %v/op, want 0", n)
 	}
 	tr.Enable()
-	if n := testing.AllocsPerRun(100, func() { tr.Record(KindRequest, "req", 1, 2, 3) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { tr.Record(KindRequest, req, 1, 2, 3) }); n != 0 {
 		t.Errorf("enabled Record allocates %v/op, want 0", n)
 	}
 }
@@ -106,7 +107,7 @@ func TestTraceDisabledRecordAllocs(t *testing.T) {
 func TestEntryJSON(t *testing.T) {
 	tr := NewTrace(4)
 	tr.Enable()
-	tr.Record(KindDegrade, "read WM_NAME", 9, 0, 0)
+	tr.Record(KindDegrade, OpFor("read WM_NAME"), 9, 0, 0)
 	data, err := json.Marshal(tr.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -117,5 +118,41 @@ func TestEntryJSON(t *testing.T) {
 	}
 	if decoded[0]["kind"] != "degrade" || decoded[0]["op"] != "read WM_NAME" {
 		t.Errorf("decoded = %v", decoded[0])
+	}
+}
+
+// TestOpJSONMatchesString pins that an Op encodes byte for byte as a
+// string field of its name did, HTML escapes included, and that a
+// decoded name comes back as the same code.
+func TestOpJSONMatchesString(t *testing.T) {
+	for _, name := range []string{"", "dispatch", "manage rollback: reparent", `<Key>F1 & "q"`} {
+		e := Entry{Seq: 1, Kind: KindDegrade, Op: OpFor(name), Window: 7}
+		got, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(struct {
+			Seq    uint64    `json:"seq"`
+			Time   int64     `json:"time_ns"`
+			Kind   EventKind `json:"kind"`
+			Op     string    `json:"op"`
+			Window uint32    `json:"window,omitempty"`
+			Arg1   int64     `json:"arg1,omitempty"`
+			Arg2   int64     `json:"arg2,omitempty"`
+		}{Seq: 1, Kind: KindDegrade, Op: name, Window: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%q: Entry JSON = %s, want %s", name, got, want)
+		}
+		var back Entry
+		if err := json.Unmarshal(got, &back); err != nil || back != e {
+			t.Errorf("%q: round trip = %+v, %v; want %+v", name, back, err, e)
+		}
+	}
+	var op Op
+	if err := json.Unmarshal([]byte(`7`), &op); err == nil {
+		t.Error("a number decoded as an op")
 	}
 }

@@ -13,6 +13,7 @@ package perfbench
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -164,7 +165,13 @@ type Result struct {
 
 // Report is the BENCH_<n>.json document.
 type Report struct {
-	GoVersion    string             `json:"go_version"`
+	GoVersion string `json:"go_version"`
+	// The host the report was measured on: wall-clock figures from
+	// different hosts compare only alongside these. CPUModel is empty
+	// where /proc/cpuinfo is absent.
+	NumCPU       int                `json:"num_cpu"`
+	GOMAXPROCS   int                `json:"gomaxprocs"`
+	CPUModel     string             `json:"cpu_model,omitempty"`
 	Workloads    []Result           `json:"workloads"`
 	AllocBudgets map[string]int64   `json:"alloc_budgets"`
 	WallBudgets  map[string]float64 `json:"wall_budgets"`
@@ -172,6 +179,18 @@ type Report struct {
 	// rate, request mix) the load workloads record via
 	// RecordLoadSummary — numbers a ns/op cannot express.
 	Load map[string]swmload.Summary `json:"load,omitempty"`
+}
+
+// CPUModel returns the first "model name" value of a /proc/cpuinfo
+// listing, or "" when it has none.
+func CPUModel(cpuinfo []byte) string {
+	for _, line := range strings.Split(string(cpuinfo), "\n") {
+		key, val, ok := strings.Cut(line, ":")
+		if ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(val)
+		}
+	}
+	return ""
 }
 
 // Run measures every workload with the standard library's benchmark

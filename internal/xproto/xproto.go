@@ -221,6 +221,9 @@ type WindowChanges struct {
 // Event is the single fat event record used for every event type; only
 // the fields relevant to Type are meaningful. Using one struct keeps the
 // in-memory server simple and allocation-free on the hot dispatch path.
+// Like an X11 event it holds no pointers (a keysym is a code, and a
+// ClientMessage carries its 20 data bytes inline), so the garbage
+// collector never scans the event queues that hold it.
 type Event struct {
 	Type EventType
 	// Window is the event window: the window the event was selected on.
@@ -238,7 +241,7 @@ type Event struct {
 	X, Y         int // event-window-relative
 	RootX, RootY int
 	Button       int
-	Keysym       string
+	Keysym       Keysym
 	State        uint16 // modifier+button state
 
 	// Geometry (Configure*, Create, Expose, Gravity).
@@ -257,10 +260,11 @@ type Event struct {
 	OverrideRedirect bool
 	FromConfigure    bool
 
-	// ClientMessage payload.
+	// ClientMessage payload: Format (8, 16 or 32) says how Data is
+	// read.
 	MessageType Atom
 	Format      int
-	Data        []byte
+	Data        [20]byte
 
 	// SendEvent is true for events generated via SendEvent (synthetic).
 	SendEvent bool

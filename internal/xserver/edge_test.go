@@ -1,6 +1,7 @@
 package xserver
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/xproto"
@@ -62,8 +63,55 @@ func TestGetPropertyCopiesData(t *testing.T) {
 
 func TestSendEventToBadWindow(t *testing.T) {
 	_, c := newTestServer(t)
-	if err := c.SendEvent(0xdead, 0, xproto.Event{Type: xproto.ClientMessage}); err == nil {
-		t.Error("SendEvent to a bad window accepted")
+	var xe *xproto.XError
+	err := c.SendEvent(0xdead, 0, xproto.Event{Type: xproto.ClientMessage, Format: 32})
+	if !errors.As(err, &xe) || xe.Code != xproto.BadWindow {
+		t.Errorf("SendEvent to a bad window = %v, want BadWindow", err)
+	}
+}
+
+// TestSendEventBadValue pins X.Org's two SendEvent checks: an event
+// type outside the core and extension range, and a ClientMessage whose
+// format is not 8, 16 or 32, are BadValue from SendEvent, reach the
+// error handler once, and deliver nothing.
+func TestSendEventBadValue(t *testing.T) {
+	s, c := newTestServer(t)
+	owner := s.Connect("owner")
+	w := mustCreate(t, owner, s.Screens()[0].Root, xproto.Rect{Width: 10, Height: 10})
+	for _, conn := range []*Conn{owner, c} {
+		if err := conn.SelectInput(w, xproto.StructureNotifyMask); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var noted []*xproto.XError
+	c.SetErrorHandler(func(xe *xproto.XError) { noted = append(noted, xe) })
+	for _, tc := range []struct {
+		name string
+		mask xproto.EventMask
+		ev   xproto.Event
+	}{
+		{"ClientMessage format 0", 0, xproto.Event{Type: xproto.ClientMessage}},
+		{"ClientMessage format 24", xproto.StructureNotifyMask, xproto.Event{Type: xproto.ClientMessage, Format: 24}},
+		{"event type 0", xproto.StructureNotifyMask, xproto.Event{}},
+		{"event type 1", 0, xproto.Event{Type: xproto.KeyPress - 1}},
+		{"event type past ShapeNotify", xproto.StructureNotifyMask, xproto.Event{Type: xproto.ShapeNotify + 1}},
+	} {
+		noted = nil
+		drain(owner)
+		drain(c)
+		var xe *xproto.XError
+		if err := c.SendEvent(w, tc.mask, tc.ev); !errors.As(err, &xe) ||
+			xe.Code != xproto.BadValue || xe.Major != xproto.MajorSendEvent {
+			t.Errorf("%s: SendEvent = %v, want BadValue from SendEvent", tc.name, err)
+		}
+		if len(noted) != 1 || noted[0] != xe {
+			t.Errorf("%s: error handler saw %v, want the one error", tc.name, noted)
+		}
+		for _, conn := range []*Conn{owner, c} {
+			if evs := drain(conn); len(evs) != 0 {
+				t.Errorf("%s: connection %p received %v", tc.name, conn, evs)
+			}
+		}
 	}
 }
 

@@ -97,7 +97,9 @@ func (c *Conn) PollEvent() (xproto.Event, bool) {
 // SendEvent delivers a synthetic event. If mask is zero the event goes to
 // the owner of the destination window (as X does for NoEventMask);
 // otherwise it goes to every connection selecting mask on the window.
-// The event is flagged SendEvent.
+// The event is flagged SendEvent. As in X.Org's ProcSendEvent, an
+// event type outside the core and extension range, or a ClientMessage
+// whose format is not 8, 16 or 32, is BadValue before any delivery.
 func (c *Conn) SendEvent(dst xproto.XID, mask xproto.EventMask, ev xproto.Event) error {
 	if err := c.gate(xproto.MajorSendEvent, dst); err != nil {
 		return err
@@ -105,6 +107,14 @@ func (c *Conn) SendEvent(dst xproto.XID, mask xproto.EventMask, ev xproto.Event)
 	s := c.server
 	s.writeLock()
 	defer s.mu.Unlock()
+	if ev.Type < xproto.KeyPress || ev.Type > xproto.ShapeNotify {
+		return c.note(&xproto.XError{Code: xproto.BadValue, Major: xproto.MajorSendEvent, Resource: dst,
+			Detail: fmt.Sprintf("event type %d", int(ev.Type))})
+	}
+	if ev.Type == xproto.ClientMessage && ev.Format != 8 && ev.Format != 16 && ev.Format != 32 {
+		return c.note(&xproto.XError{Code: xproto.BadValue, Major: xproto.MajorSendEvent, Resource: dst,
+			Detail: fmt.Sprintf("ClientMessage format %d", ev.Format)})
+	}
 	w, err := c.lookupWin(dst, xproto.MajorSendEvent)
 	if err != nil {
 		return err

@@ -29,7 +29,7 @@ func TestCloseClearsGrabTableTail(t *testing.T) {
 		if err := c.GrabButton(root, i+1, 0, xproto.ButtonPressMask); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.GrabKey(root, "F"+string(rune('1'+i)), 0); err != nil {
+		if err := c.GrabKey(root, xproto.StringToKeysym("F"+string(rune('1'+i))), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,13 +53,13 @@ func TestUngrabClearsGrabTableTail(t *testing.T) {
 		}
 	}
 	for _, keysym := range []string{"F1", "F2", "F3"} {
-		if err := c.GrabKey(root, keysym, 0); err != nil {
+		if err := c.GrabKey(root, xproto.StringToKeysym(keysym), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	c.UngrabButton(root, 1, 0)
-	c.UngrabKey(root, "F1", 0)
+	c.UngrabKey(root, xproto.StringToKeysym("F1"), 0)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.grabs) != 4 {
@@ -84,7 +84,7 @@ func TestGrabsDieWithTheirWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.GrabKey(w, "F1", 0); err != nil {
+	if err := c.GrabKey(w, xproto.StringToKeysym("F1"), 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.GrabPointer(w, xproto.PointerMotionMask); err != nil {

@@ -25,12 +25,12 @@ import (
 
 // --- Grabs ----------------------------------------------------------------
 
-// grabSpec identifies a passive grab: a button grab has an empty
-// keysym, a key grab has button 0.
+// grabSpec identifies a passive grab: a button grab has keysym
+// NoSymbol, a key grab has button 0.
 type grabSpec struct {
 	window    xproto.XID
 	button    int
-	keysym    string
+	keysym    xproto.Keysym
 	modifiers uint16
 }
 
@@ -57,7 +57,7 @@ func (c *Conn) GrabButton(grabWindow xproto.XID, button int, modifiers uint16, e
 // exactly the given modifiers while the pointer is inside grabWindow (or
 // a descendant), the press is delivered to this connection with
 // grabWindow as the event window.
-func (c *Conn) GrabKey(grabWindow xproto.XID, keysym string, modifiers uint16) error {
+func (c *Conn) GrabKey(grabWindow xproto.XID, keysym xproto.Keysym, modifiers uint16) error {
 	if err := c.gate(xproto.MajorGrabKey, grabWindow); err != nil {
 		return err
 	}
@@ -74,8 +74,8 @@ func (c *Conn) grab(major xproto.Major, spec grabSpec, eventMask xproto.EventMas
 	if _, err := c.lookupWin(spec.window, major); err != nil {
 		return err
 	}
-	if major == xproto.MajorGrabKey && spec.keysym == "" {
-		return c.note(&xproto.XError{Code: xproto.BadValue, Major: major, Resource: spec.window, Detail: "empty keysym"})
+	if major == xproto.MajorGrabKey && spec.keysym == xproto.NoSymbol {
+		return c.note(&xproto.XError{Code: xproto.BadValue, Major: major, Resource: spec.window, Detail: "no keysym"})
 	}
 	g := &passiveGrab{grabSpec: spec, conn: c, eventMask: eventMask}
 	for i, old := range s.grabs {
@@ -84,8 +84,8 @@ func (c *Conn) grab(major xproto.Major, spec grabSpec, eventMask xproto.EventMas
 		}
 		if old.conn != c {
 			what := fmt.Sprintf("button %d", spec.button)
-			if spec.keysym != "" {
-				what = "key " + spec.keysym
+			if spec.keysym != xproto.NoSymbol {
+				what = "key " + spec.keysym.String()
 			}
 			return c.note(&xproto.XError{
 				Code: xproto.BadAccess, Major: major, Resource: spec.window,
@@ -105,7 +105,7 @@ func (c *Conn) UngrabButton(grabWindow xproto.XID, button int, modifiers uint16)
 }
 
 // UngrabKey removes a passive key grab.
-func (c *Conn) UngrabKey(grabWindow xproto.XID, keysym string, modifiers uint16) {
+func (c *Conn) UngrabKey(grabWindow xproto.XID, keysym xproto.Keysym, modifiers uint16) {
 	c.ungrab(grabSpec{window: grabWindow, keysym: keysym, modifiers: modifiers})
 }
 
@@ -232,7 +232,7 @@ func (s *Server) FakeMotion(rootX, rootY int) {
 	s.withInput(func() {
 		s.pointer.xy.Store(packIntPair(rootX, rootY))
 		s.updatePointerWindowInput()
-		s.deviceInput(xproto.MotionNotify, 0, "", 0)
+		s.deviceInput(xproto.MotionNotify, 0, xproto.NoSymbol, 0)
 	})
 }
 
@@ -251,14 +251,14 @@ func (s *Server) FakeSetScreen(screen int) {
 func (s *Server) FakeButtonPress(button int, modifiers uint16) {
 	s.withInput(func() {
 		s.pointer.state.Store(s.pointer.state.Load() | uint32(buttonStateBit(button)|modifiers))
-		s.deviceInput(xproto.ButtonPress, button, "", modifiers)
+		s.deviceInput(xproto.ButtonPress, button, xproto.NoSymbol, modifiers)
 	})
 }
 
 // FakeButtonRelease releases a pointer button.
 func (s *Server) FakeButtonRelease(button int, modifiers uint16) {
 	s.withInput(func() {
-		s.deviceInput(xproto.ButtonRelease, button, "", modifiers)
+		s.deviceInput(xproto.ButtonRelease, button, xproto.NoSymbol, modifiers)
 		st := uint16(s.pointer.state.Load()) &^ (buttonStateBit(button) | modifiers)
 		s.pointer.state.Store(uint32(st))
 		// A button release ends an implicit grab.
@@ -269,14 +269,17 @@ func (s *Server) FakeButtonRelease(button int, modifiers uint16) {
 }
 
 // FakeKeyPress presses a key described by an X keysym name ("a", "Up",
-// "F1"...), honouring passive key grabs.
+// "F1"...), honouring passive key grabs. An unknown name presses
+// NoSymbol, which no grab or binding matches.
 func (s *Server) FakeKeyPress(keysym string, modifiers uint16) {
-	s.withInput(func() { s.deviceInput(xproto.KeyPress, 0, keysym, modifiers) })
+	code := xproto.StringToKeysym(keysym)
+	s.withInput(func() { s.deviceInput(xproto.KeyPress, 0, code, modifiers) })
 }
 
 // FakeKeyRelease releases a key.
 func (s *Server) FakeKeyRelease(keysym string, modifiers uint16) {
-	s.withInput(func() { s.deviceInput(xproto.KeyRelease, 0, keysym, modifiers) })
+	code := xproto.StringToKeysym(keysym)
+	s.withInput(func() { s.deviceInput(xproto.KeyRelease, 0, code, modifiers) })
 }
 
 const allButtonsMask = uint16(xproto.Button1Mask | xproto.Button2Mask |
@@ -389,7 +392,7 @@ func (s *Server) updatePointerWindowInput() {
 // delivered starts an implicit grab. Button events, and a press a
 // passive grab takes, carry the pointer window as Subwindow. Caller
 // holds the server lock and inputMu.
-func (s *Server) deviceInput(typ xproto.EventType, button int, keysym string, modifiers uint16) {
+func (s *Server) deviceInput(typ xproto.EventType, button int, keysym xproto.Keysym, modifiers uint16) {
 	ev := xproto.Event{
 		Type: typ, Root: s.screens[s.pointer.screen.Load()].Root, Time: s.tick(),
 		Button: button, Keysym: keysym, State: modifiers | uint16(s.pointer.state.Load()),

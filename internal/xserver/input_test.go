@@ -169,7 +169,7 @@ func TestDeviceEventDelivery(t *testing.T) {
 					xproto.ButtonPressMask|xproto.ButtonReleaseMask|xproto.PointerMotionMask); err != nil {
 					t.Fatal(err)
 				}
-				if err := f.wm.GrabKey(f.rootWin, "F1", mod1); err != nil {
+				if err := f.wm.GrabKey(f.rootWin, xproto.StringToKeysym("F1"), mod1); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -283,19 +283,19 @@ func TestKeyGrabConflict(t *testing.T) {
 	s := NewServer()
 	a, b := s.Connect("a"), s.Connect("b")
 	root := s.Screens()[0].Root
-	if err := a.GrabKey(root, "F1", xproto.Mod1Mask); err != nil {
+	if err := a.GrabKey(root, xproto.StringToKeysym("F1"), xproto.Mod1Mask); err != nil {
 		t.Fatal(err)
 	}
 	var xe *xproto.XError
-	if err := b.GrabKey(root, "F1", xproto.Mod1Mask); !errors.As(err, &xe) ||
+	if err := b.GrabKey(root, xproto.StringToKeysym("F1"), xproto.Mod1Mask); !errors.As(err, &xe) ||
 		xe.Code != xproto.BadAccess || xe.Major != xproto.MajorGrabKey {
 		t.Errorf("conflicting GrabKey = %v, want BadAccess from GrabKey", err)
 	}
-	if err := a.GrabKey(root, "F1", xproto.Mod1Mask); err != nil {
+	if err := a.GrabKey(root, xproto.StringToKeysym("F1"), xproto.Mod1Mask); err != nil {
 		t.Errorf("re-grab by the owner rejected: %v", err)
 	}
 	// Other modifiers make another grab.
-	if err := b.GrabKey(root, "F1", xproto.ControlMask); err != nil {
+	if err := b.GrabKey(root, xproto.StringToKeysym("F1"), xproto.ControlMask); err != nil {
 		t.Errorf("distinct key grab rejected: %v", err)
 	}
 	s.mu.Lock()
@@ -319,10 +319,10 @@ func TestKeyGrabConflict(t *testing.T) {
 // whichever was made first.
 func TestNestedKeyGrabDeepestWins(t *testing.T) {
 	f := newInputFixture(t)
-	if err := f.wm.GrabKey(f.rootWin, "F1", 0); err != nil {
+	if err := f.wm.GrabKey(f.rootWin, xproto.StringToKeysym("F1"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.side.GrabKey(f.outer, "F1", 0); err != nil {
+	if err := f.side.GrabKey(f.outer, xproto.StringToKeysym("F1"), 0); err != nil {
 		t.Fatal(err)
 	}
 	f.s.FakeMotion(150, 170) // inside inner, under outer
@@ -339,12 +339,12 @@ func TestNestedKeyGrabDeepestWins(t *testing.T) {
 	}
 }
 
-// TestGrabKeyEmptyKeysym pins that GrabKey needs a key: an empty
+// TestGrabKeyEmptyKeysym pins that GrabKey needs a key: NoSymbol
 // keysym is BadValue and adds no grab.
 func TestGrabKeyEmptyKeysym(t *testing.T) {
 	s, c := newTestServer(t)
 	var xe *xproto.XError
-	if err := c.GrabKey(s.Screens()[0].Root, "", 0); !errors.As(err, &xe) || xe.Code != xproto.BadValue {
+	if err := c.GrabKey(s.Screens()[0].Root, xproto.NoSymbol, 0); !errors.As(err, &xe) || xe.Code != xproto.BadValue {
 		t.Errorf("GrabKey with no keysym = %v, want BadValue", err)
 	}
 	if len(s.grabs) != 0 {

@@ -1031,7 +1031,7 @@ func TestKeyGrabAndDelivery(t *testing.T) {
 	if err := c.MapWindow(w); err != nil {
 		t.Fatal(err)
 	}
-	if err := wm.GrabKey(root, "F1", 0); err != nil {
+	if err := wm.GrabKey(root, xproto.StringToKeysym("F1"), 0); err != nil {
 		t.Fatal(err)
 	}
 	s.FakeMotion(50, 50)
@@ -1042,7 +1042,7 @@ func TestKeyGrabAndDelivery(t *testing.T) {
 	}
 	var got bool
 	for _, ev := range drain(wm) {
-		if ev.Type == xproto.KeyPress && ev.Keysym == "F1" {
+		if ev.Type == xproto.KeyPress && ev.Keysym == xproto.StringToKeysym("F1") {
 			got = true
 		}
 	}
@@ -1053,7 +1053,7 @@ func TestKeyGrabAndDelivery(t *testing.T) {
 	s.FakeKeyPress("a", 0)
 	got = false
 	for _, ev := range drain(c) {
-		if ev.Type == xproto.KeyPress && ev.Keysym == "a" {
+		if ev.Type == xproto.KeyPress && ev.Keysym == xproto.StringToKeysym("a") {
 			got = true
 		}
 	}
@@ -1100,7 +1100,7 @@ func TestSendEventToOwner(t *testing.T) {
 	del := wm.InternAtom("WM_DELETE_WINDOW")
 	if err := wm.SendEvent(w, 0, xproto.Event{
 		Type: xproto.ClientMessage, MessageType: wm.InternAtom("WM_PROTOCOLS"),
-		Format: 32, Data: []byte{byte(del)},
+		Format: 32, Data: [20]byte{byte(del)},
 	}); err != nil {
 		t.Fatal(err)
 	}
